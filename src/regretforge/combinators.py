@@ -25,6 +25,7 @@ from .core import (
     HintedLearner,
     Learner,
     check_unit_norm,
+    row_dot,
 )
 from .geometry import ConvexDomain, pnorm_grid
 from .learners import CoinBettor, DimFreeLearner
@@ -94,22 +95,31 @@ class OptimisticLearner(HintedLearner):
     scalar y_t from a coin bettor. The gradient goes to the base unchanged;
     the bettor's loss for the round is -<g_t, h_t>, so it accumulates wealth
     exactly when trusting the hints pays. Bad hints cost at most the
-    bettor's budget.
+    bettor's budget. The trial axis, if any, is the base learner's; the
+    bettor must carry the same one.
     """
 
     def __init__(self, base: Learner, bettor: Optional[CoinBettor] = None,
                  bettor_epsilon: float = 1.0):
         self.base = base
-        self.bettor = bettor if bettor is not None else CoinBettor(bettor_epsilon)
+        if bettor is None:
+            bettor = CoinBettor(bettor_epsilon, base.batch)
+        elif bettor.batch != base.batch:
+            raise DimensionMismatch(
+                f"bettor has batch {bettor.batch}, base learner has batch {base.batch}"
+            )
+        self.bettor = bettor
         eps = None if base.epsilon is None else base.epsilon + self.bettor.epsilon
-        super().__init__(base.dim, epsilon=eps)
+        super().__init__(base.dim, epsilon=eps, batch=base.batch)
         self.last_hint = None
 
     def _hinted_prediction(self, h):
         x = self.base.predict()
         y = self.bettor.predict()
         self.last_hint = h.copy()
-        return x - y * h
+        if self.batch is None:
+            return x - y * h
+        return x - y[:, None] * h
 
     def _update(self, g):
         if self.last_hint is None:
@@ -118,7 +128,10 @@ class OptimisticLearner(HintedLearner):
             )
         self.base.observe(g)
         # loss -<g, h>; the bettor consumes the negated loss
-        self.bettor.observe(float(np.dot(g, self.last_hint)))
+        if self.batch is None:
+            self.bettor.observe(float(np.dot(g, self.last_hint)))
+        else:
+            self.bettor.observe(row_dot(g, self.last_hint))
         self.last_hint = None
 
 

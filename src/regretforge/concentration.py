@@ -12,6 +12,12 @@ worst-case range. Two modes compute it:
 
 K1 is an engineering constant calibrated so that (a) Monte Carlo coverage
 holds for every shipped sampler and (b) both modes agree within 4x.
+
+Via-learner trials run in fixed-size blocks along a trial axis: one
+replay drives the same learner, hint source and validation for a whole
+(T, B, d) block, one row per trial. Each trial keeps its own draw (seed +
+trial index) and its radius is bitwise the one a replay of that trial
+alone gives, so results do not depend on where block boundaries fall.
 """
 
 from __future__ import annotations
@@ -22,11 +28,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinators import OptimisticLearner
-from .core import replay_hinted
+from .core import replay_hinted, row_norm
 from .hints import RunningAverage
 from .learners import CoinBettor, DimFreeLearner
 
 K1 = 0.58
+
+#: bytes of (T, B, d) float64 gradients per via-learner trial block
+TRIAL_BLOCK_BYTES = 1 << 19
+
+
+def trial_block(T: int, dim: int) -> int:
+    """Trials per via-learner block: as many as fit in TRIAL_BLOCK_BYTES, at least 1.
+
+    The block's gradients are the only per-trial array a batched replay
+    keeps at full size, so this bounds the memory a block adds.
+    """
+    return max(1, TRIAL_BLOCK_BYTES // (8 * T * dim))
 
 
 def balanced_log_bound(A: float, B: float, C: float, D: float, E: float) -> float:
@@ -94,22 +112,31 @@ def make_sampler(name: str, dim: int = 4) -> Sampler:
     return Sampler(name, _SIGMAS[name], dim)
 
 
-def learner_radius(samples, delta: float) -> float:
+def learner_radius(samples, delta: float):
     """Radius from actually running the optimistic learner on the sample.
 
     Uses total budget epsilon = delta split between base and bettor, the
     running-average hint source, and the comparator u = -sum g / ||sum g||.
+    A (T, B, d) block of B trials runs as one batched replay and returns
+    the (B,) radii, each bitwise equal to that trial's own radius.
     """
     X = np.asarray(samples, dtype=np.float64)
-    dim = X.shape[1]
+    dim = X.shape[-1]
+    batch = X.shape[1] if X.ndim == 3 else None
     eps = delta
     learner = OptimisticLearner(
-        DimFreeLearner(dim, epsilon=eps / 2.0), CoinBettor(eps / 2.0)
+        DimFreeLearner(dim, epsilon=eps / 2.0, batch=batch), CoinBettor(eps / 2.0, batch)
     )
-    ledger = replay_hinted(learner, X, RunningAverage(dim))
+    ledger = replay_hinted(learner, X, RunningAverage(dim, batch))
     s = ledger.gradient_sum()
-    n = float(np.linalg.norm(s))
-    u = np.zeros(dim) if n == 0.0 else -s / n
+    if batch is None:
+        n = float(np.linalg.norm(s))
+        u = np.zeros(dim) if n == 0.0 else -s / n
+    else:
+        n = row_norm(s)
+        u = np.zeros_like(s)
+        live = n != 0.0
+        u[live] = -s[live] / n[live, None]
     return ledger.regret_at(u) - eps + eps / delta
 
 
@@ -143,18 +170,27 @@ def coverage_experiment(cfg: BernsteinConfig) -> CoverageResult:
 
     Trials are independent with derived seeds (seed + trial index), so the
     aggregate is order-independent and reproducible. Shipped samplers are
-    centered, so the deviation ||sum X_t - E sum X_t|| is exact.
+    centered, so the deviation ||sum X_t - E sum X_t|| is exact. Via-learner
+    trials are drawn into blocks of ``trial_block`` trials, and each block
+    is one ``learner_radius`` call.
     """
     sampler = make_sampler(cfg.sampler, cfg.dim)
     deviations = np.empty(cfg.trials)
     radii = np.empty(cfg.trials)
-    for i in range(cfg.trials):
-        rng = np.random.default_rng(cfg.seed + i)
-        X = sampler.draw(rng, cfg.T)
-        deviations[i] = float(np.linalg.norm(X.sum(axis=0)))
-        if cfg.via_learner:
-            radii[i] = learner_radius(X, cfg.delta)
-        else:
+    if cfg.via_learner:
+        size = min(trial_block(cfg.T, cfg.dim), cfg.trials)
+        block = np.empty((cfg.T, size, cfg.dim))  # reused, so one block is ever held
+        for start in range(0, cfg.trials, size):
+            stop = min(start + size, cfg.trials)
+            for i in range(start, stop):
+                X = sampler.draw(np.random.default_rng(cfg.seed + i), cfg.T)
+                deviations[i] = float(np.linalg.norm(X.sum(axis=0)))
+                block[:, i - start] = X
+            radii[start:stop] = learner_radius(block[:, :stop - start], cfg.delta)
+    else:
+        for i in range(cfg.trials):
+            X = sampler.draw(np.random.default_rng(cfg.seed + i), cfg.T)
+            deviations[i] = float(np.linalg.norm(X.sum(axis=0)))
             radii[i] = bernstein_radius(X, cfg.delta)
     failures = float(np.mean(deviations > radii))
     return CoverageResult(failures, float(radii.mean()), deviations, radii)

@@ -33,19 +33,52 @@ class ReplayError(RuntimeError):
     """Replay aborted; the message names the offending round."""
 
 
-def as_vector(x, dim=None, name="vector") -> np.ndarray:
-    """Validate and return x as a finite 1-D float64 array."""
+def as_vector(x, dim=None, name="vector", batch=None) -> np.ndarray:
+    """Validate and return x as a finite 1-D float64 array.
+
+    With ``batch`` set, x must instead be one row per trial: exactly
+    (batch, dim).
+    """
     v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatch(f"{name} has dim {v.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(v)):
+    if batch is None:
+        if v.ndim != 1:
+            raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
+        if dim is not None and v.shape[0] != dim:
+            raise DimensionMismatch(f"{name} has dim {v.shape[0]}, expected {dim}")
+    elif v.shape != (batch, dim):
+        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({batch}, {dim})")
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
 
+_vecdot = getattr(np, "vecdot", None)  # NumPy >= 2.0
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row inner products of two (B, d) arrays.
+
+    Both ``np.vecdot`` and a stacked (1, d) @ (d, 1) matmul run NumPy's 1-D
+    dot loop on every row, so row i is bitwise equal to ``np.dot(a[i], b[i])``.
+    """
+    if _vecdot is not None:
+        return _vecdot(a, b)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """Per-row Euclidean norms, bitwise equal to ``np.linalg.norm(a[i])``."""
+    return np.sqrt(row_dot(a, a))
+
+
 def check_unit_norm(v: np.ndarray, name: str, tol: float = GRAD_TOL) -> None:
+    """Reject a vector, or any row of a (B, d) array, longer than 1 + tol."""
+    if v.ndim == 2:
+        norms = row_norm(v)
+        i = int(norms.argmax())
+        if norms[i] > 1.0 + tol:
+            raise ValueError(f"{name} of trial {i} has norm {norms[i]:.12g} > 1 + {tol}")
+        return
     n = float(np.linalg.norm(v))
     if n > 1.0 + tol:
         raise ValueError(f"{name} has norm {n:.12g} > 1 + {tol}")
@@ -71,6 +104,26 @@ class Accumulator:
     @property
     def total(self) -> float:
         return self._s + self._c
+
+
+class BatchAccumulator(Accumulator):
+    """Neumaier-compensated running sums, one per trial, in (B,) arrays.
+
+    Each entry takes the same branch and the same operations as a scalar
+    Accumulator fed that trial's values.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, batch: int):
+        self._s = np.zeros(batch)
+        self._c = np.zeros(batch)
+
+    def add(self, x: np.ndarray) -> None:
+        s = self._s
+        t = s + x
+        self._c = self._c + np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+        self._s = t
 
 
 @dataclass
@@ -104,24 +157,33 @@ class RegretLedger:
 
     Supports regret evaluation at arbitrary comparators after the fact.
     ``hints`` is attached by the hinted replay drivers and is None otherwise.
+
+    A batched replay records (T, B, d) gradients and (T, B) per-round losses
+    instead of iterates; its sums and regrets are then per trial, with the
+    comparator given as one (B, d) row per trial.
     """
 
-    def __init__(self, iterates: np.ndarray, gradients: np.ndarray, hints=None):
-        self.iterates = np.asarray(iterates, dtype=np.float64)
+    def __init__(self, iterates, gradients, hints=None, losses=None):
         self.gradients = np.asarray(gradients, dtype=np.float64)
+        self.hints = hints
+        self._losses = losses
+        if iterates is None:
+            if losses is None:
+                raise ValueError("a ledger needs iterates or per-round losses")
+            self.iterates = None
+            return
+        self.iterates = np.asarray(iterates, dtype=np.float64)
         if self.iterates.shape != self.gradients.shape:
             raise DimensionMismatch(
                 f"iterates {self.iterates.shape} vs gradients {self.gradients.shape}"
             )
-        self.hints = hints
-        self._losses = None
 
     def __len__(self) -> int:
-        return self.iterates.shape[0]
+        return self.gradients.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.iterates.shape[1]
+        return self.gradients.shape[-1]
 
     def per_round_losses(self) -> np.ndarray:
         if self._losses is None:
@@ -129,13 +191,22 @@ class RegretLedger:
         return self._losses
 
     @property
-    def cumulative_loss(self) -> float:
-        return math.fsum(self.per_round_losses())
+    def cumulative_loss(self):
+        losses = self.per_round_losses()
+        if losses.ndim == 2:
+            return np.array([math.fsum(trial) for trial in losses.T])
+        return math.fsum(losses)
 
     def gradient_sum(self) -> np.ndarray:
         return self.gradients.sum(axis=0)
 
-    def regret_at(self, u) -> float:
+    def regret_at(self, u):
+        if self.gradients.ndim == 3:
+            batch = self.gradients.shape[1]
+            u = as_vector(u, self.dim, "comparator", batch)
+            losses = self.per_round_losses()
+            return np.array([math.fsum(losses[:, i] - self.gradients[:, i] @ u[i])
+                             for i in range(batch)])
         u = as_vector(u, self.dim, "comparator")
         # single pass: fsum over per-round <g_t, w_t - u>
         terms = self.per_round_losses() - self.gradients @ u
@@ -153,16 +224,24 @@ class Learner:
     predict() is pure and may be called repeatedly; observe() must be
     preceded by at least one predict() for the round. round_index counts
     completed observes. Subclasses implement _prediction() and _update().
+
+    Learners that support it take ``batch`` = B to run B independent trials
+    in lockstep: every vector then carries a leading trial axis, (B, d), and
+    every per-trial scalar is a (B,) array.
     """
 
     #: learners declaring this reject gradients with ||g||_2 > 1 + GRAD_TOL
     unit_gradient_bound = True
 
-    def __init__(self, dim: int, epsilon: Optional[float] = None):
+    def __init__(self, dim: int, epsilon: Optional[float] = None,
+                 batch: Optional[int] = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
+        if batch is not None and batch < 1:
+            raise ValueError("batch must be >= 1")
         self.dim = dim
         self.epsilon = epsilon
+        self.batch = batch
         self.round_index = 0
         self._awaiting_predict = True
 
@@ -176,7 +255,7 @@ class Learner:
             raise ContractViolation(
                 f"observe at round {self.round_index} without a preceding predict"
             )
-        g = as_vector(g, self.dim, "gradient")
+        g = as_vector(g, self.dim, "gradient", self.batch)
         if self.unit_gradient_bound:
             check_unit_norm(g, "gradient")
         self._update(g)
@@ -205,7 +284,7 @@ class HintedLearner(Learner):
     """
 
     def predict(self, h) -> np.ndarray:  # noqa: D102 - contract in class docstring
-        h = as_vector(h, self.dim, "hint")
+        h = as_vector(h, self.dim, "hint", self.batch)
         check_unit_norm(h, "hint")
         w = self._hinted_prediction(h)
         self._awaiting_predict = False
@@ -243,11 +322,11 @@ class ConstantLearner(Learner):
         pass
 
 
-def _check_iterate(w, dim, t) -> np.ndarray:
+def _check_iterate(w, shape, t) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (dim,):
-        raise ReplayError(f"round {t}: iterate has shape {w.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(w)):
+    if w.shape != shape:
+        raise ReplayError(f"round {t}: iterate has shape {w.shape}, expected {shape}")
+    if not np.isfinite(w).all():
         raise ReplayError(f"round {t}: iterate contains non-finite entries")
     return w
 
@@ -265,7 +344,7 @@ def replay(learner: Learner, gradients) -> RegretLedger:
     W = np.empty_like(G)
     for t in range(T):
         try:
-            W[t] = _check_iterate(learner.predict(), d, t)
+            W[t] = _check_iterate(learner.predict(), (d,), t)
             learner.observe(G[t])
         except (ContractViolation, ValueError) as exc:
             raise ReplayError(f"round {t}: {exc}") from exc
@@ -273,20 +352,44 @@ def replay(learner: Learner, gradients) -> RegretLedger:
 
 
 def replay_hinted(learner: HintedLearner, gradients, source) -> RegretLedger:
-    """Drive a hinted learner; hints come from ``source`` before each play."""
+    """Drive a hinted learner; hints come from ``source`` before each play.
+
+    A (T, B, d) stream drives a learner and source built with batch = B,
+    one trial per column. The ledger then keeps each round's (B,) losses,
+    computed as a single-trial ledger computes them, but no iterates or
+    hints, so that a block of trials costs little more memory than its
+    gradients.
+    """
     G = np.asarray(gradients, dtype=np.float64)
+    if G.ndim == 3:
+        return _replay_hinted_batch(learner, G, source)
     T, d = G.shape
     W = np.empty_like(G)
     H = np.empty_like(G)
     for t in range(T):
         try:
             H[t] = source.next_hint()
-            W[t] = _check_iterate(learner.predict(H[t]), d, t)
+            W[t] = _check_iterate(learner.predict(H[t]), (d,), t)
             learner.observe(G[t])
             source.feed(G[t])
         except (ContractViolation, ValueError) as exc:
             raise ReplayError(f"round {t}: {exc}") from exc
     return RegretLedger(W, G, hints=H)
+
+
+def _replay_hinted_batch(learner, G, source) -> RegretLedger:
+    T, B, d = G.shape
+    losses = np.empty((T, B))
+    for t in range(T):
+        g = G[t]
+        try:
+            w = _check_iterate(learner.predict(source.next_hint()), (B, d), t)
+            learner.observe(g)
+            source.feed(g)
+        except (ContractViolation, ValueError) as exc:
+            raise ReplayError(f"round {t}: {exc}") from exc
+        losses[t] = np.einsum("bd,bd->b", g, w)
+    return RegretLedger(None, G, losses=losses)
 
 
 def replay_multi_hint(learner, gradients, sources: Sequence) -> RegretLedger:
@@ -300,7 +403,7 @@ def replay_multi_hint(learner, gradients, sources: Sequence) -> RegretLedger:
         try:
             for i, src in enumerate(sources):
                 H[t, i] = src.next_hint()
-            W[t] = _check_iterate(learner.predict(H[t]), d, t)
+            W[t] = _check_iterate(learner.predict(H[t]), (d,), t)
             learner.observe(G[t])
             for src in sources:
                 src.feed(G[t])

@@ -206,6 +206,10 @@ def _build_hint_source(cfg: dict, dim: int, stream: Optional[np.ndarray],
         src = ExternalHints.from_file(cfg["path"])
         if src.dim != dim:
             raise CompositionError(path, f"hint file dim {src.dim} != stream dim {dim}")
+        if stream is not None and src.rows.shape[0] < stream.shape[0]:
+            raise CompositionError(
+                path, f"hint file has {src.rows.shape[0]} rows, stream has T={stream.shape[0]}"
+            )
         return src
     if kind == "perfect":
         # oracle sugar: external hints equal to the upcoming gradients
@@ -219,13 +223,24 @@ _PLAIN_KINDS = ("coin", "dimfree", "percoord", "apd", "add", "multi_norm", "zero
 _HINTED_KINDS = ("optimistic", "constrained", "multi_hint")
 
 
+def _budget(cfg: dict, key: str, path: str) -> float:
+    """The positive origin budget ``cfg[key]`` (default 1.0)."""
+    try:
+        value = float(cfg.get(key, 1.0))
+    except (TypeError, ValueError):
+        raise CompositionError(f"{path}.{key}", f"{key} must be a number") from None
+    if not (value > 0.0 and math.isfinite(value)):
+        raise CompositionError(f"{path}.{key}", f"{key} must be positive and finite, got {value!r}")
+    return value
+
+
 def _build_plain(cfg: dict, dim: int, path: str) -> Learner:
     kind = cfg.get("kind")
     if kind in _HINTED_KINDS:
         raise CompositionError(
             path, f"{kind} consumes hints and may only appear at the root"
         )
-    eps = float(cfg.get("epsilon", 1.0))
+    eps = _budget(cfg, "epsilon", path)
     if kind == "coin":
         if dim != 1:
             raise CompositionError(path, "coin learner is 1-D; stream dim must be 1")
@@ -292,7 +307,7 @@ def build_learner(cfg: dict, dim: int, stream: Optional[np.ndarray] = None,
         if "hints" not in cfg:
             raise CompositionError(path, "optimistic learner requires a hint source")
         base = _build_plain(cfg.get("base", {"kind": "dimfree"}), dim, path + ".base")
-        eps_b = float(cfg.get("bettor_epsilon", 1.0))
+        eps_b = _budget(cfg, "bettor_epsilon", path)
         learner = OptimisticLearner(base, CoinBettor(eps_b))
         src = _build_hint_source(cfg["hints"], dim, stream, path + ".hints")
         return ComposedLearner(learner, src)
@@ -303,7 +318,7 @@ def build_learner(cfg: dict, dim: int, stream: Optional[np.ndarray] = None,
             raise CompositionError(path, "constrained learner requires a domain")
         base = _build_plain(cfg.get("base", {"kind": "dimfree"}), dim, path + ".base")
         dom = _build_domain(cfg["domain"], dim, path + ".domain")
-        eps_b = float(cfg.get("bettor_epsilon", 1.0))
+        eps_b = _budget(cfg, "bettor_epsilon", path)
         learner = ConstrainedOptimisticLearner(base, dom, CoinBettor(eps_b))
         src = _build_hint_source(cfg["hints"], dim, stream, path + ".hints")
         return ComposedLearner(learner, src)
@@ -312,7 +327,7 @@ def build_learner(cfg: dict, dim: int, stream: Optional[np.ndarray] = None,
         if not hints_cfg or not isinstance(hints_cfg, list):
             raise CompositionError(path, "multi_hint requires a list of hint sources")
         base = _build_plain(cfg.get("base", {"kind": "dimfree"}), dim, path + ".base")
-        eps_b = float(cfg.get("bettor_epsilon", 1.0))
+        eps_b = _budget(cfg, "bettor_epsilon", path)
         learner = MultiHintLearner(base, [CoinBettor(eps_b) for _ in hints_cfg])
         sources = [
             _build_hint_source(h, dim, stream, f"{path}.hints[{i}]")
@@ -558,11 +573,15 @@ def _sweep_cell(args):
 
 
 def run_sweep(config: dict, workers: int = 1):
-    """Grid over T and/or seeds; cells are independent and merged by key."""
+    """Grid over T and/or seeds; cells are independent and merged by key.
+
+    The pool gets at most one worker per cell and per CPU.
+    """
     sweep = config.get("sweep", {})
     Ts = sweep.get("T", [config["stream"]["T"]])
     seeds = sweep.get("seeds", [config["stream"].get("seed", 0)])
     cells = [(config, int(T), int(s)) for T in Ts for s in seeds]
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))

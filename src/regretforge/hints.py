@@ -72,22 +72,24 @@ class RunningAverage(HintSource):
     """Follow-the-leader for squared-distance losses: the running mean.
 
     Means of unit-bounded vectors stay unit-bounded, so no normalization.
+    With ``batch`` = B it keeps one mean per trial and emits (B, dim) hints.
     """
 
     kind = "running_average"
 
-    def __init__(self, dim):
+    def __init__(self, dim, batch=None):
         super().__init__(dim)
-        self._sum = np.zeros(dim)
+        self.batch = batch
+        self._sum = np.zeros(dim if batch is None else (batch, dim))
         self._count = 0
 
     def next_hint(self):
         if self._count == 0:
-            return np.zeros(self.dim)
+            return np.zeros(self._sum.shape)
         return self._sum / self._count
 
     def feed(self, g):
-        self._sum = self._sum + as_vector(g, self.dim, "gradient")
+        self._sum = self._sum + as_vector(g, self.dim, "gradient", self.batch)
         self._count += 1
 
 

@@ -18,7 +18,15 @@ import math
 
 import numpy as np
 
-from .core import GRAD_TOL, Accumulator, Learner, as_vector
+from .core import (
+    GRAD_TOL,
+    Accumulator,
+    BatchAccumulator,
+    Learner,
+    as_vector,
+    row_dot,
+    row_norm,
+)
 from .geometry import Ball, ConvexDomain, NormSpec, p_norm
 
 # On a perfectly predictable stream the bettor's wealth grows exponentially
@@ -33,28 +41,45 @@ class CoinBettor:
 
     Bets the fraction signed_sum / (round + 1) of current wealth; the divisor
     keeps |fraction| < 1 strictly so wealth stays positive for |z| <= 1.
-    ``observe`` consumes the reward z = negated loss.
+    ``observe`` consumes the reward z = negated loss. With ``batch`` = B the
+    bettor runs B independent trials: outcomes, bets, wealth and regrets are
+    (B,) arrays, and the wealth cap applies to each trial on its own.
     """
 
-    def __init__(self, epsilon: float = 1.0):
+    def __init__(self, epsilon: float = 1.0, batch: int | None = None):
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         self.epsilon = float(epsilon)
-        self.wealth = float(epsilon)
-        self.signed_sum = 0.0
+        self.batch = batch
         self.round = 0
-        self._loss_sum = Accumulator()  # sum_t (-z_t) * y_t, measured exactly
+        if batch is None:
+            self.wealth = float(epsilon)
+            self.signed_sum = 0.0
+            self._loss_sum = Accumulator()  # sum_t (-z_t) * y_t, measured exactly
+        else:
+            self.wealth = np.full(batch, self.epsilon)
+            self.signed_sum = np.zeros(batch)
+            self._loss_sum = BatchAccumulator(batch)
 
-    def predict(self) -> float:
+    def predict(self):
         return self.signed_sum / (self.round + 1) * self.wealth
 
-    def observe(self, z: float) -> None:
-        z = float(z)
-        if not math.isfinite(z) or abs(z) > 1.0 + GRAD_TOL:
-            raise ValueError(f"bettor outcome {z!r} outside [-1, 1]")
+    def observe(self, z) -> None:
+        if self.batch is None:
+            z = float(z)
+            if not math.isfinite(z) or abs(z) > 1.0 + GRAD_TOL:
+                raise ValueError(f"bettor outcome {z!r} outside [-1, 1]")
+        else:
+            z = as_vector(z, self.batch, "bettor outcome")
+            worst = float(np.abs(z).max())
+            if worst > 1.0 + GRAD_TOL:
+                raise ValueError(f"bettor outcome of size {worst!r} outside [-1, 1]")
         y = self.predict()
         self._loss_sum.add(-z * y)
-        self.wealth = min(self.wealth + y * z, WEALTH_CAP)
+        if self.batch is None:
+            self.wealth = min(self.wealth + y * z, WEALTH_CAP)
+        else:
+            self.wealth = np.minimum(self.wealth + y * z, WEALTH_CAP)
         self.signed_sum += z
         self.round += 1
 
@@ -86,16 +111,24 @@ class PNormBallDescent:
     Uses the gradient maps of 0.5*||.||_p^2 with adaptive step
     sqrt(p-1)/sqrt(sum ||g_s||_q^2), projecting back by radial rescaling.
     For p = 2 this is plain projected online gradient descent. Ties keep
-    the previous point; the initial point is the origin.
+    the previous point; the initial point is the origin. A trial axis
+    (``batch`` = B, points (B, d)) is supported for p = 2.
     """
 
-    def __init__(self, dim: int, spec: NormSpec | None = None):
+    def __init__(self, dim: int, spec: NormSpec | None = None, batch: int | None = None):
         self.dim = dim
         self.spec = spec if spec is not None else NormSpec.from_p(2.0)
         if self.spec.p <= 1.0:
             raise ValueError("direction learner needs p > 1 (lam > 0)")
-        self.point = np.zeros(dim)
-        self.dual_sq_sum = 0.0
+        self.batch = batch
+        if batch is None:
+            self.point = np.zeros(dim)
+            self.dual_sq_sum = 0.0
+        else:
+            if self.spec.p != 2.0:
+                raise ValueError("a trial axis needs the p = 2 direction learner")
+            self.point = np.zeros((batch, dim))
+            self.dual_sq_sum = np.zeros(batch)
 
     def predict(self) -> np.ndarray:
         return self.point.copy()
@@ -110,6 +143,9 @@ class PNormBallDescent:
         return n ** (2.0 - p) * np.sign(x) * np.abs(x) ** (p - 1.0)
 
     def observe(self, g: np.ndarray) -> None:
+        if self.batch is not None:
+            self._observe_trials(g)
+            return
         gq = self.spec.dual(g)
         self.dual_sq_sum += gq * gq
         if self.dual_sq_sum <= 0.0:
@@ -122,6 +158,20 @@ class PNormBallDescent:
             u = u / np_u
         self.point = u
 
+    def _observe_trials(self, g: np.ndarray) -> None:
+        # p = 2, one row per trial. A trial whose squared-gradient sum is
+        # still 0 has seen only zero gradients, so its point is the origin;
+        # a zero step keeps it there, as the scalar early return does.
+        gq = row_norm(g)
+        sq_sum = self.dual_sq_sum = self.dual_sq_sum + gq * gq
+        live = sq_sum > 0.0
+        eta = np.where(live, math.sqrt(self.spec.lam) / np.sqrt(np.where(live, sq_sum, 1.0)), 0.0)
+        u = self.point - eta[:, None] * g
+        np_u = row_norm(u)
+        over = np_u > 1.0
+        u[over] /= np_u[over, None]
+        self.point = u
+
 
 class DimFreeLearner(Learner):
     """Magnitude times direction: a coin bettor scales a unit-ball direction.
@@ -132,17 +182,23 @@ class DimFreeLearner(Learner):
     plays 0 until evidence arrives.
     """
 
-    def __init__(self, dim: int, epsilon: float = 1.0, spec: NormSpec | None = None):
-        super().__init__(dim, epsilon=epsilon)
-        self.magnitude = CoinBettor(epsilon)
-        self.direction = PNormBallDescent(dim, spec)
+    def __init__(self, dim: int, epsilon: float = 1.0, spec: NormSpec | None = None,
+                 batch: int | None = None):
+        super().__init__(dim, epsilon=epsilon, batch=batch)
+        self.magnitude = CoinBettor(epsilon, batch)
+        self.direction = PNormBallDescent(dim, spec, batch)
 
     def _prediction(self):
-        return self.magnitude.predict() * self.direction.point
+        if self.batch is None:
+            return self.magnitude.predict() * self.direction.point
+        return self.magnitude.predict()[:, None] * self.direction.point
 
     def _update(self, g):
         u = self.direction.point
-        self.magnitude.observe(-float(np.dot(g, u)))
+        if self.batch is None:
+            self.magnitude.observe(-float(np.dot(g, u)))
+        else:
+            self.magnitude.observe(-row_dot(g, u))
         self.direction.observe(g)
 
 
@@ -155,6 +211,8 @@ class PerCoordinateLearner(Learner):
     """
 
     def __init__(self, dim: int, epsilon: float = 1.0):
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         super().__init__(dim, epsilon=epsilon)
         self.wealth = np.full(dim, epsilon / dim)
         self.signed_sum = np.zeros(dim)

@@ -294,6 +294,102 @@ def test_sweep_merges_cells(tmp_path):
     }
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    seen = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (1000, 8, 4),   # capped by the 4 cells
+    (1000, 3, 3),   # capped by the CPUs
+    (2, 8, 2),      # as asked
+])
+def test_sweep_workers_clamped(monkeypatch, workers, cpus, expected):
+    from regretforge import harness
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    _RecordingPool.seen = []
+    config = json.load(open("configs/sweep.json", encoding="utf-8"))
+    config["sweep"] = {"T": [16, 32], "seeds": [0, 1]}
+    rows = run_sweep(config, workers=workers)
+    assert _RecordingPool.seen == [expected]
+    assert len({r["experiment_id"] for r in rows}) == 4
+
+
+def test_sweep_one_usable_worker_runs_in_process(monkeypatch):
+    from regretforge import harness
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    _RecordingPool.seen = []
+    config = json.load(open("configs/sweep.json", encoding="utf-8"))
+    config["sweep"] = {"T": [16], "seeds": [0, 1]}
+    run_sweep(config, workers=64)
+    assert _RecordingPool.seen == []
+
+
+@pytest.mark.parametrize("learner, bad_path", [
+    ({"kind": "dimfree", "epsilon": 0}, "learner.epsilon"),
+    ({"kind": "percoord", "epsilon": -1}, "learner.epsilon"),
+    ({"kind": "multi_norm", "epsilon": 0.0}, "learner.epsilon"),
+    ({"kind": "add", "children": [{"kind": "dimfree"}, {"kind": "percoord", "epsilon": -0.5}]},
+     "learner.children[1].epsilon"),
+    ({"kind": "optimistic", "base": {"kind": "dimfree", "epsilon": float("nan")},
+      "hints": {"kind": "zero"}}, "learner.base.epsilon"),
+    ({"kind": "optimistic", "bettor_epsilon": 0, "hints": {"kind": "zero"}},
+     "learner.bettor_epsilon"),
+    ({"kind": "constrained", "bettor_epsilon": -2, "hints": {"kind": "zero"},
+      "domain": {"kind": "ball", "radius": 1.0}}, "learner.bettor_epsilon"),
+    ({"kind": "multi_hint", "bettor_epsilon": 0, "hints": [{"kind": "zero"}]},
+     "learner.bettor_epsilon"),
+])
+def test_nonpositive_budget_is_a_config_error(tmp_path, capsys, learner, bad_path):
+    with pytest.raises(CompositionError) as err:
+        build_learner(learner, 4)
+    assert err.value.path == bad_path
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "learner": learner, "stream": {"kind": "rademacher_iid", "dim": 4, "T": 8}}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["path"] == bad_path
+
+
+def test_coin_budget_checked_at_build():
+    with pytest.raises(CompositionError, match="epsilon"):
+        build_learner({"kind": "coin", "epsilon": 0}, 1)
+
+
+def test_short_external_hint_file_is_a_config_error(tmp_path, capsys):
+    hint_path = tmp_path / "hints.txt"
+    np.savetxt(hint_path, np.full((1, 3), 0.1))
+    config = {
+        "learner": {"kind": "optimistic", "hints": {"kind": "external", "path": str(hint_path)}},
+        "stream": {"kind": "rademacher_iid", "dim": 3, "T": 32, "seed": 4},
+    }
+    with pytest.raises(CompositionError, match="1 rows, stream has T=32"):
+        run_experiment(config)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["path"] == "learner.hints"
+
+
 def test_cli_run_and_outputs(tmp_path):
     config = {
         "experiment_id": "cli",

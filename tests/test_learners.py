@@ -149,6 +149,12 @@ def test_percoordinate_equals_independent_bettors(rng):
             b.observe(-float(G[t, i]))
 
 
+def test_percoordinate_rejects_nonpositive_epsilon():
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            PerCoordinateLearner(4, epsilon=eps)
+
+
 def test_percoordinate_regret_at_origin(rng):
     for _ in range(10):
         G = unit_stream(rng, 1024, 8)
