@@ -65,7 +65,7 @@ class AddCombiner(Learner):
 
     def _update(self, g):
         for c in self.children:
-            c.observe(g)
+            c._step(g)
 
 
 def add_iterates(children: Sequence[Learner]) -> AddCombiner:
@@ -126,7 +126,7 @@ class OptimisticLearner(HintedLearner):
             raise ContractViolation(
                 f"observe at round {self.round_index} without a hint this round"
             )
-        self.base.observe(g)
+        self.base._step(g)
         # loss -<g, h>; the bettor consumes the negated loss
         if self.batch is None:
             self.bettor.observe(float(np.dot(g, self.last_hint)))
@@ -244,7 +244,7 @@ class MultiHintLearner(Learner):
             raise ContractViolation(
                 f"observe at round {self.round_index} without hints this round"
             )
-        self.base.observe(g)
+        self.base._step(g)
         for i, b in enumerate(self.bettors):
             b.observe(float(np.dot(g, self.last_hints[i])))
         self.last_hints = None

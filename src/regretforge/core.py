@@ -225,6 +225,13 @@ class Learner:
     preceded by at least one predict() for the round. round_index counts
     completed observes. Subclasses implement _prediction() and _update().
 
+    A gradient is validated once, at the outermost observe(): as_vector and
+    the unit-norm check run there, and observe() hands the validated array
+    to _step(), which checks the predict/observe turn, runs _update() and
+    advances the round. Composite learners pass the array they were given
+    straight to their children's _step(), so a nested gradient is not
+    checked again; a child's own observe() still validates.
+
     Learners that support it take ``batch`` = B to run B independent trials
     in lockstep: every vector then carries a leading trial axis, (B, d), and
     every per-trial scalar is a (B,) array.
@@ -251,16 +258,24 @@ class Learner:
         return w
 
     def observe(self, g) -> None:
+        self._check_turn()
+        g = as_vector(g, self.dim, "gradient", self.batch)
+        if self.unit_gradient_bound:
+            check_unit_norm(g, "gradient")
+        self._step(g)
+
+    def _step(self, g: np.ndarray) -> None:
+        """Advance one round on a gradient the caller has already validated."""
+        self._check_turn()
+        self._update(g)
+        self.round_index += 1
+        self._awaiting_predict = True
+
+    def _check_turn(self) -> None:
         if self._awaiting_predict:
             raise ContractViolation(
                 f"observe at round {self.round_index} without a preceding predict"
             )
-        g = as_vector(g, self.dim, "gradient", self.batch)
-        if self.unit_gradient_bound:
-            check_unit_norm(g, "gradient")
-        self._update(g)
-        self.round_index += 1
-        self._awaiting_predict = True
 
     @property
     def contract(self) -> Optional[RegretContract]:

@@ -166,19 +166,43 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
 # composition expressions
 # ---------------------------------------------------------------------------
 
+def _number(cfg: dict, key: str, default: float, path: str) -> float:
+    """The finite number ``cfg[key]`` (``default`` when absent)."""
+    try:
+        value = float(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise CompositionError(f"{path}.{key}", f"{key} must be a number") from None
+    if not math.isfinite(value):
+        raise CompositionError(f"{path}.{key}", f"{key} must be finite, got {value!r}")
+    return value
+
+
+def _vector(cfg: dict, key: str, dim: int, path: str) -> np.ndarray:
+    """The finite length-``dim`` vector ``cfg[key]``."""
+    if key not in cfg:
+        raise CompositionError(path, f"{cfg.get('kind')} needs field {key!r}")
+    try:
+        return as_vector(cfg[key], dim, key)
+    except (TypeError, ValueError) as exc:
+        raise CompositionError(f"{path}.{key}", str(exc)) from None
+
+
 def _build_domain(cfg: dict, dim: int, path: str) -> ConvexDomain:
     kind = cfg.get("kind")
     if kind == "whole_space":
         return WholeSpace()
     if kind == "ball":
-        center = cfg.get("center", [0.0] * dim)
-        return Ball(as_vector(center, dim, "center"), float(cfg.get("radius", 1.0)))
+        center = _vector(cfg, "center", dim, path) if "center" in cfg else np.zeros(dim)
+        radius = _number(cfg, "radius", 1.0, path)
+        if radius <= 0.0:
+            raise CompositionError(path + ".radius", f"radius must be positive, got {radius!r}")
+        return Ball(center, radius)
     if kind == "box":
-        try:
-            lo = as_vector(cfg["lo"], dim, "lo")
-            hi = as_vector(cfg["hi"], dim, "hi")
-        except KeyError as missing:
-            raise CompositionError(path, f"box needs field {missing}") from None
+        lo = _vector(cfg, "lo", dim, path)
+        hi = _vector(cfg, "hi", dim, path)
+        if np.any(lo > hi):
+            i = int(np.argmax(lo > hi))
+            raise CompositionError(path + ".lo", f"lo[{i}] = {lo[i]!r} exceeds hi[{i}] = {hi[i]!r}")
         return Box(lo, hi)
     raise CompositionError(path, f"unknown domain kind {kind!r}")
 
@@ -225,12 +249,9 @@ _HINTED_KINDS = ("optimistic", "constrained", "multi_hint")
 
 def _budget(cfg: dict, key: str, path: str) -> float:
     """The positive origin budget ``cfg[key]`` (default 1.0)."""
-    try:
-        value = float(cfg.get(key, 1.0))
-    except (TypeError, ValueError):
-        raise CompositionError(f"{path}.{key}", f"{key} must be a number") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise CompositionError(f"{path}.{key}", f"{key} must be positive and finite, got {value!r}")
+    value = _number(cfg, key, 1.0, path)
+    if value <= 0.0:
+        raise CompositionError(f"{path}.{key}", f"{key} must be positive, got {value!r}")
     return value
 
 
@@ -246,7 +267,12 @@ def _build_plain(cfg: dict, dim: int, path: str) -> Learner:
             raise CompositionError(path, "coin learner is 1-D; stream dim must be 1")
         return CoinBettorLearner(eps)
     if kind == "dimfree":
-        spec = NormSpec.from_p(float(cfg["p"])) if "p" in cfg else None
+        spec = None
+        if "p" in cfg:
+            p = _number(cfg, "p", 2.0, path)
+            if not 1.0 < p <= 2.0:
+                raise CompositionError(path + ".p", f"p must lie in (1, 2], got {p!r}")
+            spec = NormSpec.from_p(p)
         return DimFreeLearner(dim, epsilon=eps, spec=spec)
     if kind == "percoord":
         return PerCoordinateLearner(dim, epsilon=eps)

@@ -108,11 +108,21 @@ class CoinBettorLearner(Learner):
 class PNormBallDescent:
     """Mirror descent over the unit p-norm ball, 1 < p <= 2.
 
-    Uses the gradient maps of 0.5*||.||_p^2 with adaptive step
-    sqrt(p-1)/sqrt(sum ||g_s||_q^2), projecting back by radial rescaling.
-    For p = 2 this is plain projected online gradient descent. Ties keep
-    the previous point; the initial point is the origin. A trial axis
-    (``batch`` = B, points (B, d)) is supported for p = 2.
+    Uses the gradient maps of psi_p = 0.5*||.||_p^2 and psi_q with adaptive
+    step sqrt(p-1)/sqrt(sum ||g_s||_q^2), projecting back by radial
+    rescaling. For p = 2 both maps are the identity and this is plain
+    projected online gradient descent. Ties keep the previous point; the
+    initial point is the origin. A trial axis (``batch`` = B, points (B, d))
+    is supported for p = 2.
+
+    For p < 2 the state is kept in the dual: theta = grad psi_p(point),
+    starting at 0. A round sets theta <- theta - eta*g and
+    point = grad psi_q(theta), and when n = ||theta||_q > 1 divides both by
+    n. This is the primal step "point <- grad psi_q(grad psi_p(point) -
+    eta*g), rescaled to ||.||_p <= 1" in exact arithmetic: the two maps are
+    inverse to each other and 1-homogeneous, and ||grad psi_q(theta)||_p =
+    ||theta||_q, so dividing theta by n keeps theta = grad psi_p(point).
+    The point's own map and p-norm are therefore never recomputed.
     """
 
     def __init__(self, dim: int, spec: NormSpec | None = None, batch: int | None = None):
@@ -123,6 +133,7 @@ class PNormBallDescent:
         self.batch = batch
         if batch is None:
             self.point = np.zeros(dim)
+            self.theta = np.zeros(dim) if self.spec.p != 2.0 else None
             self.dual_sq_sum = 0.0
         else:
             if self.spec.p != 2.0:
@@ -133,15 +144,6 @@ class PNormBallDescent:
     def predict(self) -> np.ndarray:
         return self.point.copy()
 
-    def _grad_half_norm_sq(self, x, p):
-        # gradient of 0.5*||x||_p^2; identity for p = 2
-        if p == 2.0:
-            return np.asarray(x, dtype=np.float64).copy()
-        n = p_norm(x, p)
-        if n == 0.0:
-            return np.zeros_like(x)
-        return n ** (2.0 - p) * np.sign(x) * np.abs(x) ** (p - 1.0)
-
     def observe(self, g: np.ndarray) -> None:
         if self.batch is not None:
             self._observe_trials(g)
@@ -151,11 +153,33 @@ class PNormBallDescent:
         if self.dual_sq_sum <= 0.0:
             return
         eta = math.sqrt(self.spec.lam) / math.sqrt(self.dual_sq_sum)
-        theta = self._grad_half_norm_sq(self.point, self.spec.p) - eta * g
-        u = self._grad_half_norm_sq(theta, self.spec.q)
-        np_u = p_norm(u, self.spec.p)
-        if np_u > 1.0:
-            u = u / np_u
+        if self.theta is None:
+            u = self.point - eta * g
+            np_u = p_norm(u, 2.0)
+            if np_u > 1.0:
+                u = u / np_u
+            self.point = u
+            return
+        theta = self.theta - eta * g
+        q = self.spec.q
+        a = np.abs(theta)
+        m = float(a.max())
+        if m == 0.0:
+            self.theta = theta
+            self.point = np.zeros(self.dim)
+            return
+        # r = |theta|/m keeps the powers in range; r^(q-1) gives both
+        # grad psi_q(theta) = m * S^(2/q - 1) * sign(theta) * r^(q-1) and
+        # ||theta||_q = m * S^(1/q), where S = sum r^(q-1) * r.
+        r = a / m
+        rq1 = r ** (q - 1.0)
+        S = float(np.dot(rq1, r))
+        u = np.copysign(rq1, theta) * (m * S ** (2.0 / q - 1.0))
+        n = m * S ** (1.0 / q)
+        if n > 1.0:
+            u = u / n
+            theta = theta / n
+        self.theta = theta
         self.point = u
 
     def _observe_trials(self, g: np.ndarray) -> None:

@@ -370,3 +370,90 @@ def test_multi_hint_budget_sum(rng):
     replay_multi_hint(learner, G, sources)
     total = sum(b.regret_at_zero() for b in learner.bettors)
     assert total <= k * 1.0 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# validation happens once, at the outermost observe
+# ---------------------------------------------------------------------------
+
+def _count_gradient_checks(monkeypatch):
+    """Count as_vector / check_unit_norm calls on gradients in the core module."""
+    from regretforge import core
+
+    counts = {"as_vector": 0, "check_unit_norm": 0}
+
+    def counting(fn):
+        def wrapper(x, *args, **kwargs):
+            if "gradient" in args or kwargs.get("name") == "gradient":
+                counts[fn.__name__] += 1
+            return fn(x, *args, **kwargs)
+        return wrapper
+
+    for attr in counts:
+        monkeypatch.setattr(core, attr, counting(getattr(core, attr)))
+    return counts
+
+
+@pytest.mark.parametrize("build, hinted", [
+    (lambda: multi_norm(1024), False),
+    (lambda: AddCombiner([DimFreeLearner(1024, 0.5), PerCoordinateLearner(1024, 0.5)]), False),
+    (lambda: OptimisticLearner(DimFreeLearner(1024, 0.5), CoinBettor(0.5)), True),
+], ids=["multi_norm", "add", "optimistic"])
+def test_gradient_validated_once_per_round(monkeypatch, rng, build, hinted):
+    learner = build()
+    T = 6
+    G = unit_stream(rng, T, 1024)
+    counts = _count_gradient_checks(monkeypatch)
+    for t in range(T):
+        if hinted:
+            learner.predict(0.5 * G[t - 1] if t else np.zeros(1024))
+        else:
+            learner.predict()
+        learner.observe(G[t])
+    assert counts == {"as_vector": T, "check_unit_norm": T}
+
+
+@pytest.mark.parametrize("build, predict", [
+    (lambda: multi_norm(16), lambda lr: lr.predict()),
+    (lambda: OptimisticLearner(DimFreeLearner(16, 0.5), CoinBettor(0.5)),
+     lambda lr: lr.predict(np.zeros(16))),
+], ids=["add", "optimistic"])
+def test_root_still_rejects_bad_gradients(build, predict):
+    learner = build()
+    predict(learner)
+    bad_norm = np.full(16, 0.5)
+    with pytest.raises(ValueError, match="gradient contains non-finite entries"):
+        learner.observe(np.full(16, np.nan))
+    with pytest.raises(ValueError, match=r"gradient has norm 2 > 1 \+ 1e-09"):
+        learner.observe(bad_norm)
+    assert learner.round_index == 0
+    learner.observe(np.zeros(16))
+    assert learner.round_index == 1
+
+
+def test_child_observe_still_validates():
+    learner = multi_norm(16)
+    learner.predict()
+    child = learner.children[1]
+    with pytest.raises(ValueError, match="non-finite"):
+        child.observe(np.full(16, np.inf))
+    with pytest.raises(ValueError, match="norm"):
+        child.observe(np.ones(16))
+    with pytest.raises(DimensionMismatch):
+        child.observe(np.zeros(15))
+
+
+def test_step_needs_a_preceding_predict():
+    child = DimFreeLearner(4, 1.0)
+    with pytest.raises(ContractViolation):
+        child._step(np.zeros(4))
+    learner = multi_norm(16)
+    learner.predict()
+    learner.observe(np.zeros(16))
+    with pytest.raises(ContractViolation):
+        learner._step(np.zeros(16))
+    # a parent whose child missed its predict stops at the child
+    learner = AddCombiner([DimFreeLearner(4, 0.5), DimFreeLearner(4, 0.5)])
+    learner._awaiting_predict = False
+    with pytest.raises(ContractViolation):
+        learner.observe(np.zeros(4))

@@ -369,6 +369,52 @@ def test_nonpositive_budget_is_a_config_error(tmp_path, capsys, learner, bad_pat
     assert payload["path"] == bad_path
 
 
+@pytest.mark.parametrize("learner, bad_path", [
+    ({"kind": "dimfree", "p": 3}, "learner.p"),
+    ({"kind": "dimfree", "p": 1}, "learner.p"),
+    ({"kind": "dimfree", "p": "two"}, "learner.p"),
+    ({"kind": "add", "children": [{"kind": "dimfree", "p": 0.5}, {"kind": "percoord"}]},
+     "learner.children[0].p"),
+    ({"kind": "apd", "domain": {"kind": "ball", "radius": -1}}, "learner.domain.radius"),
+    ({"kind": "apd", "domain": {"kind": "ball", "radius": 0}}, "learner.domain.radius"),
+    ({"kind": "apd", "domain": {"kind": "ball", "center": [0.0, 0.0]}},
+     "learner.domain.center"),
+    ({"kind": "constrained", "hints": {"kind": "zero"},
+      "domain": {"kind": "ball", "radius": -1}}, "learner.domain.radius"),
+    ({"kind": "constrained", "hints": {"kind": "zero"},
+      "domain": {"kind": "ball", "radius": float("inf")}}, "learner.domain.radius"),
+    ({"kind": "apd", "domain": {"kind": "box", "lo": [0, 0, 2, 0], "hi": [1, 1, 1, 1]}},
+     "learner.domain.lo"),
+    ({"kind": "constrained", "hints": {"kind": "zero"},
+      "domain": {"kind": "box", "lo": [-1, -1], "hi": [1, 1, 1, 1]}}, "learner.domain.lo"),
+    ({"kind": "constrained", "hints": {"kind": "zero"},
+      "domain": {"kind": "box", "lo": [-1] * 4, "hi": [1] * 5}}, "learner.domain.hi"),
+    ({"kind": "constrained", "hints": {"kind": "zero"}, "base": {"kind": "dimfree", "p": 2.5},
+      "domain": {"kind": "ball", "radius": 1.0}}, "learner.base.p"),
+])
+def test_out_of_range_value_is_a_config_error(tmp_path, capsys, learner, bad_path):
+    with pytest.raises(CompositionError) as err:
+        build_learner(learner, 4)
+    assert err.value.path == bad_path
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "learner": learner, "stream": {"kind": "rademacher_iid", "dim": 4, "T": 8}}))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["path"] == bad_path
+
+
+@pytest.mark.parametrize("learner", [
+    {"kind": "dimfree", "p": 2},
+    {"kind": "dimfree", "p": 1.01},
+    {"kind": "apd", "domain": {"kind": "box", "lo": [0.5] * 4, "hi": [0.5] * 4}},
+    {"kind": "constrained", "hints": {"kind": "zero"},
+     "domain": {"kind": "ball", "center": [0.1] * 4, "radius": 0.5}},
+])
+def test_edge_values_in_range_still_build(learner):
+    build_learner(learner, 4)
+
+
 def test_coin_budget_checked_at_build():
     with pytest.raises(CompositionError, match="epsilon"):
         build_learner({"kind": "coin", "epsilon": 0}, 1)
