@@ -7,8 +7,10 @@ Subcommands:
   selftest  quick invariant suites for every module
 
 Exit codes: 0 success, 2 usage or config error, 1 runtime failure. Failures
-print one machine-readable JSON line to stderr. The environment variable
-REGRETFORGE_SEED (an integer) overrides config seeds.
+print one machine-readable JSON line to stderr. A run or sweep in which the
+wealth cap bound prints one JSON warning line to stderr naming the capped
+bettors. The environment variable REGRETFORGE_SEED (an integer) overrides
+config seeds.
 """
 
 from __future__ import annotations
@@ -31,6 +33,15 @@ def _fail(code: int, message: str, **extra) -> int:
     return code
 
 
+def _warn_capped(capped: dict) -> None:
+    """One JSON line on stderr naming, per experiment, the bettors the wealth cap bound."""
+    capped = {experiment: bettors for experiment, bettors in capped.items() if bettors}
+    if capped:
+        print(json.dumps({"warning": "wealth cap bound; the regret figures of these "
+                                     "bettors are artefacts of the cap",
+                          "capped": capped}), file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -49,6 +60,7 @@ def _cmd_run(args) -> int:
                 print(json.dumps(row))
         if args.dump_ledger:
             harness.dump_ledger(record, args.dump_ledger)
+        _warn_capped({config.get("experiment_id", "experiment"): record.capped})
     except harness.CompositionError as exc:
         return _fail(2, str(exc), path=exc.path)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
@@ -66,13 +78,15 @@ def _cmd_sweep(args) -> int:
         seed = harness.env_seed_override()
         if seed is not None:
             config.setdefault("sweep", {})["seeds"] = [seed]
-        rows = harness.run_sweep(config, workers=args.workers)
+        capped = {}
+        rows = harness.run_sweep(config, workers=args.workers, capped=capped)
         out = args.output or config.get("output")
         if out:
             harness.write_csv(rows, out)
         else:
             for row in rows:
                 print(json.dumps(row))
+        _warn_capped(capped)
     except harness.CompositionError as exc:
         return _fail(2, str(exc), path=exc.path)
     except Exception as exc:  # noqa: BLE001

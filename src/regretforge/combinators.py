@@ -24,7 +24,9 @@ from .core import (
     DimensionMismatch,
     HintedLearner,
     Learner,
+    as_vector,
     check_unit_norm,
+    norm,
     row_dot,
 )
 from .geometry import ConvexDomain, pnorm_grid
@@ -149,7 +151,7 @@ def tilde_hint(domain: ConvexDomain, x, y: float, h):
     h = np.asarray(h, dtype=np.float64)
     anchor = x - 0.5 * y * h
     z = domain.distance_subgradient(anchor)
-    h_norm = float(np.linalg.norm(h))
+    h_norm = norm(h)
     yh = y * h_norm
     if yh > 1e-12 and 0.5 * yh > domain.distance(anchor):
         z = (2.0 * domain.distance(anchor) / yh) * z
@@ -194,8 +196,9 @@ class ConstrainedOptimisticLearner(HintedLearner):
             raise ContractViolation(
                 f"observe at round {self.round_index} without a hint this round"
             )
-        g_tilde = 0.5 * g + 0.5 * float(np.linalg.norm(g)) * self.last_z
-        self.base.observe(g_tilde)
+        # ||g_tilde|| <= ||g|| because ||z|| <= 1, so the base trusts it too
+        g_tilde = 0.5 * g + 0.5 * norm(g) * self.last_z
+        self.base._step(g_tilde)
         self.bettor.observe(float(np.dot(g_tilde, self.last_tilde_hint)))
         self.last_hint = None
 
@@ -222,15 +225,8 @@ class MultiHintLearner(Learner):
         self.last_hints = None
 
     def predict(self, hints) -> np.ndarray:
-        H = np.asarray(hints, dtype=np.float64)
-        if H.shape != (self.k, self.dim):
-            raise DimensionMismatch(
-                f"expected {self.k} hints of dim {self.dim}, got shape {H.shape}"
-            )
-        if not np.all(np.isfinite(H)):
-            raise ValueError("hints contain non-finite entries")
-        for i in range(self.k):
-            check_unit_norm(H[i], f"hint {i}")
+        H = as_vector(hints, self.dim, "hints", batch=self.k)
+        check_unit_norm(H, "hint", row="slot")
         x = self.base.predict()
         w = x.copy()
         for i, b in enumerate(self.bettors):
@@ -245,8 +241,8 @@ class MultiHintLearner(Learner):
                 f"observe at round {self.round_index} without hints this round"
             )
         self.base._step(g)
-        for i, b in enumerate(self.bettors):
-            b.observe(float(np.dot(g, self.last_hints[i])))
+        for b, z in zip(self.bettors, row_dot(self.last_hints, g).tolist()):
+            b.observe(z)
         self.last_hints = None
 
 

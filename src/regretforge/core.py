@@ -56,14 +56,14 @@ _vecdot = getattr(np, "vecdot", None)  # NumPy >= 2.0
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row inner products of two (B, d) arrays.
+    """Per-row inner products of two (..., d) arrays, such as (B, d) or (T, B, d).
 
     Both ``np.vecdot`` and a stacked (1, d) @ (d, 1) matmul run NumPy's 1-D
     dot loop on every row, so row i is bitwise equal to ``np.dot(a[i], b[i])``.
     """
     if _vecdot is not None:
         return _vecdot(a, b)
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def row_norm(a: np.ndarray) -> np.ndarray:
@@ -71,17 +71,64 @@ def row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(a, a))
 
 
-def check_unit_norm(v: np.ndarray, name: str, tol: float = GRAD_TOL) -> None:
-    """Reject a vector, or any row of a (B, d) array, longer than 1 + tol."""
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float64 array, bitwise equal to ``np.linalg.norm(v)``.
+
+    It is built as ``np.linalg.norm`` builds it: ravel in memory order (a
+    contiguous copy of a strided view, so the dot sums in the same order),
+    then the square root of the dot product. At small d this skips most of
+    the wrapper's cost.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def check_unit_norm(v: np.ndarray, name: str, tol: float = GRAD_TOL,
+                    row: str = "trial") -> None:
+    """Reject a vector, or any row of a (B, d) array, longer than 1 + tol.
+
+    ``row`` names what a row of a 2-D array is in the error message.
+    """
     if v.ndim == 2:
         norms = row_norm(v)
         i = int(norms.argmax())
         if norms[i] > 1.0 + tol:
-            raise ValueError(f"{name} of trial {i} has norm {norms[i]:.12g} > 1 + {tol}")
+            raise ValueError(f"{name} of {row} {i} has norm {norms[i]:.12g} > 1 + {tol}")
         return
-    n = float(np.linalg.norm(v))
+    n = norm(v)
     if n > 1.0 + tol:
         raise ValueError(f"{name} has norm {n:.12g} > 1 + {tol}")
+
+
+def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True) -> np.ndarray:
+    """Validate a whole (T, dim) stream, or a (T, batch, dim) block, before round 0.
+
+    Applies to every round the checks ``Learner.observe`` applies to one:
+    shape, finite entries and, with ``unit``, norm <= 1 + GRAD_TOL (every
+    trial's row in a block). One vectorized pass over the squared row norms
+    clears the rows that pass with a margin; any other row is checked again
+    on its own with ``as_vector``/``check_unit_norm``, which decide. The
+    error message is theirs, prefixed with the first bad round. Returns the
+    stream as a float64 array.
+    """
+    G = np.asarray(G, dtype=np.float64)
+    row = (dim,) if batch is None else (batch, dim)
+    if G.shape[1:] != row:
+        raise DimensionMismatch(f"round 0: gradient has shape {G.shape[1:]}, expected {row}")
+    sq = row_dot(G, G)
+    # a non-finite entry makes its row's squared norm non-finite; rounding in
+    # the sum moves it far less than the margin below
+    clear = sq <= (1.0 + 0.5 * GRAD_TOL) ** 2 if unit else np.isfinite(sq)
+    if batch is not None:
+        clear = clear.all(axis=1)
+    for t in np.flatnonzero(~clear):
+        try:
+            v = as_vector(G[t], dim, "gradient", batch)
+            if unit:
+                check_unit_norm(v, "gradient")
+        except ValueError as exc:
+            raise type(exc)(f"round {t}: {exc}") from None
+    return G
 
 
 class Accumulator:
@@ -225,12 +272,15 @@ class Learner:
     preceded by at least one predict() for the round. round_index counts
     completed observes. Subclasses implement _prediction() and _update().
 
-    A gradient is validated once, at the outermost observe(): as_vector and
-    the unit-norm check run there, and observe() hands the validated array
+    A gradient is validated once, at the boundary. The public observe()
+    runs as_vector and the unit-norm check, then hands the validated array
     to _step(), which checks the predict/observe turn, runs _update() and
-    advances the round. Composite learners pass the array they were given
-    straight to their children's _step(), so a nested gradient is not
-    checked again; a child's own observe() still validates.
+    advances the round. The stream drivers (replay, replay_hinted,
+    replay_multi_hint and the harness) check the whole stream once with
+    check_stream before round 0 and then call _step() directly. Composite
+    learners pass the array they were given straight to their children's
+    _step(), so a nested gradient is not checked again; a child's own
+    observe() still validates.
 
     Learners that support it take ``batch`` = B to run B independent trials
     in lockstep: every vector then carries a leading trial axis, (B, d), and
@@ -346,21 +396,28 @@ def _check_iterate(w, shape, t) -> np.ndarray:
     return w
 
 
+def _replay_stream(learner: Learner, gradients) -> np.ndarray:
+    """The stream checked once for ``learner``; a bad round is a ReplayError."""
+    try:
+        return check_stream(gradients, learner.dim, learner.batch, learner.unit_gradient_bound)
+    except ValueError as exc:
+        raise ReplayError(str(exc)) from exc
+
+
 def replay(learner: Learner, gradients) -> RegretLedger:
     """Drive a plain learner over a finite gradient stream.
 
-    Aborts with a diagnostic naming the round index if the learner emits a
-    non-finite iterate or breaks the alternation contract.
+    The stream is checked once before round 0. Aborts with a diagnostic
+    naming the round index if a gradient is out of contract, the learner
+    emits a non-finite iterate or it breaks the alternation contract.
     """
-    G = np.asarray(gradients, dtype=np.float64)
-    if G.ndim != 2:
-        raise DimensionMismatch("gradient stream must be a (T, d) array")
+    G = _replay_stream(learner, gradients)
     T, d = G.shape
     W = np.empty_like(G)
     for t in range(T):
         try:
             W[t] = _check_iterate(learner.predict(), (d,), t)
-            learner.observe(G[t])
+            learner._step(G[t])
         except (ContractViolation, ValueError) as exc:
             raise ReplayError(f"round {t}: {exc}") from exc
     return RegretLedger(W, G)
@@ -373,9 +430,10 @@ def replay_hinted(learner: HintedLearner, gradients, source) -> RegretLedger:
     one trial per column. The ledger then keeps each round's (B,) losses,
     computed as a single-trial ledger computes them, but no iterates or
     hints, so that a block of trials costs little more memory than its
-    gradients.
+    gradients. The stream is checked once before round 0; the learner and
+    the source then take each round's gradient without checking it again.
     """
-    G = np.asarray(gradients, dtype=np.float64)
+    G = _replay_stream(learner, gradients)
     if G.ndim == 3:
         return _replay_hinted_batch(learner, G, source)
     T, d = G.shape
@@ -385,8 +443,8 @@ def replay_hinted(learner: HintedLearner, gradients, source) -> RegretLedger:
         try:
             H[t] = source.next_hint()
             W[t] = _check_iterate(learner.predict(H[t]), (d,), t)
-            learner.observe(G[t])
-            source.feed(G[t])
+            learner._step(G[t])
+            source._feed(G[t])
         except (ContractViolation, ValueError) as exc:
             raise ReplayError(f"round {t}: {exc}") from exc
     return RegretLedger(W, G, hints=H)
@@ -399,8 +457,8 @@ def _replay_hinted_batch(learner, G, source) -> RegretLedger:
         g = G[t]
         try:
             w = _check_iterate(learner.predict(source.next_hint()), (B, d), t)
-            learner.observe(g)
-            source.feed(g)
+            learner._step(g)
+            source._feed(g)
         except (ContractViolation, ValueError) as exc:
             raise ReplayError(f"round {t}: {exc}") from exc
         losses[t] = np.einsum("bd,bd->b", g, w)
@@ -408,8 +466,11 @@ def _replay_hinted_batch(learner, G, source) -> RegretLedger:
 
 
 def replay_multi_hint(learner, gradients, sources: Sequence) -> RegretLedger:
-    """Drive a multi-hint learner with one hint source per slot."""
-    G = np.asarray(gradients, dtype=np.float64)
+    """Drive a multi-hint learner with one hint source per slot.
+
+    The stream is checked once before round 0, as in ``replay``.
+    """
+    G = _replay_stream(learner, gradients)
     T, d = G.shape
     k = len(sources)
     W = np.empty_like(G)
@@ -419,9 +480,9 @@ def replay_multi_hint(learner, gradients, sources: Sequence) -> RegretLedger:
             for i, src in enumerate(sources):
                 H[t, i] = src.next_hint()
             W[t] = _check_iterate(learner.predict(H[t]), (d,), t)
-            learner.observe(G[t])
+            learner._step(G[t])
             for src in sources:
-                src.feed(G[t])
+                src._feed(G[t])
         except (ContractViolation, ValueError) as exc:
             raise ReplayError(f"round {t}: {exc}") from exc
     return RegretLedger(W, G, hints=H)

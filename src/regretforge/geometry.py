@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, as_vector
+from .core import DimensionMismatch, as_vector, norm
 
 
 def dual_exponent(p: float) -> float:
@@ -33,7 +33,7 @@ def p_norm(x, p: float) -> float:
     if math.isinf(p):
         return float(np.max(np.abs(x))) if x.size else 0.0
     if p == 2.0:
-        return float(np.linalg.norm(x))
+        return norm(x)
     if p == 1.0:
         return float(np.sum(np.abs(x)))
     if p < 1.0:
@@ -123,7 +123,7 @@ class ConvexDomain:
 
     def distance(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
-        return float(np.linalg.norm(x - self.project(x)))
+        return norm(x - self.project(x))
 
     def distance_subgradient(self, x) -> np.ndarray:
         """Unit outward normal (x - proj)/||x - proj|| outside, zero inside.
@@ -133,7 +133,7 @@ class ConvexDomain:
         """
         x = np.asarray(x, dtype=np.float64)
         gap = x - self.project(x)
-        n = float(np.linalg.norm(gap))
+        n = norm(gap)
         if n == 0.0:
             return np.zeros_like(x)
         return gap / n
@@ -179,14 +179,14 @@ class Ball(ConvexDomain):
     def project(self, x):
         x = np.asarray(x, dtype=np.float64)
         gap = x - self.center
-        n = float(np.linalg.norm(gap))
+        n = norm(gap)
         if n <= self.radius:
             return x.copy()
         return self.center + gap * (self.radius / n)
 
     def distance(self, x):
         x = np.asarray(x, dtype=np.float64)
-        return max(0.0, float(np.linalg.norm(x - self.center)) - self.radius)
+        return max(0.0, norm(x - self.center) - self.radius)
 
     @property
     def diameter(self):

@@ -30,7 +30,7 @@ from .combinators import (
     MultiHintLearner,
     OptimisticLearner,
 )
-from .core import DimensionMismatch, Learner, as_vector
+from .core import DimensionMismatch, Learner, as_vector, check_stream, norm, row_dot
 from .geometry import Ball, Box, ConvexDomain, WholeSpace
 from .hints import (
     AdversarialNegate,
@@ -136,12 +136,12 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
     if spec.kind == "slowly_varying":
         step = float(spec.params.get("step_size", 1.0 / math.sqrt(T)))
         v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
+        v /= norm(v)
         G = np.empty((T, d))
         for t in range(T):
             G[t] = v
             v = v + step * rng.standard_normal(d) / math.sqrt(d)
-            v /= np.linalg.norm(v)
+            v /= norm(v)
         return G
     if spec.kind == "sparse":
         k = int(spec.params.get("k_active", max(1, d // 8)))
@@ -368,26 +368,40 @@ def build_learner(cfg: dict, dim: int, stream: Optional[np.ndarray] = None,
 # ---------------------------------------------------------------------------
 
 def resolve_comparator(cfg: dict, dim: int, gsum: np.ndarray, path: str) -> np.ndarray:
-    """Comparator vector at a checkpoint; best_in_ball uses the gradient sum."""
+    """Comparator vector at a checkpoint; best_in_ball uses the gradient sum.
+
+    A malformed comparator config is a CompositionError naming ``path``.
+    """
+    if not isinstance(cfg, dict):
+        raise CompositionError(path, f"comparator must be an object, got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "origin":
         return np.zeros(dim)
     if kind == "vector":
-        return as_vector(cfg["entries"], dim, "comparator")
+        return _vector(cfg, "entries", dim, path)
     if kind == "scaled_unit":
-        direction = as_vector(cfg["direction"], dim, "direction")
+        direction = _vector(cfg, "direction", dim, path)
+        r = _number(cfg, "r", 1.0, path)
         n = float(np.linalg.norm(direction))
         if n == 0.0:
             raise CompositionError(path, "scaled_unit direction must be nonzero")
-        return float(cfg.get("r", 1.0)) * direction / n
+        return r * direction / n
     if kind == "best_in_ball":
         # minimizer of <sum g, u> over the ball: u* = -r * sum g / ||sum g||
-        r = float(cfg.get("radius", 1.0))
+        r = _number(cfg, "radius", 1.0, path)
         n = float(np.linalg.norm(gsum))
         if n == 0.0:
             return np.zeros(dim)
         return -r * gsum / n
     raise CompositionError(path, f"unknown comparator kind {kind!r}")
+
+
+def check_comparators(cfgs, dim: int) -> None:
+    """Resolve every comparator config once, so a bad one fails before round 0."""
+    if not isinstance(cfgs, list) or not cfgs:
+        raise CompositionError("comparators", "comparators must be a non-empty list")
+    for idx, ccfg in enumerate(cfgs):
+        resolve_comparator(ccfg, dim, np.zeros(dim), f"comparators[{idx}]")
 
 
 def comparator_id(cfg: dict, index: int) -> str:
@@ -424,17 +438,46 @@ class RunRecord:
     gh_sq: np.ndarray        # per-round ||g - h||^2 (h = 0 when no hints)
     gh_sq_minus: np.ndarray  # per-round ||g - h||^2 - ||h||^2
     bettor_regrets: Optional[np.ndarray] = None  # (T, k) running regret at 0
+    capped: dict = field(default_factory=dict)   # bettor path -> rounds the wealth cap bound
+
+
+def capped_bettors(learner, path: str = "learner") -> dict:
+    """{path: rounds} for every bettor in the tree whose wealth cap has bound.
+
+    Paths follow the learner's attributes (``learner.base.magnitude``,
+    ``learner.children[1]``, ``learner.bettors[0]``). Once the cap binds,
+    that bettor's regret figures are an artefact of the cap.
+    """
+    out = {}
+    rounds = int(np.sum(getattr(learner, "capped_rounds", 0)))
+    if rounds:
+        out[path] = rounds
+    for attr in ("bettor", "magnitude", "base"):
+        child = getattr(learner, attr, None)
+        if child is not None:
+            out.update(capped_bettors(child, f"{path}.{attr}"))
+    for attr in ("bettors", "children"):
+        for i, child in enumerate(getattr(learner, attr, ())):
+            out.update(capped_bettors(child, f"{path}.{attr}[{i}]"))
+    return out
 
 
 def _drive(composed: ComposedLearner, G: np.ndarray,
            keep_iterates: bool) -> RunRecord:
-    T, d = G.shape
+    # the stream is checked once here; the learner and the hint sources then
+    # take each round's gradient through their trusted _step/_feed
     learner = composed.learner
+    G = check_stream(G, learner.dim, unit=learner.unit_gradient_bound)
+    T, d = G.shape
     sources = composed.hint_sources
+    if sources is None:
+        feeds = []
+    elif isinstance(sources, list):
+        feeds = [s._feed for s in sources]
+    else:
+        feeds = [sources._feed]
     bettors = composed.bettors
     losses = np.empty(T)
-    gh_sq = np.empty(T)
-    gh_minus = np.empty(T)
     iterates = np.empty((T, d)) if keep_iterates else None
     bettor_regrets = np.empty((T, len(bettors))) if bettors else None
     hints = None
@@ -448,38 +491,34 @@ def _drive(composed: ComposedLearner, G: np.ndarray,
         g = G[t]
         if sources is None:
             w = learner.predict()
-            h = None
         elif isinstance(sources, list):
             hs = np.stack([s.next_hint() for s in sources])
             hints[t] = hs
             w = learner.predict(hs)
-            h = hs[0]  # reported hint columns track the first slot
         else:
             h = sources.next_hint()
             hints[t] = h
             w = learner.predict(h)
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise RuntimeError(f"round {t}: learner produced a non-finite iterate")
         losses[t] = float(np.dot(g, w))
-        if h is None:
-            gh_sq[t] = float(np.dot(g, g))
-            gh_minus[t] = gh_sq[t]
-        else:
-            diff = g - h
-            gh_sq[t] = float(np.dot(diff, diff))
-            gh_minus[t] = gh_sq[t] - float(np.dot(h, h))
-        learner.observe(g)
-        if sources is not None:
-            if isinstance(sources, list):
-                for s in sources:
-                    s.feed(g)
-            else:
-                sources.feed(g)
+        learner._step(g)
+        for feed in feeds:
+            feed(g)
         if bettors:
             bettor_regrets[t] = [b.regret_at_zero() for b in bettors]
         if keep_iterates:
             iterates[t] = w
-    return RunRecord(losses, G, iterates, hints, gh_sq, gh_minus, bettor_regrets)
+    if hints is None:
+        gh_sq = row_dot(G, G)
+        gh_minus = gh_sq
+    else:
+        H = hints if hints.ndim == 2 else hints[:, 0]  # reported columns track the first slot
+        diff = G - H
+        gh_sq = row_dot(diff, diff)
+        gh_minus = gh_sq - row_dot(H, H)
+    return RunRecord(losses, G, iterates, hints, gh_sq, gh_minus, bettor_regrets,
+                     capped_bettors(learner))
 
 
 def run_experiment(config: dict, seed_override: Optional[int] = None,
@@ -488,7 +527,9 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
 
     Rows appear per (checkpoint, comparator) with measured regret, cumulative
     loss, and the optimism statistics; bettor columns are appended when the
-    learner carries scalar bettors.
+    learner carries scalar bettors. The whole config, comparators included,
+    is checked before round 0. The record's ``capped`` names the bettors
+    whose wealth cap bound during the run.
     """
     if "stream" not in config:
         raise CompositionError("stream", "experiment config needs a 'stream'")
@@ -501,6 +542,7 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
     G = generate_stream(spec)
     composed = build_learner(config["learner"], spec.dim, stream=G)
     comparator_cfgs = config.get("comparators", [{"kind": "origin"}])
+    check_comparators(comparator_cfgs, spec.dim)
 
     start = time.perf_counter()
     record = _drive(composed, G, keep_iterates=keep_record or bool(config.get("dump_ledger")))
@@ -595,13 +637,16 @@ def _sweep_cell(args):
     cfg["stream"]["T"] = T
     cfg["stream"]["seed"] = seed
     cfg["experiment_id"] = f"{cfg.get('experiment_id', 'experiment')}_T{T}_s{seed}"
-    return (T, seed), run_experiment(cfg)
+    rows, record = run_experiment(cfg, keep_record=True)
+    return (T, seed), rows, {cfg["experiment_id"]: record.capped} if record.capped else {}
 
 
-def run_sweep(config: dict, workers: int = 1):
+def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
     """Grid over T and/or seeds; cells are independent and merged by key.
 
-    The pool gets at most one worker per cell and per CPU.
+    The pool gets at most one worker per cell and per CPU. A ``capped`` dict
+    receives {cell experiment_id: {bettor path: rounds}} for every cell where
+    a wealth cap bound.
     """
     sweep = config.get("sweep", {})
     Ts = sweep.get("T", [config["stream"]["T"]])
@@ -615,8 +660,10 @@ def run_sweep(config: dict, workers: int = 1):
         results = [_sweep_cell(c) for c in cells]
     results.sort(key=lambda kv: kv[0])
     rows = []
-    for _, cell_rows in results:
+    for _, cell_rows, cell_capped in results:
         rows.extend(cell_rows)
+        if capped is not None:
+            capped.update(cell_capped)
     return rows
 
 

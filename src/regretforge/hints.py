@@ -11,22 +11,41 @@ import math
 
 import numpy as np
 
-from .core import GRAD_TOL, as_vector, check_unit_norm
+from .core import GRAD_TOL, as_vector, check_unit_norm, norm
 
 
 class HintSource:
-    """next_hint() -> vector before the round; feed(g) after it."""
+    """next_hint() -> vector before the round; feed(g) after it.
+
+    feed() validates g (shape and finite entries) here, once, and hands the
+    array to the trusted _feed(), which subclasses implement. The stream
+    drivers check the whole stream before round 0 and call _feed() directly,
+    so they would never reach an override of feed(): a subclass that
+    defines feed() without _feed() is a TypeError.
+    """
 
     kind = "abstract"
 
-    def __init__(self, dim: int):
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "feed" in vars(cls) and "_feed" not in vars(cls):
+            raise TypeError(
+                f"{cls.__name__} overrides feed(), which the stream drivers "
+                "bypass; override _feed(g), which takes a validated gradient"
+            )
+
+    def __init__(self, dim: int, batch=None):
         self.dim = dim
+        self.batch = batch
 
     def next_hint(self) -> np.ndarray:
         raise NotImplementedError
 
     def feed(self, g) -> None:
-        pass
+        self._feed(as_vector(g, self.dim, "gradient", self.batch))
+
+    def _feed(self, g: np.ndarray) -> None:
+        """Take one round's gradient, already validated by the caller."""
 
 
 class ZeroHint(HintSource):
@@ -48,8 +67,8 @@ class LastGradient(HintSource):
     def next_hint(self):
         return self._prev.copy()
 
-    def feed(self, g):
-        self._prev = as_vector(g, self.dim, "gradient").copy()
+    def _feed(self, g):
+        self._prev = g.copy()
 
 
 class AdversarialNegate(HintSource):
@@ -64,8 +83,8 @@ class AdversarialNegate(HintSource):
     def next_hint(self):
         return -self._prev
 
-    def feed(self, g):
-        self._prev = as_vector(g, self.dim, "gradient").copy()
+    def _feed(self, g):
+        self._prev = g.copy()
 
 
 class RunningAverage(HintSource):
@@ -78,8 +97,7 @@ class RunningAverage(HintSource):
     kind = "running_average"
 
     def __init__(self, dim, batch=None):
-        super().__init__(dim)
-        self.batch = batch
+        super().__init__(dim, batch)
         self._sum = np.zeros(dim if batch is None else (batch, dim))
         self._count = 0
 
@@ -88,8 +106,8 @@ class RunningAverage(HintSource):
             return np.zeros(self._sum.shape)
         return self._sum / self._count
 
-    def feed(self, g):
-        self._sum = self._sum + as_vector(g, self.dim, "gradient", self.batch)
+    def _feed(self, g):
+        self._sum = self._sum + g
         self._count += 1
 
 
@@ -111,13 +129,12 @@ class UnitBallDescent(HintSource):
     def next_hint(self):
         return self.point.copy()
 
-    def feed(self, g):
-        g = as_vector(g, self.dim, "gradient")
+    def _feed(self, g):
         self._sq_sum += 4.0 * float(np.dot(g, g))
         if self._sq_sum <= 0.0:
             return
         h = self.point + (2.0 / math.sqrt(self._sq_sum)) * g
-        n = float(np.linalg.norm(h))
+        n = norm(h)
         if n > 1.0:
             h = h / n
         self.point = h

@@ -24,6 +24,7 @@ from .core import (
     BatchAccumulator,
     Learner,
     as_vector,
+    norm,
     row_dot,
     row_norm,
 )
@@ -44,6 +45,8 @@ class CoinBettor:
     ``observe`` consumes the reward z = negated loss. With ``batch`` = B the
     bettor runs B independent trials: outcomes, bets, wealth and regrets are
     (B,) arrays, and the wealth cap applies to each trial on its own.
+    ``capped_rounds`` counts the rounds where the cap clipped wealth (one
+    count per trial with a trial axis).
     """
 
     def __init__(self, epsilon: float = 1.0, batch: int | None = None):
@@ -56,10 +59,12 @@ class CoinBettor:
             self.wealth = float(epsilon)
             self.signed_sum = 0.0
             self._loss_sum = Accumulator()  # sum_t (-z_t) * y_t, measured exactly
+            self.capped_rounds = 0
         else:
             self.wealth = np.full(batch, self.epsilon)
             self.signed_sum = np.zeros(batch)
             self._loss_sum = BatchAccumulator(batch)
+            self.capped_rounds = np.zeros(batch, dtype=np.int64)
 
     def predict(self):
         return self.signed_sum / (self.round + 1) * self.wealth
@@ -76,10 +81,15 @@ class CoinBettor:
                 raise ValueError(f"bettor outcome of size {worst!r} outside [-1, 1]")
         y = self.predict()
         self._loss_sum.add(-z * y)
+        wealth = self.wealth + y * z
         if self.batch is None:
-            self.wealth = min(self.wealth + y * z, WEALTH_CAP)
+            if wealth > WEALTH_CAP:
+                wealth = WEALTH_CAP
+                self.capped_rounds += 1
+            self.wealth = wealth
         else:
-            self.wealth = np.minimum(self.wealth + y * z, WEALTH_CAP)
+            self.capped_rounds += wealth > WEALTH_CAP
+            self.wealth = np.minimum(wealth, WEALTH_CAP)
         self.signed_sum += z
         self.round += 1
 
@@ -148,14 +158,14 @@ class PNormBallDescent:
         if self.batch is not None:
             self._observe_trials(g)
             return
-        gq = self.spec.dual(g)
+        gq = norm(g) if self.theta is None else p_norm(g, self.spec.q)
         self.dual_sq_sum += gq * gq
         if self.dual_sq_sum <= 0.0:
             return
         eta = math.sqrt(self.spec.lam) / math.sqrt(self.dual_sq_sum)
         if self.theta is None:
             u = self.point - eta * g
-            np_u = p_norm(u, 2.0)
+            np_u = norm(u)
             if np_u > 1.0:
                 u = u / np_u
             self.point = u
@@ -232,6 +242,8 @@ class PerCoordinateLearner(Learner):
     State is held in coordinate arrays rather than d bettor objects; the
     update is one vector operation and matches the d-instance semantics
     exactly (each coordinate sees only its own gradient entries).
+    ``capped_rounds`` counts the rounds where the wealth cap clipped any
+    coordinate's wealth.
     """
 
     def __init__(self, dim: int, epsilon: float = 1.0):
@@ -241,6 +253,7 @@ class PerCoordinateLearner(Learner):
         self.wealth = np.full(dim, epsilon / dim)
         self.signed_sum = np.zeros(dim)
         self.round = 0
+        self.capped_rounds = 0
 
     def _prediction(self):
         return self.signed_sum / (self.round + 1) * self.wealth
@@ -248,7 +261,10 @@ class PerCoordinateLearner(Learner):
     def _update(self, g):
         y = self._prediction()
         z = -g
-        self.wealth = np.minimum(self.wealth + y * z, WEALTH_CAP)
+        wealth = self.wealth + y * z
+        if wealth.max() > WEALTH_CAP:
+            self.capped_rounds += 1
+        self.wealth = np.minimum(wealth, WEALTH_CAP)
         self.signed_sum = self.signed_sum + z
         self.round += 1
 

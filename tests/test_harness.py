@@ -7,10 +7,18 @@ import os
 import numpy as np
 import pytest
 
-from regretforge import CompositionError, StreamSpec, fit_slope, generate_stream
+from regretforge import (
+    CoinBettor,
+    CompositionError,
+    PerCoordinateLearner,
+    StreamSpec,
+    fit_slope,
+    generate_stream,
+)
 from regretforge.cli import cli_main
 from regretforge.harness import (
     build_learner,
+    capped_bettors,
     checkpoints,
     comparator_id,
     dump_ledger,
@@ -434,6 +442,145 @@ def test_short_external_hint_file_is_a_config_error(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["path"] == "learner.hints"
+
+
+@pytest.mark.parametrize("bad, bad_path", [
+    ({"kind": "vector"}, "comparators[1]"),
+    ({"kind": "scaled_unit"}, "comparators[1]"),
+    ({"kind": "vector", "entries": [1.0, 0.0]}, "comparators[1].entries"),
+    ({"kind": "vector", "entries": [0.0, float("nan"), 0.0, 0.0]}, "comparators[1].entries"),
+    ({"kind": "scaled_unit", "direction": [1, 0, 0]}, "comparators[1].direction"),
+    ({"kind": "scaled_unit", "direction": [0, 0, 0, 0]}, "comparators[1]"),
+    ({"kind": "scaled_unit", "direction": [1, 0, 0, 0], "r": "one"}, "comparators[1].r"),
+    ({"kind": "best_in_ball", "radius": [1.0]}, "comparators[1].radius"),
+    ({"kind": "no_such_kind"}, "comparators[1]"),
+    ("origin", "comparators[1]"),
+])
+def test_bad_comparator_fails_before_round_0(monkeypatch, tmp_path, capsys, bad, bad_path):
+    from regretforge import harness
+
+    def no_rounds(*args, **kwargs):
+        raise AssertionError("the run started before its comparators were checked")
+
+    monkeypatch.setattr(harness, "_drive", no_rounds)
+    config = {"learner": {"kind": "dimfree"},
+              "stream": {"kind": "rademacher_iid", "dim": 4, "T": 8},
+              "comparators": [{"kind": "origin"}, bad]}
+    with pytest.raises(CompositionError) as err:
+        run_experiment(config)
+    assert err.value.path == bad_path
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    for command in ("run", "sweep"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["path"] == bad_path
+
+
+@pytest.mark.parametrize("comparators", [[], {"kind": "origin"}])
+def test_comparators_must_be_a_nonempty_list(comparators):
+    config = {"learner": {"kind": "dimfree"},
+              "stream": {"kind": "rademacher_iid", "dim": 4, "T": 8},
+              "comparators": comparators}
+    with pytest.raises(CompositionError) as err:
+        run_experiment(config)
+    assert err.value.path == "comparators"
+
+
+# the ROADMAP case: perfect hints on a slowly varying stream drive the
+# bettor's wealth to the cap, and the regret column reads about -7.6e83
+_CAPPED = {"experiment_id": "perfect_slow",
+           "learner": {"kind": "optimistic", "hints": {"kind": "perfect"}},
+           "stream": {"kind": "slowly_varying", "dim": 4, "T": 4096, "seed": 0},
+           "comparators": [{"kind": "origin"}]}
+
+
+def _warning(err: str) -> dict:
+    lines = [json.loads(line) for line in err.strip().splitlines()]
+    warnings = [line for line in lines if "warning" in line]
+    assert len(warnings) == 1
+    return warnings[0]
+
+
+def test_wealth_cap_is_reported_by_run(tmp_path, capsys):
+    rows, record = run_experiment(_CAPPED, keep_record=True)
+    assert rows[-1]["regret"] < -1e83
+    assert set(record.capped) == {"learner.bettor", "learner.base.magnitude"}
+    assert all(0 < n < 4096 for n in record.capped.values())
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg_path.write_text(json.dumps(_CAPPED))
+    assert cli_main(["run", "--config", str(cfg_path), "--output", str(out)]) == 0
+    warning = _warning(capsys.readouterr().err)
+    assert warning["capped"] == {"perfect_slow": record.capped}
+    # the CSV columns stay as they are
+    assert list(read_csv(out)[0]) == [
+        "experiment_id", "T", "comparator_id", "regret", "cum_loss", "sum_gh_sq",
+        "sum_gh_sq_minus_h_sq", "wallclock_ms", "bettor0_regret_at0"]
+
+
+def test_wealth_cap_is_reported_by_sweep(tmp_path, capsys):
+    config = dict(_CAPPED, sweep={"T": [4096], "seeds": [0, 1]})
+    capped = {}
+    run_sweep(config, capped=capped)
+    assert set(capped) == {"perfect_slow_T4096_s0", "perfect_slow_T4096_s1"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["sweep", "--config", str(cfg_path), "--output",
+                     str(tmp_path / "out.csv")]) == 0
+    assert _warning(capsys.readouterr().err)["capped"] == capped
+
+
+def test_uncapped_run_prints_no_warning(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(_CAPPED, stream={"kind": "zero", "dim": 4, "T": 64})))
+    assert cli_main(["run", "--config", str(cfg_path), "--output",
+                     str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _bettors_in(node, found, seen):
+    """Every CoinBettor and PerCoordinateLearner reachable through any attribute."""
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            _bettors_in(item, found, seen)
+        return
+    if not type(node).__module__.startswith("regretforge"):
+        return
+    if isinstance(node, (CoinBettor, PerCoordinateLearner)):
+        found.append(node)
+    slots = [name for cls in type(node).__mro__ for name in getattr(cls, "__slots__", ())]
+    values = list(getattr(node, "__dict__", {}).values())
+    values += [getattr(node, name) for name in slots if hasattr(node, name)]
+    for value in values:
+        _bettors_in(value, found, seen)
+
+
+_PLAIN = [{"kind": "dimfree"}, {"kind": "dimfree", "p": 1.5}, {"kind": "percoord"},
+          {"kind": "apd", "domain": {"kind": "ball", "radius": 1.0}}, {"kind": "zero"},
+          {"kind": "multi_norm"},
+          {"kind": "add", "children": [{"kind": "dimfree"}, {"kind": "percoord"},
+                                       {"kind": "add", "children": [{"kind": "percoord"},
+                                                                    {"kind": "multi_norm"}]}]}]
+_ROOTS = [(1, {"kind": "coin"})] + [(4, cfg) for cfg in _PLAIN] + [
+    (4, {"kind": root, "base": base, "hints": hints, "domain": {"kind": "ball"}})
+    for base in _PLAIN
+    for root, hints in [("optimistic", {"kind": "zero"}), ("constrained", {"kind": "zero"}),
+                        ("multi_hint", [{"kind": "zero"}, {"kind": "last_gradient"}])]]
+
+
+@pytest.mark.parametrize("dim,cfg", _ROOTS, ids=[
+    f"{cfg['kind']}-{cfg.get('base', {}).get('kind', '')}-{i}" for i, (_, cfg) in enumerate(_ROOTS)])
+def test_capped_bettors_reaches_every_bettor(dim, cfg):
+    learner = build_learner(cfg, dim).learner
+    found = []
+    _bettors_in(learner, found, set())
+    # give each bettor its own count, so a bettor missed or reached twice shows
+    for i, bettor in enumerate(found):
+        bettor.capped_rounds = i + 1
+    assert sorted(capped_bettors(learner).values()) == list(range(1, len(found) + 1))
 
 
 def test_cli_run_and_outputs(tmp_path):

@@ -19,6 +19,7 @@ from regretforge import (
     pnorm_grid,
     replay,
 )
+from regretforge.learners import WEALTH_CAP
 from conftest import rademacher_stream, unit_stream
 
 
@@ -282,3 +283,39 @@ def test_apd_regret_bound_on_signs(rng):
 def test_apd_rejects_unbounded_domain():
     with pytest.raises(ValueError):
         AdaptiveProjectedDescent(WholeSpace())
+
+
+def _capped_by_oracle(zs, epsilon=1.0):
+    """Rounds whose wealth update the cap clipped, by the hand recursion."""
+    wealth, ssum, capped = epsilon, 0.0, 0
+    for t, z in enumerate(zs):
+        wealth = wealth + ssum / (t + 1) * wealth * z
+        if wealth > WEALTH_CAP:
+            wealth, capped = WEALTH_CAP, capped + 1
+        ssum += z
+    return capped
+
+
+def test_coin_counts_capped_rounds():
+    zs = [1.0] * 400 + [-1.0] * 5 + [1.0] * 20
+    bettor = CoinBettor(1.0)
+    for z in zs:
+        bettor.observe(z)
+    assert 0 < bettor.capped_rounds == _capped_by_oracle(zs) < len(zs)
+    batched = CoinBettor(1.0, batch=3)
+    for t, z in enumerate(zs):
+        batched.observe([z, 0.0, 0.5 * (-1) ** t])  # trial 2 alternates: no wealth
+    assert batched.capped_rounds.tolist() == [bettor.capped_rounds, 0, 0]
+
+
+def test_percoordinate_counts_capped_rounds():
+    learner = PerCoordinateLearner(3, 1.0)
+    g = np.array([-1.0, 0.0, 0.0])  # coordinate 0 wins every round
+    for _ in range(400):
+        learner.predict()
+        learner.observe(g)
+    assert 0 < learner.capped_rounds < 400
+    assert learner.wealth[0] == WEALTH_CAP and learner.wealth[1] < 1.0
+    quiet = PerCoordinateLearner(3, 1.0)
+    replay(quiet, unit_stream(np.random.default_rng(3), 400, 3))
+    assert quiet.capped_rounds == 0
