@@ -24,8 +24,8 @@ from .core import (
     DimensionMismatch,
     HintedLearner,
     Learner,
-    as_vector,
-    check_unit_norm,
+    check_hints,
+    check_unit_norm,  # noqa: F401 - perfbench/tracer.py wraps this binding
     norm,
     row_dot,
 )
@@ -130,10 +130,7 @@ class OptimisticLearner(HintedLearner):
             )
         self.base._step(g)
         # loss -<g, h>; the bettor consumes the negated loss
-        if self.batch is None:
-            self.bettor.observe(float(np.dot(g, self.last_hint)))
-        else:
-            self.bettor.observe(row_dot(g, self.last_hint))
+        self.bettor.observe(row_dot(g, self.last_hint))
         self.last_hint = None
 
 
@@ -199,7 +196,7 @@ class ConstrainedOptimisticLearner(HintedLearner):
         # ||g_tilde|| <= ||g|| because ||z|| <= 1, so the base trusts it too
         g_tilde = 0.5 * g + 0.5 * norm(g) * self.last_z
         self.base._step(g_tilde)
-        self.bettor.observe(float(np.dot(g_tilde, self.last_tilde_hint)))
+        self.bettor.observe(row_dot(g_tilde, self.last_tilde_hint))
         self.last_hint = None
 
 
@@ -225,8 +222,7 @@ class MultiHintLearner(Learner):
         self.last_hints = None
 
     def predict(self, hints) -> np.ndarray:
-        H = as_vector(hints, self.dim, "hints", batch=self.k)
-        check_unit_norm(H, "hint", row="slot")
+        H = check_hints(hints, self.dim, self.k, row="slot", name="hints")
         x = self.base.predict()
         w = x.copy()
         for i, b in enumerate(self.bettors):

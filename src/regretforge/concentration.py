@@ -13,11 +13,12 @@ worst-case range. Two modes compute it:
 K1 is an engineering constant calibrated so that (a) Monte Carlo coverage
 holds for every shipped sampler and (b) both modes agree within 4x.
 
-Via-learner trials run in fixed-size blocks along a trial axis: one
-replay drives the same learner, hint source and validation for a whole
-(T, B, d) block, one row per trial. Each trial keeps its own draw (seed +
-trial index) and its radius is bitwise the one a replay of that trial
-alone gives, so results do not depend on where block boundaries fall.
+Via-learner trials run in blocks of up to 1 MiB of gradients along a
+trial axis: one replay drives the same learner, hint source and validation
+for a whole (T, B, d) block, one row per trial. Each trial keeps its own
+draw (seed + trial index) and its radius is bitwise the one a replay of
+that trial alone gives, so results depend on neither the block size nor
+where block boundaries fall.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ from .learners import CoinBettor, DimFreeLearner
 K1 = 0.58
 
 #: bytes of (T, B, d) float64 gradients per via-learner trial block
-TRIAL_BLOCK_BYTES = 1 << 19
+TRIAL_BLOCK_BYTES = 1 << 20
 
 
 def trial_block(T: int, dim: int) -> int:
     """Trials per via-learner block: as many as fit in TRIAL_BLOCK_BYTES, at least 1.
 
-    The block's gradients are the only per-trial array a batched replay
-    keeps at full size, so this bounds the memory a block adds.
+    A block holds 8 (d + 1) bytes per trial-round at full size: the (T, B, d)
+    gradients and the (T, B) losses of its batched replay.
     """
     return max(1, TRIAL_BLOCK_BYTES // (8 * T * dim))
 
@@ -129,14 +130,8 @@ def learner_radius(samples, delta: float):
     )
     ledger = replay_hinted(learner, X, RunningAverage(dim, batch))
     s = ledger.gradient_sum()
-    if batch is None:
-        n = float(np.linalg.norm(s))
-        u = np.zeros(dim) if n == 0.0 else -s / n
-    else:
-        n = row_norm(s)
-        u = np.zeros_like(s)
-        live = n != 0.0
-        u[live] = -s[live] / n[live, None]
+    n = row_norm(s)[..., None]
+    u = np.divide(-s, n, out=np.zeros_like(s), where=n != 0.0)
     return ledger.regret_at(u) - eps + eps / delta
 
 

@@ -6,7 +6,7 @@ Everything downstream speaks two conventions fixed here once:
 * regret against a comparator u is sum_t <g_t, w_t - u>.
 
 Cumulative sums that tests check to 1e-9*T are accumulated with
-``math.fsum`` (exact) or a Neumaier-compensated accumulator.
+``math.fsum`` (exact) or a compensated (TwoSum) accumulator.
 """
 
 from __future__ import annotations
@@ -100,6 +100,25 @@ def check_unit_norm(v: np.ndarray, name: str, tol: float = GRAD_TOL,
         raise ValueError(f"{name} has norm {n:.12g} > 1 + {tol}")
 
 
+#: a squared norm at or below this passes the unit-norm check by a wide margin
+_CLEAR_SQ = (1.0 + 0.5 * GRAD_TOL) ** 2
+
+
+def check_hints(h, dim: int, batch: Optional[int] = None, row="trial", name="hint") -> np.ndarray:
+    """``as_vector(h, dim, name, batch)`` then ``check_unit_norm(h, "hint", row=row)``, cheaply.
+
+    A squared-norm pass clears h of the right shape whose rows all have norm
+    <= 1 by a margin; anything else (a non-finite entry included) goes through
+    those two checks, which decide and give the message.
+    """
+    v = np.asarray(h, dtype=np.float64)
+    if v.shape != ((dim,) if batch is None else (batch, dim)) or not (
+            (v.dot(v) if batch is None else row_dot(v, v).max()) <= _CLEAR_SQ):
+        v = as_vector(v, dim, name, batch)
+        check_unit_norm(v, "hint", row=row)
+    return v
+
+
 def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True) -> np.ndarray:
     """Validate a whole (T, dim) stream, or a (T, batch, dim) block, before round 0.
 
@@ -116,9 +135,8 @@ def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True) ->
     if G.shape[1:] != row:
         raise DimensionMismatch(f"round 0: gradient has shape {G.shape[1:]}, expected {row}")
     sq = row_dot(G, G)
-    # a non-finite entry makes its row's squared norm non-finite; rounding in
-    # the sum moves it far less than the margin below
-    clear = sq <= (1.0 + 0.5 * GRAD_TOL) ** 2 if unit else np.isfinite(sq)
+    # a non-finite entry makes its row's squared norm non-finite
+    clear = sq <= _CLEAR_SQ if unit else np.isfinite(sq)
     if batch is not None:
         clear = clear.all(axis=1)
     for t in np.flatnonzero(~clear):
@@ -132,7 +150,7 @@ def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True) ->
 
 
 class Accumulator:
-    """Neumaier-compensated running sum."""
+    """Compensated running sum (branch-free TwoSum, so it also runs on arrays)."""
 
     __slots__ = ("_s", "_c")
 
@@ -140,12 +158,11 @@ class Accumulator:
         self._s = 0.0
         self._c = 0.0
 
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
+    def add(self, x) -> None:
+        s = self._s
+        t = s + x
+        bp = t - s
+        self._c += (s - (t - bp)) + (x - bp)
         self._s = t
 
     @property
@@ -154,10 +171,10 @@ class Accumulator:
 
 
 class BatchAccumulator(Accumulator):
-    """Neumaier-compensated running sums, one per trial, in (B,) arrays.
+    """Compensated running sums, one per trial, in (B,) arrays.
 
-    Each entry takes the same branch and the same operations as a scalar
-    Accumulator fed that trial's values.
+    Each entry takes the same operations as a scalar Accumulator fed that
+    trial's values.
     """
 
     __slots__ = ()
@@ -165,12 +182,6 @@ class BatchAccumulator(Accumulator):
     def __init__(self, batch: int):
         self._s = np.zeros(batch)
         self._c = np.zeros(batch)
-
-    def add(self, x: np.ndarray) -> None:
-        s = self._s
-        t = s + x
-        self._c = self._c + np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-        self._s = t
 
 
 @dataclass
@@ -248,16 +259,14 @@ class RegretLedger:
         return self.gradients.sum(axis=0)
 
     def regret_at(self, u):
-        if self.gradients.ndim == 3:
-            batch = self.gradients.shape[1]
-            u = as_vector(u, self.dim, "comparator", batch)
-            losses = self.per_round_losses()
-            return np.array([math.fsum(losses[:, i] - self.gradients[:, i] @ u[i])
-                             for i in range(batch)])
-        u = as_vector(u, self.dim, "comparator")
-        # single pass: fsum over per-round <g_t, w_t - u>
-        terms = self.per_round_losses() - self.gradients @ u
-        return math.fsum(terms)
+        batch = self.gradients.shape[1] if self.gradients.ndim == 3 else None
+        u = as_vector(u, self.dim, "comparator", batch)
+        losses = self.per_round_losses()
+        if batch is None:
+            # single pass: fsum over per-round <g_t, w_t - u>
+            return math.fsum(losses - self.gradients @ u)
+        return np.array([math.fsum(losses[:, i] - self.gradients[:, i] @ u[i])
+                         for i in range(batch)])
 
 
 def regret_at(ledger: RegretLedger, u) -> float:
@@ -349,9 +358,7 @@ class HintedLearner(Learner):
     """
 
     def predict(self, h) -> np.ndarray:  # noqa: D102 - contract in class docstring
-        h = as_vector(h, self.dim, "hint", self.batch)
-        check_unit_norm(h, "hint")
-        w = self._hinted_prediction(h)
+        w = self._hinted_prediction(check_hints(h, self.dim, self.batch))
         self._awaiting_predict = False
         return w
 

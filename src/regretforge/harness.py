@@ -137,21 +137,26 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
         step = float(spec.params.get("step_size", 1.0 / math.sqrt(T)))
         v = rng.standard_normal(d)
         v /= norm(v)
+        S = rng.standard_normal((T, d))  # T draws of size d, in order
+        S *= step
+        S /= math.sqrt(d)
         G = np.empty((T, d))
         for t in range(T):
             G[t] = v
-            v = v + step * rng.standard_normal(d) / math.sqrt(d)
+            v = v + S[t]
             v /= norm(v)
         return G
     if spec.kind == "sparse":
         k = int(spec.params.get("k_active", max(1, d // 8)))
         if not (1 <= k <= d):
             raise ValueError(f"k_active must be in [1, {d}]")
-        G = np.zeros((T, d))
-        scale = 1.0 / math.sqrt(k)
+        idx = np.empty((T, k), dtype=np.int64)
+        signs = np.empty((T, k))
         for t in range(T):
-            idx = rng.choice(d, size=k, replace=False)
-            G[t, idx] = scale * (rng.integers(0, 2, size=k) * 2.0 - 1.0)
+            idx[t] = rng.choice(d, size=k, replace=False)
+            signs[t] = rng.integers(0, 2, size=k)
+        G = np.zeros((T, d))
+        G[np.arange(T)[:, None], idx] = (signs * 2.0 - 1.0) * (1.0 / math.sqrt(k))
         return G
     if spec.kind == "biased":
         mu = np.asarray(spec.params.get("mu", [0.25] + [0.0] * (d - 1)), dtype=np.float64)
@@ -644,14 +649,15 @@ def _sweep_cell(args):
 def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
     """Grid over T and/or seeds; cells are independent and merged by key.
 
-    The pool gets at most one worker per cell and per CPU. A ``capped`` dict
+    Cells run longest T first, rows come out by (T, seed), and the pool gets
+    at most one worker per cell and per CPU. A ``capped`` dict
     receives {cell experiment_id: {bettor path: rounds}} for every cell where
     a wealth cap bound.
     """
     sweep = config.get("sweep", {})
     Ts = sweep.get("T", [config["stream"]["T"]])
     seeds = sweep.get("seeds", [config["stream"].get("seed", 0)])
-    cells = [(config, int(T), int(s)) for T in Ts for s in seeds]
+    cells = sorted(((config, int(T), int(s)) for T in Ts for s in seeds), key=lambda c: -c[1])
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -102,9 +102,7 @@ class RunningAverage(HintSource):
         self._count = 0
 
     def next_hint(self):
-        if self._count == 0:
-            return np.zeros(self._sum.shape)
-        return self._sum / self._count
+        return self._sum / max(self._count, 1)  # zeros before the first feed
 
     def _feed(self, g):
         self._sum = self._sum + g

@@ -37,6 +37,13 @@ from .geometry import Ball, ConvexDomain, NormSpec, p_norm
 WEALTH_CAP = 1e80
 
 
+def _budget(epsilon) -> float:
+    """An origin budget: a finite positive float."""
+    if not 0.0 < float(epsilon) < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    return float(epsilon)
+
+
 class CoinBettor:
     """Parameter-free scalar learner via coin betting with a KT-style fraction.
 
@@ -50,13 +57,11 @@ class CoinBettor:
     """
 
     def __init__(self, epsilon: float = 1.0, batch: int | None = None):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        self.epsilon = float(epsilon)
+        self.epsilon = _budget(epsilon)
         self.batch = batch
         self.round = 0
         if batch is None:
-            self.wealth = float(epsilon)
+            self.wealth = self.epsilon
             self.signed_sum = 0.0
             self._loss_sum = Accumulator()  # sum_t (-z_t) * y_t, measured exactly
             self.capped_rounds = 0
@@ -75,21 +80,22 @@ class CoinBettor:
             if not math.isfinite(z) or abs(z) > 1.0 + GRAD_TOL:
                 raise ValueError(f"bettor outcome {z!r} outside [-1, 1]")
         else:
-            z = as_vector(z, self.batch, "bettor outcome")
-            worst = float(np.abs(z).max())
-            if worst > 1.0 + GRAD_TOL:
-                raise ValueError(f"bettor outcome of size {worst!r} outside [-1, 1]")
-        y = self.predict()
-        self._loss_sum.add(-z * y)
-        wealth = self.wealth + y * z
+            z = np.asarray(z, dtype=np.float64)
+            worst = np.abs(z).max() if z.shape == (self.batch,) else math.nan
+            if not worst <= 1.0 + GRAD_TOL:  # as_vector rejects a bad shape or NaN first
+                as_vector(z, self.batch, "bettor outcome")
+                raise ValueError(f"bettor outcome of size {float(worst)!r} outside [-1, 1]")
+        zy = z * self.predict()
+        self._loss_sum.add(-zy)
+        wealth = self.wealth + zy
         if self.batch is None:
             if wealth > WEALTH_CAP:
                 wealth = WEALTH_CAP
                 self.capped_rounds += 1
-            self.wealth = wealth
-        else:
+        elif wealth.max() > WEALTH_CAP:
             self.capped_rounds += wealth > WEALTH_CAP
-            self.wealth = np.minimum(wealth, WEALTH_CAP)
+            wealth = np.minimum(wealth, WEALTH_CAP)
+        self.wealth = wealth
         self.signed_sum += z
         self.round += 1
 
@@ -197,14 +203,12 @@ class PNormBallDescent:
         # still 0 has seen only zero gradients, so its point is the origin;
         # a zero step keeps it there, as the scalar early return does.
         gq = row_norm(g)
-        sq_sum = self.dual_sq_sum = self.dual_sq_sum + gq * gq
-        live = sq_sum > 0.0
-        eta = np.where(live, math.sqrt(self.spec.lam) / np.sqrt(np.where(live, sq_sum, 1.0)), 0.0)
+        self.dual_sq_sum = self.dual_sq_sum + gq * gq
+        eta = np.sqrt(self.dual_sq_sum)
+        np.divide(math.sqrt(self.spec.lam), eta, out=eta, where=eta > 0.0)
         u = self.point - eta[:, None] * g
-        np_u = row_norm(u)
-        over = np_u > 1.0
-        u[over] /= np_u[over, None]
-        self.point = u
+        np_u = row_norm(u)[:, None]
+        self.point = np.divide(u, np_u, out=u, where=np_u > 1.0)
 
 
 class DimFreeLearner(Learner):
@@ -228,11 +232,7 @@ class DimFreeLearner(Learner):
         return self.magnitude.predict()[:, None] * self.direction.point
 
     def _update(self, g):
-        u = self.direction.point
-        if self.batch is None:
-            self.magnitude.observe(-float(np.dot(g, u)))
-        else:
-            self.magnitude.observe(-row_dot(g, u))
+        self.magnitude.observe(-row_dot(g, self.direction.point))
         self.direction.observe(g)
 
 
@@ -247,10 +247,8 @@ class PerCoordinateLearner(Learner):
     """
 
     def __init__(self, dim: int, epsilon: float = 1.0):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        super().__init__(dim, epsilon=epsilon)
-        self.wealth = np.full(dim, epsilon / dim)
+        super().__init__(dim, epsilon=_budget(epsilon))
+        self.wealth = np.full(dim, self.epsilon / dim)
         self.signed_sum = np.zeros(dim)
         self.round = 0
         self.capped_rounds = 0

@@ -235,7 +235,10 @@ _MODULES = (core, combinators, geometry, harness, hints, learners)
 
 
 def _count_checks(monkeypatch):
-    """Count as_vector / check_unit_norm calls by the name they check, in every module."""
+    """Count as_vector / check_unit_norm / check_hints calls by the name they check.
+
+    A call that leaves ``name`` at its default counts under None.
+    """
     counts = {}
 
     def counting(fn):
@@ -248,7 +251,7 @@ def _count_checks(monkeypatch):
         return wrapper
 
     for mod in _MODULES:
-        for attr in ("as_vector", "check_unit_norm"):
+        for attr in ("as_vector", "check_unit_norm", "check_hints"):
             if attr in vars(mod):
                 monkeypatch.setattr(mod, attr, counting(getattr(mod, attr)))
     return counts
@@ -273,12 +276,12 @@ def test_run_experiment_checks_no_gradient_per_round(monkeypatch, name):
     harness.run_experiment(config)
     assert counts.get(("as_vector", "gradient"), 0) == 0
     assert counts.get(("check_unit_norm", "gradient"), 0) == 0
-    # hints are still checked every round
-    if name == "multi_hint":
-        assert counts[("as_vector", "hints")] == T
-    else:
-        assert counts[("as_vector", "hint")] == T
-    assert counts[("check_unit_norm", "hint")] == T
+    # hints are still checked every round, by check_hints; every hint here is
+    # inside the unit ball by a margin, so its squared-norm pass clears it and
+    # the full check (which decides any hint that pass does not clear) never runs
+    assert counts[("check_hints", "hints" if name == "multi_hint" else None)] == T
+    assert counts.get(("as_vector", "hints" if name == "multi_hint" else "hint"), 0) == 0
+    assert counts.get(("check_unit_norm", "hint"), 0) == 0
 
 
 # ---------------------------------------------------------------------------

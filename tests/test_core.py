@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regretforge import (
     ConstantLearner,
@@ -18,6 +19,7 @@ from regretforge import (
     regret_at,
     replay,
 )
+from regretforge.core import Accumulator, BatchAccumulator
 from conftest import unit_stream
 
 
@@ -182,3 +184,54 @@ def test_regret_contract_validation():
         RegretContract(epsilon=1.0, lam=0.0)
     contract = CoinBettorLearner(0.25).contract
     assert contract.epsilon == 0.25
+
+
+# ---------------------------------------------------------------------------
+# compensated sums: TwoSum gives the bits of the Neumaier branch
+# ---------------------------------------------------------------------------
+
+_TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, neg: -m if neg else m,
+              st.floats(min_value=1e-300, max_value=1e300), st.booleans()),
+)
+
+
+def _neumaier(terms):
+    """The accumulator's former formula, branching on |s| >= |x|."""
+    s = c = 0.0
+    for x in terms:
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+    return s, c
+
+
+def _bits(*xs):
+    return [float(x).hex() for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TERMS, max_size=40))
+def test_accumulator_matches_neumaier_bitwise(terms):
+    acc = Accumulator()
+    for x in terms:
+        acc.add(x)
+    assert _bits(acc._s, acc._c) == _bits(*_neumaier(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_TERMS, min_size=3, max_size=3), max_size=30))
+def test_batch_accumulator_entries_match_scalar_runs(rows):
+    batch = BatchAccumulator(3)
+    for row in rows:
+        batch.add(np.array(row))
+    for i in range(3):
+        scalar = Accumulator()
+        for row in rows:
+            scalar.add(row[i])
+        assert _bits(batch._s[i], batch._c[i]) == _bits(scalar._s, scalar._c)
+        assert _bits(batch._s[i], batch._c[i]) == _bits(*_neumaier([r[i] for r in rows]))

@@ -6,6 +6,11 @@
 check moved ahead of the round loop. A fresh row must equal its golden row
 bitwise, or within 1e-12 relative (magnitudes below 1 compared as 1), the
 rule the benchmark applies to its own outputs.
+
+``tests/golden/bernstein_learner.txt`` holds the standard output of
+``regretforge bernstein --via-learner --delta 0.05 --T 256 --trials 40
+--seed 3`` (all three samplers) from before via-learner blocks grew to
+1 MiB; a fresh run must print it byte for byte.
 """
 
 import csv
@@ -71,3 +76,12 @@ def test_sweep_rows_match_golden_with_one_and_two_workers(tmp_path):
 def test_every_shipped_config_has_golden_rows():
     names = {f"run/{p.name}" for p in (ROOT / "configs").glob("*.json")}
     assert names | {"sweep/sweep.json"} == set(GOLDEN)
+
+
+def test_bernstein_via_learner_output_matches_golden(monkeypatch, capsys):
+    monkeypatch.delenv("REGRETFORGE_SEED", raising=False)
+    argv = ["bernstein", "--via-learner", "--delta", "0.05", "--T", "256",
+            "--trials", "40", "--seed", "3"]
+    assert cli_main(argv) == 0
+    golden = (Path(__file__).resolve().parent / "golden" / "bernstein_learner.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden

@@ -680,3 +680,72 @@ def test_cli_bernstein_quick(capsys):
 
 def test_cli_missing_config_exits_2():
     assert cli_main(["run", "--config", "/nonexistent/cfg.json"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# stream generators: the vectorized draws keep the bits of the per-round loops
+# ---------------------------------------------------------------------------
+
+def _slowly_varying_loop(seed, T, d, step):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    G = np.empty((T, d))
+    for t in range(T):
+        G[t] = v
+        v = v + step * rng.standard_normal(d) / math.sqrt(d)
+        v /= np.linalg.norm(v)
+    return G
+
+
+def _sparse_loop(seed, T, d, k):
+    rng = np.random.default_rng(seed)
+    G = np.zeros((T, d))
+    scale = 1.0 / math.sqrt(k)
+    for t in range(T):
+        idx = rng.choice(d, size=k, replace=False)
+        G[t, idx] = scale * (rng.integers(0, 2, size=k) * 2.0 - 1.0)
+    return G
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("T, d", [(1, 1), (257, 4), (1024, 16)])
+def test_slowly_varying_and_sparse_match_their_loops(seed, T, d):
+    got = generate_stream(StreamSpec("slowly_varying", d, T, seed))
+    assert np.array_equal(got, _slowly_varying_loop(seed, T, d, 1.0 / math.sqrt(T)))
+    got = generate_stream(StreamSpec("slowly_varying", d, T, seed, {"step_size": 0.3}))
+    assert np.array_equal(got, _slowly_varying_loop(seed, T, d, 0.3))
+    for k in sorted({1, max(1, d // 8), d}):
+        got = generate_stream(StreamSpec("sparse", d, T, seed, {"k_active": k}))
+        assert np.array_equal(got, _sparse_loop(seed, T, d, k))
+
+
+class _OrderPool(_RecordingPool):
+    """Also records the order in which cells reach the pool."""
+
+    cells = []
+
+    def map(self, fn, items):
+        items = list(items)
+        self.cells.extend((T, seed) for _, T, seed in items)
+        return super().map(fn, items)
+
+
+def test_sweep_hands_longest_cells_first_and_keeps_row_order(monkeypatch):
+    from regretforge import harness
+
+    config = dict(_CAPPED, experiment_id="order",
+                  sweep={"T": [300, 700, 500], "seeds": [1, 0]})
+    serial_capped = {}
+    serial = run_sweep(config, workers=1, capped=serial_capped)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _OrderPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _OrderPool.cells = []
+    pooled_capped = {}
+    pooled = run_sweep(config, workers=2, capped=pooled_capped)
+    assert _OrderPool.cells == [(700, 1), (700, 0), (500, 1), (500, 0), (300, 1), (300, 0)]
+    strip = [{k: v for k, v in r.items() if k != "wallclock_ms"} for r in pooled]
+    assert strip == [{k: v for k, v in r.items() if k != "wallclock_ms"} for r in serial]
+    by_cell = [f"order_T{T}_s{s}" for T in (300, 500, 700) for s in (0, 1)]
+    assert list(dict.fromkeys(r["experiment_id"] for r in pooled)) == by_cell
+    assert list(pooled_capped) == list(serial_capped) == by_cell

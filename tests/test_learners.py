@@ -234,6 +234,20 @@ def test_percoordinate_rejects_nonpositive_epsilon():
             PerCoordinateLearner(4, epsilon=eps)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_percoordinate_rejects_non_finite_epsilon(eps):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        PerCoordinateLearner(4, epsilon=eps)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_coin_bettor_rejects_budget_that_is_not_finite_and_positive(eps, batch):
+    # an infinite budget used to reach a NaN wealth after one round
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        CoinBettor(eps, batch)
+
+
 def test_percoordinate_regret_at_origin(rng):
     for _ in range(10):
         G = unit_stream(rng, 1024, 8)

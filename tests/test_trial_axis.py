@@ -1,4 +1,9 @@
-"""A leading trial axis B: batched replays must equal single-trial replays, trial by trial."""
+"""A leading trial axis B: batched replays must equal single-trial replays, trial by trial.
+
+Also: via-learner radii do not depend on the block size, and the batched
+bettor and the per-round hint checks decide as they did before their
+cheaper fast paths.
+"""
 
 import numpy as np
 import pytest
@@ -13,8 +18,16 @@ from regretforge import (
     make_sampler,
     replay_hinted,
 )
+from regretforge import concentration
+from regretforge.combinators import multi_hint
 from regretforge.concentration import SAMPLER_PRESETS, trial_block
-from regretforge.core import DimensionMismatch, ReplayError
+from regretforge.core import (
+    GRAD_TOL,
+    DimensionMismatch,
+    ReplayError,
+    as_vector,
+    check_unit_norm,
+)
 from regretforge.geometry import NormSpec
 from regretforge.hints import RunningAverage
 from regretforge.learners import WEALTH_CAP, PNormBallDescent
@@ -161,3 +174,97 @@ def test_out_of_contract_values_are_rejected():
 def test_trial_axis_needs_p2_direction():
     with pytest.raises(ValueError, match="p = 2"):
         PNormBallDescent(8, NormSpec.from_p(1.5), batch=4)
+
+
+@pytest.mark.parametrize("block", [1, 7, 20])
+def test_radii_bitwise_whatever_the_block_size(monkeypatch, block):
+    T, dim, trials = 128, 4, 20
+    cfg = BernsteinConfig(delta=0.05, T=T, sampler="rademacher_half", trials=trials,
+                          seed=11, dim=dim, via_learner=True)
+    default = coverage_experiment(cfg)
+    sizes = []
+
+    def counting_radius(X, delta):
+        sizes.append(X.shape[1])
+        return learner_radius(X, delta)
+
+    monkeypatch.setattr(concentration, "TRIAL_BLOCK_BYTES", block * 8 * T * dim)
+    monkeypatch.setattr(concentration, "learner_radius", counting_radius)
+    res = coverage_experiment(cfg)
+    assert sizes == [min(block, trials - start) for start in range(0, trials, block)]
+    assert np.array_equal(res.radii, default.radii)
+    assert np.array_equal(res.deviations, default.deviations)
+    assert (res.failure_rate, res.mean_radius) == (default.failure_rate, default.mean_radius)
+
+
+def test_batched_bettor_rejects_what_it_rejected_before():
+    B = 3
+    for bad, exc, match in ((np.nan, ValueError, "non-finite"),
+                            (np.inf, ValueError, "non-finite"),
+                            (-np.inf, ValueError, "non-finite"),
+                            (1.0 + 2 * GRAD_TOL, ValueError, "outside"),
+                            (-1.0 - 2 * GRAD_TOL, ValueError, "outside")):
+        z = np.array([0.0, bad, 0.5])
+        bettor = CoinBettor(1.0, B)
+        with pytest.raises(exc, match=match):
+            bettor.observe(z)
+        assert bettor.round == 0
+    for shape in ((B + 1,), (B - 1,), (1, B), (B, 1), ()):
+        with pytest.raises(DimensionMismatch):
+            CoinBettor(1.0, B).observe(np.zeros(shape))
+    edge = CoinBettor(1.0, B)
+    edge.observe([1.0 + GRAD_TOL, -1.0 - GRAD_TOL, 0.0])
+    assert edge.round == 1
+
+
+def _old_hint_check(h, dim, batch, as_name, row):
+    """The per-round hint check before the pre-check: as_vector then check_unit_norm."""
+    v = as_vector(h, dim, as_name, batch)
+    check_unit_norm(v, "hint", row=row)
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# norms around the pre-check's margin (1 + GRAD_TOL/2) and the tolerance
+_EDGE_NORMS = [1.0, 1.0 + 0.4 * GRAD_TOL, 1.0 + 0.5 * GRAD_TOL, 1.0 + 0.6 * GRAD_TOL,
+               1.0 + GRAD_TOL, 1.0 + 1.01 * GRAD_TOL, 1.0 + 1.1 * GRAD_TOL, 2.0,
+               np.nan, np.inf, 1e200]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("n", _EDGE_NORMS)
+def test_hint_edges_decided_as_before(n):
+    d, B = 3, 4
+    h = np.array([n, 0.0, 0.0]) if np.isfinite(n) else np.array([0.5, n, 0.0])
+    expected = _outcome(lambda: _old_hint_check(h, d, None, "hint", "trial"))
+    assert _outcome(lambda: _optimistic(d).predict(h)) == expected
+    if np.isfinite(n) and 1.0 < n <= 1.0 + GRAD_TOL:
+        assert expected is None
+    if np.isfinite(n) and n > 1.0 + GRAD_TOL:
+        assert "hint has norm" in expected[1]
+    H = np.zeros((B, d))
+    H[2] = h
+    expected = _outcome(lambda: _old_hint_check(H, d, B, "hint", "trial"))
+    assert _outcome(lambda: _optimistic(d, B).predict(H)) == expected
+    expected = _outcome(lambda: _old_hint_check(H, d, B, "hints", "slot"))
+    assert _outcome(lambda: multi_hint(d, B).predict(H)) == expected
+    if np.isfinite(n) and n > 1.0 + GRAD_TOL:
+        assert "hint of slot 2 has norm" in expected[1]
+
+
+def test_hint_of_wrong_shape_is_rejected_as_before():
+    d, B = 3, 4
+    for shape in ((d + 1,), (1, d), ()):
+        with pytest.raises(DimensionMismatch, match="hint"):
+            _optimistic(d).predict(np.zeros(shape))
+    for shape in ((B, d + 1), (B + 1, d), (d,)):
+        with pytest.raises(DimensionMismatch, match="hint"):
+            _optimistic(d, B).predict(np.zeros(shape))
+        with pytest.raises(DimensionMismatch, match="hints"):
+            multi_hint(d, B).predict(np.zeros(shape))
