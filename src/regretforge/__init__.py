@@ -16,7 +16,7 @@ from .core import (
     ReplayError,
     ZeroLearner,
     ConstantLearner,
-    regret_at,
+    drive,
     replay,
     replay_hinted,
     replay_multi_hint,
@@ -27,18 +27,14 @@ from .geometry import (
     ConvexDomain,
     NormSpec,
     WholeSpace,
-    distance,
-    distance_subgradient,
     dual_exponent,
     grid_cover,
     p_norm,
     pnorm_grid,
-    project,
 )
 from .learners import (
     AdaptiveProjectedDescent,
     CoinBettor,
-    CoinBettorLearner,
     DimFreeLearner,
     PerCoordinateLearner,
     PNormBallDescent,

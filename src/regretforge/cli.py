@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import combinators, concentration, geometry, harness, hints, learners
-from .core import replay, replay_hinted
+from .core import drive, replay, replay_hinted
 
 
 def _fail(code: int, message: str, **extra) -> int:
@@ -158,7 +158,7 @@ def _selftest_suites():
     def bettor_origin_budget():
         for _ in range(20):
             G = rng.uniform(-1, 1, size=(512, 1))
-            ledger = replay(learners.CoinBettorLearner(1.0), G)
+            ledger = replay(learners.PerCoordinateLearner(1, 1.0), G)
             assert ledger.regret_at(np.zeros(1)) <= 1.0 + 1e-6
 
     def add_decomposition():
@@ -187,16 +187,16 @@ def _selftest_suites():
         learner = combinators.ConstrainedOptimisticLearner(
             learners.DimFreeLearner(3, 0.5), dom, learners.CoinBettor(0.5)
         )
-        src = hints.LastGradient(3)
-        for t in range(G.shape[0]):
-            h = src.next_hint()
-            w = learner.predict(h)
-            assert dom.contains(w, 1e-9)
-            g = G[t]
-            g_tilde = 0.5 * g + 0.5 * np.linalg.norm(g) * learner.last_z
-            assert np.linalg.norm(g_tilde) <= np.linalg.norm(g) + 1e-9
-            learner.observe(g)
-            src.feed(g)
+
+        class CheckedLastGradient(hints.LastGradient):
+            # fed after the learner's step, while last_z is still the round's
+            def _feed(self, g):
+                g_tilde = 0.5 * g + 0.5 * np.linalg.norm(g) * learner.last_z
+                assert np.linalg.norm(g_tilde) <= np.linalg.norm(g) + 1e-9
+                super()._feed(g)
+
+        _, W, _ = drive(learner, G, CheckedLastGradient(3))
+        assert all(dom.contains(w, 1e-9) for w in W)
 
     def ftl_gap():
         G = bounded_stream(2048, 4)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -59,8 +59,12 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row inner products of two (..., d) arrays, such as (B, d) or (T, B, d).
 
     Both ``np.vecdot`` and a stacked (1, d) @ (d, 1) matmul run NumPy's 1-D
-    dot loop on every row, so row i is bitwise equal to ``np.dot(a[i], b[i])``.
+    dot loop on every row, so row i is bitwise equal to ``np.dot(a[i], b[i])``
+    (not for a reversed, negative-stride row). Two 1-D vectors take
+    ``ndarray.dot``, which is ``np.dot`` at less call cost.
     """
+    if a.ndim == 1 == b.ndim:
+        return a.dot(b)
     if _vecdot is not None:
         return _vecdot(a, b)
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
@@ -119,7 +123,8 @@ def check_hints(h, dim: int, batch: Optional[int] = None, row="trial", name="hin
     return v
 
 
-def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True) -> np.ndarray:
+def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True,
+                 first_round: int = 0) -> np.ndarray:
     """Validate a whole (T, dim) stream, or a (T, batch, dim) block, before round 0.
 
     Applies to every round the checks ``Learner.observe`` applies to one:
@@ -127,13 +132,14 @@ def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True) ->
     trial's row in a block). One vectorized pass over the squared row norms
     clears the rows that pass with a margin; any other row is checked again
     on its own with ``as_vector``/``check_unit_norm``, which decide. The
-    error message is theirs, prefixed with the first bad round. Returns the
-    stream as a float64 array.
+    error message is theirs, prefixed with the first bad round, counted from
+    ``first_round`` (row 0 of G). Returns the stream as a float64 array.
     """
     G = np.asarray(G, dtype=np.float64)
     row = (dim,) if batch is None else (batch, dim)
     if G.shape[1:] != row:
-        raise DimensionMismatch(f"round 0: gradient has shape {G.shape[1:]}, expected {row}")
+        raise DimensionMismatch(
+            f"round {first_round}: gradient has shape {G.shape[1:]}, expected {row}")
     sq = row_dot(G, G)
     # a non-finite entry makes its row's squared norm non-finite
     clear = sq <= _CLEAR_SQ if unit else np.isfinite(sq)
@@ -145,18 +151,23 @@ def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True) ->
             if unit:
                 check_unit_norm(v, "gradient")
         except ValueError as exc:
-            raise type(exc)(f"round {t}: {exc}") from None
+            raise type(exc)(f"round {first_round + t}: {exc}") from None
     return G
 
 
 class Accumulator:
-    """Compensated running sum (branch-free TwoSum, so it also runs on arrays)."""
+    """Compensated running sum (branch-free TwoSum, so it also runs on arrays).
+
+    With ``batch`` = B it keeps B sums, one per trial, in (B,) arrays; each
+    entry takes the same operations as a scalar Accumulator fed that trial's
+    values.
+    """
 
     __slots__ = ("_s", "_c")
 
-    def __init__(self):
-        self._s = 0.0
-        self._c = 0.0
+    def __init__(self, batch: Optional[int] = None):
+        self._s = 0.0 if batch is None else np.zeros(batch)
+        self._c = 0.0 if batch is None else np.zeros(batch)
 
     def add(self, x) -> None:
         s = self._s
@@ -170,44 +181,15 @@ class Accumulator:
         return self._s + self._c
 
 
-class BatchAccumulator(Accumulator):
-    """Compensated running sums, one per trial, in (B,) arrays.
-
-    Each entry takes the same operations as a scalar Accumulator fed that
-    trial's values.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, batch: int):
-        self._s = np.zeros(batch)
-        self._c = np.zeros(batch)
-
-
 @dataclass
 class RegretContract:
-    """Declared regret-bound shape of a learner.
-
-    ``epsilon`` is the guaranteed regret at the origin. C, c, D describe the
-    scalar learner's log-scaled terms, ``lam`` the strong-convexity modulus of
-    the squared norm the learner adapts to, and A_T/B_T the comparator-dependent
-    envelope functions (both nonnegative everywhere).
-    """
+    """Declared regret guarantee of a learner: ``epsilon`` is its regret at the origin."""
 
     epsilon: float
-    C: float = 0.0
-    c: float = 0.0
-    D: float = 0.0
-    lam: float = 1.0
-    A_T: Optional[Callable[[np.ndarray], float]] = None
-    B_T: Optional[Callable[[np.ndarray], float]] = None
 
     def __post_init__(self):
-        for field in ("epsilon", "C", "c", "D"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be nonnegative")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if self.epsilon < 0:
+            raise ValueError("epsilon must be nonnegative")
 
 
 class RegretLedger:
@@ -245,7 +227,7 @@ class RegretLedger:
 
     def per_round_losses(self) -> np.ndarray:
         if self._losses is None:
-            self._losses = np.einsum("td,td->t", self.gradients, self.iterates)
+            self._losses = row_dot(self.gradients, self.iterates)
         return self._losses
 
     @property
@@ -269,11 +251,6 @@ class RegretLedger:
                          for i in range(batch)])
 
 
-def regret_at(ledger: RegretLedger, u) -> float:
-    """Regret of the recorded play against the fixed comparator u."""
-    return ledger.regret_at(u)
-
-
 class Learner:
     """Base online learner: alternating predict() / observe(g).
 
@@ -284,12 +261,12 @@ class Learner:
     A gradient is validated once, at the boundary. The public observe()
     runs as_vector and the unit-norm check, then hands the validated array
     to _step(), which checks the predict/observe turn, runs _update() and
-    advances the round. The stream drivers (replay, replay_hinted,
-    replay_multi_hint and the harness) check the whole stream once with
-    check_stream before round 0 and then call _step() directly. Composite
-    learners pass the array they were given straight to their children's
-    _step(), so a nested gradient is not checked again; a child's own
-    observe() still validates.
+    advances the round. The one stream driver, drive() (behind replay,
+    replay_hinted, replay_multi_hint and the harness), checks the whole
+    stream once with check_stream before round 0 and then calls _step()
+    directly. Composite learners pass the array they were given straight to
+    their children's _step(), so a nested gradient is not checked again; a
+    child's own observe() still validates.
 
     Learners that support it take ``batch`` = B to run B independent trials
     in lockstep: every vector then carries a leading trial axis, (B, d), and
@@ -394,102 +371,94 @@ class ConstantLearner(Learner):
         pass
 
 
-def _check_iterate(w, shape, t) -> np.ndarray:
+def _check_iterate(w, shape) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != shape:
-        raise ReplayError(f"round {t}: iterate has shape {w.shape}, expected {shape}")
+        raise ValueError(f"iterate has shape {w.shape}, expected {shape}")
     if not np.isfinite(w).all():
-        raise ReplayError(f"round {t}: iterate contains non-finite entries")
+        raise ValueError("iterate contains non-finite entries")
     return w
 
 
-def _replay_stream(learner: Learner, gradients) -> np.ndarray:
-    """The stream checked once for ``learner``; a bad round is a ReplayError."""
+def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
+    """Step ``learner`` over a gradient stream: the one predict/step round loop.
+
+    ``G`` is a (T, d) stream, or a (T, B, d) block for a learner built with
+    batch = B, one trial per column. ``hints`` is None for a plain learner,
+    one HintSource, or a list of k sources whose hints are stacked to (k, d)
+    each round. The stream is checked once with check_stream before the
+    first round; each round then plays the hints into predict(), steps the
+    learner with _step() and feeds the sources with _feed().
+
+    Returns (losses, iterates, hints played). The losses are
+    row_dot(g_t, w_t), (T,) or (T, B) for a block. The iterates are (T, d)
+    when kept; the hints are (T, d), or (T, k, d) for a list, when there are
+    sources. A block keeps neither, so it costs little more memory than its
+    gradients. Every failure (a bad gradient, hint or iterate, or a broken
+    predict/step turn) is a ReplayError naming the absolute round,
+    ``learner.round_index + t``.
+    """
+    t0 = learner.round_index
     try:
-        return check_stream(gradients, learner.dim, learner.batch, learner.unit_gradient_bound)
+        G = check_stream(G, learner.dim, learner.batch, learner.unit_gradient_bound, t0)
     except ValueError as exc:
         raise ReplayError(str(exc)) from exc
+    T, shape, block = len(G), G.shape[1:], G.ndim == 3
+    losses = np.empty(G.shape[:-1])
+    W = np.empty_like(G) if keep_iterates and not block else None
+    sources = [] if hints is None else hints if isinstance(hints, list) else [hints]
+    if isinstance(hints, list):
+        next_hint = lambda: np.stack([s.next_hint() for s in hints])  # noqa: E731
+    else:
+        next_hint = None if hints is None else hints.next_hint
+    H = None
+    if hints is not None and not block:
+        H = np.empty((T, len(hints)) + shape if isinstance(hints, list) else G.shape)
+    predict, step, feeds = learner.predict, learner._step, [s._feed for s in sources]
+    finite = (lambda x: np.isfinite(x).all()) if block else math.isfinite
+    for t in range(T):
+        g = G[t]
+        try:
+            if next_hint is None:
+                w = predict()
+            else:
+                h = next_hint()
+                if H is not None:
+                    H[t] = h
+                w = predict(h)
+            if type(w) is not np.ndarray or w.shape != shape:
+                w = _check_iterate(w, shape)
+            loss = row_dot(g, w)
+            if not finite(loss):  # a non-finite entry of w makes the loss non-finite
+                _check_iterate(w, shape)
+            step(g)
+            for feed in feeds:
+                feed(g)
+        except (ContractViolation, ValueError) as exc:
+            raise ReplayError(f"round {t0 + t}: {exc}") from exc
+        losses[t] = loss
+        if W is not None:
+            W[t] = w
+    return losses, W, H
 
 
 def replay(learner: Learner, gradients) -> RegretLedger:
-    """Drive a plain learner over a finite gradient stream.
-
-    The stream is checked once before round 0. Aborts with a diagnostic
-    naming the round index if a gradient is out of contract, the learner
-    emits a non-finite iterate or it breaks the alternation contract.
-    """
-    G = _replay_stream(learner, gradients)
-    T, d = G.shape
-    W = np.empty_like(G)
-    for t in range(T):
-        try:
-            W[t] = _check_iterate(learner.predict(), (d,), t)
-            learner._step(G[t])
-        except (ContractViolation, ValueError) as exc:
-            raise ReplayError(f"round {t}: {exc}") from exc
-    return RegretLedger(W, G)
+    """Drive a plain learner over a gradient stream and record the play (see drive)."""
+    losses, W, _ = drive(learner, gradients)
+    return RegretLedger(W, gradients, losses=losses)
 
 
 def replay_hinted(learner: HintedLearner, gradients, source) -> RegretLedger:
     """Drive a hinted learner; hints come from ``source`` before each play.
 
-    A (T, B, d) stream drives a learner and source built with batch = B,
-    one trial per column. The ledger then keeps each round's (B,) losses,
-    computed as a single-trial ledger computes them, but no iterates or
-    hints, so that a block of trials costs little more memory than its
-    gradients. The stream is checked once before round 0; the learner and
-    the source then take each round's gradient without checking it again.
+    A (T, B, d) block drives a learner and source built with batch = B; its
+    ledger keeps each round's (B,) losses but no iterates or hints.
     """
-    G = _replay_stream(learner, gradients)
-    if G.ndim == 3:
-        return _replay_hinted_batch(learner, G, source)
-    T, d = G.shape
-    W = np.empty_like(G)
-    H = np.empty_like(G)
-    for t in range(T):
-        try:
-            H[t] = source.next_hint()
-            W[t] = _check_iterate(learner.predict(H[t]), (d,), t)
-            learner._step(G[t])
-            source._feed(G[t])
-        except (ContractViolation, ValueError) as exc:
-            raise ReplayError(f"round {t}: {exc}") from exc
-    return RegretLedger(W, G, hints=H)
+    losses, W, H = drive(learner, gradients, source)
+    return RegretLedger(W, gradients, hints=H, losses=losses)
 
 
-def _replay_hinted_batch(learner, G, source) -> RegretLedger:
-    T, B, d = G.shape
-    losses = np.empty((T, B))
-    for t in range(T):
-        g = G[t]
-        try:
-            w = _check_iterate(learner.predict(source.next_hint()), (B, d), t)
-            learner._step(g)
-            source._feed(g)
-        except (ContractViolation, ValueError) as exc:
-            raise ReplayError(f"round {t}: {exc}") from exc
-        losses[t] = np.einsum("bd,bd->b", g, w)
-    return RegretLedger(None, G, losses=losses)
-
-
-def replay_multi_hint(learner, gradients, sources: Sequence) -> RegretLedger:
-    """Drive a multi-hint learner with one hint source per slot.
-
-    The stream is checked once before round 0, as in ``replay``.
-    """
-    G = _replay_stream(learner, gradients)
-    T, d = G.shape
-    k = len(sources)
-    W = np.empty_like(G)
-    H = np.empty((T, k, d))
-    for t in range(T):
-        try:
-            for i, src in enumerate(sources):
-                H[t, i] = src.next_hint()
-            W[t] = _check_iterate(learner.predict(H[t]), (d,), t)
-            learner._step(G[t])
-            for src in sources:
-                src._feed(G[t])
-        except (ContractViolation, ValueError) as exc:
-            raise ReplayError(f"round {t}: {exc}") from exc
-    return RegretLedger(W, G, hints=H)
+def replay_multi_hint(learner, gradients, sources) -> RegretLedger:
+    """Drive a multi-hint learner with one hint source per slot."""
+    losses, W, H = drive(learner, gradients, list(sources))
+    return RegretLedger(W, gradients, hints=H, losses=losses)

@@ -214,14 +214,3 @@ class Box(ConvexDomain):
     def diameter(self):
         return float(np.linalg.norm(self.hi - self.lo))
 
-
-def project(dom: ConvexDomain, x) -> np.ndarray:
-    return dom.project(x)
-
-
-def distance(dom: ConvexDomain, x) -> float:
-    return dom.distance(x)
-
-
-def distance_subgradient(dom: ConvexDomain, x) -> np.ndarray:
-    return dom.distance_subgradient(x)

@@ -30,7 +30,7 @@ from .combinators import (
     MultiHintLearner,
     OptimisticLearner,
 )
-from .core import DimensionMismatch, Learner, as_vector, check_stream, norm, row_dot
+from .core import DimensionMismatch, Learner, as_vector, check_stream, drive, norm, row_dot
 from .geometry import Ball, Box, ConvexDomain, WholeSpace
 from .hints import (
     AdversarialNegate,
@@ -45,7 +45,6 @@ from .hints import (
 from .learners import (
     AdaptiveProjectedDescent,
     CoinBettor,
-    CoinBettorLearner,
     DimFreeLearner,
     PerCoordinateLearner,
 )
@@ -70,8 +69,11 @@ class CompositionError(ValueError):
     """Invalid experiment composition; the message names the offending node."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(path, message)  # both, so the error of a sweep's pool worker unpickles
         self.path = path
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.args[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +100,22 @@ class StreamSpec:
 
     @classmethod
     def from_config(cls, cfg: dict, path: str = "stream") -> "StreamSpec":
-        try:
-            kind = cfg["kind"]
-            dim = int(cfg["dim"])
-            T = int(cfg["T"])
-        except KeyError as missing:
-            raise CompositionError(path, f"missing field {missing}") from None
-        if kind not in STREAM_KINDS:
-            raise CompositionError(path, f"unknown stream kind {kind!r}")
-        if dim < 1 or T < 1:
-            raise CompositionError(path, "dim and T must be positive")
+        """The spec of a stream config, every field and parameter checked."""
+        for key in ("kind", "dim", "T"):
+            if key not in cfg:
+                raise CompositionError(path, f"missing field {key!r}")
+        if cfg["kind"] not in STREAM_KINDS:
+            raise CompositionError(path, f"unknown stream kind {cfg['kind']!r}")
+        dim, T = _integer(cfg["dim"], f"{path}.dim"), _integer(cfg["T"], f"{path}.T")
+        for key in ("sigma", "step_size", "noise"):
+            if key in cfg:
+                _number(cfg, key, 0.0, path)
+        if "mu" in cfg:
+            _vector(cfg, "mu", dim, path)
+        if "k_active" in cfg and _integer(cfg["k_active"], f"{path}.k_active") > dim:
+            raise CompositionError(f"{path}.k_active", f"k_active must be at most dim = {dim}")
         extra = {k: v for k, v in cfg.items() if k not in ("kind", "dim", "T", "seed")}
-        return cls(kind, dim, T, int(cfg.get("seed", 0)), extra)
+        return cls(cfg["kind"], dim, T, _integer(cfg.get("seed", 0), f"{path}.seed", 0), extra)
 
 
 def _clip_rows_to_unit(G: np.ndarray) -> np.ndarray:
@@ -148,8 +154,6 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
         return G
     if spec.kind == "sparse":
         k = int(spec.params.get("k_active", max(1, d // 8)))
-        if not (1 <= k <= d):
-            raise ValueError(f"k_active must be in [1, {d}]")
         idx = np.empty((T, k), dtype=np.int64)
         signs = np.empty((T, k))
         for t in range(T):
@@ -170,6 +174,17 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # composition expressions
 # ---------------------------------------------------------------------------
+
+def _integer(raw, path: str, least: int = 1) -> int:
+    """``raw`` as an integer of at least ``least``; a CompositionError at ``path`` otherwise."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value < least or (isinstance(raw, float) and value != raw):
+        raise CompositionError(path, f"must be an integer >= {least}, got {raw!r}")
+    return value
+
 
 def _number(cfg: dict, key: str, default: float, path: str) -> float:
     """The finite number ``cfg[key]`` (``default`` when absent)."""
@@ -270,7 +285,7 @@ def _build_plain(cfg: dict, dim: int, path: str) -> Learner:
     if kind == "coin":
         if dim != 1:
             raise CompositionError(path, "coin learner is 1-D; stream dim must be 1")
-        return CoinBettorLearner(eps)
+        return PerCoordinateLearner(1, eps)
     if kind == "dimfree":
         spec = None
         if "p" in cfg:
@@ -442,7 +457,7 @@ class RunRecord:
     hints: Optional[np.ndarray]
     gh_sq: np.ndarray        # per-round ||g - h||^2 (h = 0 when no hints)
     gh_sq_minus: np.ndarray  # per-round ||g - h||^2 - ||h||^2
-    bettor_regrets: Optional[np.ndarray] = None  # (T, k) running regret at 0
+    bettor_regrets: Optional[np.ndarray] = None  # (checkpoints, k) regret at 0
     capped: dict = field(default_factory=dict)   # bettor path -> rounds the wealth cap bound
 
 
@@ -469,51 +484,19 @@ def capped_bettors(learner, path: str = "learner") -> dict:
 
 def _drive(composed: ComposedLearner, G: np.ndarray,
            keep_iterates: bool) -> RunRecord:
-    # the stream is checked once here; the learner and the hint sources then
-    # take each round's gradient through their trusted _step/_feed
+    # the whole stream is checked before round 0, so a bad one raises
+    # ValueError with no round run; core.drive then runs one checkpoint
+    # segment at a time, and the bettors are read at checkpoints only
     learner = composed.learner
     G = check_stream(G, learner.dim, unit=learner.unit_gradient_bound)
-    T, d = G.shape
-    sources = composed.hint_sources
-    if sources is None:
-        feeds = []
-    elif isinstance(sources, list):
-        feeds = [s._feed for s in sources]
-    else:
-        feeds = [sources._feed]
     bettors = composed.bettors
-    losses = np.empty(T)
-    iterates = np.empty((T, d)) if keep_iterates else None
-    bettor_regrets = np.empty((T, len(bettors))) if bettors else None
-    hints = None
-    if sources is not None:
-        hints = (
-            np.empty((T, len(sources), d))
-            if isinstance(sources, list)
-            else np.empty((T, d))
-        )
-    for t in range(T):
-        g = G[t]
-        if sources is None:
-            w = learner.predict()
-        elif isinstance(sources, list):
-            hs = np.stack([s.next_hint() for s in sources])
-            hints[t] = hs
-            w = learner.predict(hs)
-        else:
-            h = sources.next_hint()
-            hints[t] = h
-            w = learner.predict(h)
-        if not np.isfinite(w).all():
-            raise RuntimeError(f"round {t}: learner produced a non-finite iterate")
-        losses[t] = float(np.dot(g, w))
-        learner._step(g)
-        for feed in feeds:
-            feed(g)
-        if bettors:
-            bettor_regrets[t] = [b.regret_at_zero() for b in bettors]
-        if keep_iterates:
-            iterates[t] = w
+    parts, bettor_regrets, start = [], [], 0
+    for stop in checkpoints(len(G)):
+        parts.append(drive(learner, G[start:stop], composed.hint_sources, keep_iterates))
+        bettor_regrets.append([b.regret_at_zero() for b in bettors])
+        start = stop
+    losses, iterates, hints = (None if part[0] is None else np.concatenate(part)
+                               for part in zip(*parts))
     if hints is None:
         gh_sq = row_dot(G, G)
         gh_minus = gh_sq
@@ -522,8 +505,8 @@ def _drive(composed: ComposedLearner, G: np.ndarray,
         diff = G - H
         gh_sq = row_dot(diff, diff)
         gh_minus = gh_sq - row_dot(H, H)
-    return RunRecord(losses, G, iterates, hints, gh_sq, gh_minus, bettor_regrets,
-                     capped_bettors(learner))
+    return RunRecord(losses, G, iterates, hints, gh_sq, gh_minus,
+                     np.array(bettor_regrets) if bettors else None, capped_bettors(learner))
 
 
 def run_experiment(config: dict, seed_override: Optional[int] = None,
@@ -556,7 +539,7 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
     rows = []
     gsum_prefix = np.cumsum(G, axis=0)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    for T_prime in checkpoints(spec.T):
+    for j, T_prime in enumerate(checkpoints(spec.T)):
         cum_loss = math.fsum(record.losses[:T_prime])
         gsum = gsum_prefix[T_prime - 1]
         for idx, ccfg in enumerate(comparator_cfgs):
@@ -574,7 +557,7 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
             }
             if record.bettor_regrets is not None:
                 for i in range(record.bettor_regrets.shape[1]):
-                    row[f"bettor{i}_regret_at0"] = record.bettor_regrets[T_prime - 1, i]
+                    row[f"bettor{i}_regret_at0"] = record.bettor_regrets[j, i]
             rows.append(row)
     if keep_record:
         return rows, record
@@ -646,6 +629,14 @@ def _sweep_cell(args):
     return (T, seed), rows, {cfg["experiment_id"]: record.capped} if record.capped else {}
 
 
+def _axis(sweep: dict, key: str, default, least: int) -> list:
+    """The sweep axis ``sweep[key]`` as integers; a missing axis is ``[default]``."""
+    values = sweep.get(key, [default])
+    if not isinstance(values, list) or not values:
+        raise CompositionError(f"sweep.{key}", f"must be a non-empty list, got {values!r}")
+    return [_integer(v, f"sweep.{key}", least) for v in values]
+
+
 def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
     """Grid over T and/or seeds; cells are independent and merged by key.
 
@@ -654,10 +645,10 @@ def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
     receives {cell experiment_id: {bettor path: rounds}} for every cell where
     a wealth cap bound.
     """
-    sweep = config.get("sweep", {})
-    Ts = sweep.get("T", [config["stream"]["T"]])
-    seeds = sweep.get("seeds", [config["stream"].get("seed", 0)])
-    cells = sorted(((config, int(T), int(s)) for T in Ts for s in seeds), key=lambda c: -c[1])
+    sweep, stream = config.get("sweep", {}), config.get("stream", {})
+    Ts = _axis(sweep, "T", stream.get("T"), 1)
+    seeds = _axis(sweep, "seeds", stream.get("seed", 0), 0)
+    cells = sorted(((config, T, s) for T in Ts for s in seeds), key=lambda c: -c[1])
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -675,9 +666,4 @@ def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
 
 def env_seed_override() -> Optional[int]:
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    return None if raw is None else _integer(raw, SEED_ENV_VAR, 0)

@@ -19,9 +19,9 @@ class HintSource:
 
     feed() validates g (shape and finite entries) here, once, and hands the
     array to the trusted _feed(), which subclasses implement. The stream
-    drivers check the whole stream before round 0 and call _feed() directly,
-    so they would never reach an override of feed(): a subclass that
-    defines feed() without _feed() is a TypeError.
+    driver, core.drive, checks the whole stream before round 0 and calls
+    _feed() directly, so it would never reach an override of feed(): a
+    subclass that defines feed() without _feed() is a TypeError.
     """
 
     kind = "abstract"

@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     GRAD_TOL,
     Accumulator,
-    BatchAccumulator,
     Learner,
     as_vector,
     norm,
@@ -60,15 +59,14 @@ class CoinBettor:
         self.epsilon = _budget(epsilon)
         self.batch = batch
         self.round = 0
+        self._loss_sum = Accumulator(batch)  # sum_t (-z_t) * y_t, measured exactly
         if batch is None:
             self.wealth = self.epsilon
             self.signed_sum = 0.0
-            self._loss_sum = Accumulator()  # sum_t (-z_t) * y_t, measured exactly
             self.capped_rounds = 0
         else:
             self.wealth = np.full(batch, self.epsilon)
             self.signed_sum = np.zeros(batch)
-            self._loss_sum = BatchAccumulator(batch)
             self.capped_rounds = np.zeros(batch, dtype=np.int64)
 
     def predict(self):
@@ -105,20 +103,6 @@ class CoinBettor:
 
     def regret_at_zero(self) -> float:
         return self._loss_sum.total
-
-
-class CoinBettorLearner(Learner):
-    """CoinBettor exposed under the vector learner contract (dim = 1)."""
-
-    def __init__(self, epsilon: float = 1.0):
-        super().__init__(dim=1, epsilon=epsilon)
-        self.bettor = CoinBettor(epsilon)
-
-    def _prediction(self):
-        return np.array([self.bettor.predict()])
-
-    def _update(self, g):
-        self.bettor.observe(-float(g[0]))
 
 
 class PNormBallDescent:

@@ -16,7 +16,6 @@ from regretforge import (
     Ball,
     Box,
     CoinBettor,
-    CoinBettorLearner,
     DimFreeLearner,
     MultiHintLearner,
     NormSpec,
@@ -60,28 +59,6 @@ def envelope_rows(losses, gradients, checkpoints):
             "regret": cum + float(np.linalg.norm(gsum[T - 1])),
         })
     return rows
-
-
-def drive_plain(learner, G):
-    T = G.shape[0]
-    losses = np.empty(T)
-    for t in range(T):
-        w = learner.predict()
-        losses[t] = float(G[t] @ w)
-        learner.observe(G[t])
-    return losses
-
-
-def drive_hinted(learner, G, source):
-    T = G.shape[0]
-    losses = np.empty(T)
-    for t in range(T):
-        h = source.next_hint()
-        w = learner.predict(h)
-        losses[t] = float(G[t] @ w)
-        learner.observe(G[t])
-        source.feed(G[t])
-    return losses
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +119,7 @@ def test_c02_origin_budget():
     eps = 1.0
 
     def coin():
-        return CoinBettorLearner(eps), 1, None
+        return PerCoordinateLearner(1, eps), 1, None
     def dimfree():
         return DimFreeLearner(d, eps), d, None
     def percoord():
@@ -197,10 +174,10 @@ def test_c03_sqrt_regime():
     slopes = {"coin": [], "dimfree": []}
     for seed in range(10):
         G1 = generate_stream(StreamSpec("rademacher_iid", 1, grid[-1], seed))
-        losses = drive_plain(CoinBettorLearner(1.0), G1)
+        losses = replay(PerCoordinateLearner(1, 1.0), G1).per_round_losses()
         slopes["coin"].append(fit_slope(envelope_rows(losses, G1, grid), "env"))
         G16 = generate_stream(StreamSpec("rademacher_iid", 16, grid[-1], 100 + seed))
-        losses = drive_plain(DimFreeLearner(16, 1.0), G16)
+        losses = replay(DimFreeLearner(16, 1.0), G16).per_round_losses()
         slopes["dimfree"].append(fit_slope(envelope_rows(losses, G16, grid), "env"))
     med_coin = float(np.median(slopes["coin"]))
     med_dim = float(np.median(slopes["dimfree"]))
@@ -221,7 +198,7 @@ def test_c04_optimism_payoff():
     for seed in range(10):
         G = generate_stream(StreamSpec("rademacher_iid", 16, T, seed))
         learner = OptimisticLearner(DimFreeLearner(16, 0.5), CoinBettor(0.5))
-        losses = drive_hinted(learner, G, ExternalHints(G))
+        losses = replay_hinted(learner, G, ExternalHints(G)).per_round_losses()
         perfect_slopes.append(fit_slope(envelope_rows(losses, G, grid), "env"))
     med_perfect = float(np.median(perfect_slopes))
 
@@ -230,9 +207,9 @@ def test_c04_optimism_payoff():
     opt_regrets, base_regrets = [], []
     for seed in range(10):
         G = generate_stream(StreamSpec("slowly_varying", 8, T, seed, {"step_size": step}))
-        base_losses = drive_plain(DimFreeLearner(8, 1.0), G)
+        base_losses = replay(DimFreeLearner(8, 1.0), G).per_round_losses()
         opt = OptimisticLearner(DimFreeLearner(8, 0.5), CoinBettor(0.5))
-        opt_losses = drive_hinted(opt, G, LastGradient(8))
+        opt_losses = replay_hinted(opt, G, LastGradient(8)).per_round_losses()
         gsum = G.sum(axis=0)
         u = -gsum / np.linalg.norm(gsum)
         base_regrets.append(math.fsum(base_losses) - float(gsum @ u))

@@ -330,3 +330,107 @@ def test_multi_hint_predict_names_the_slot():
         learner.predict(H)
     with pytest.raises(DimensionMismatch):
         learner.predict(np.zeros((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# core.drive: the one round loop
+# ---------------------------------------------------------------------------
+
+class _LongHint(hints.HintSource):
+    def next_hint(self):
+        return np.ones(self.dim)
+
+
+class _NaNAtRound(core.Learner):
+    def __init__(self, dim, bad_round):
+        super().__init__(dim)
+        self.bad_round = bad_round
+
+    def _prediction(self):
+        return np.full(self.dim, np.nan if self.round_index == self.bad_round else 0.0)
+
+    def _update(self, g):
+        pass
+
+
+def test_drive_names_the_absolute_round():
+    G = unit_stream(np.random.default_rng(4), 12, 3)
+    learner = _optimistic(3)
+    src = LastGradient(3)
+    core.drive(learner, G[:5], src)
+    bad = G[5:].copy()
+    bad[2, 0] = np.nan
+    with pytest.raises(ReplayError, match="^round 7: gradient contains non-finite"):
+        core.drive(learner, bad, src)
+    with pytest.raises(ReplayError, match="^round 5: gradient has shape"):
+        core.drive(learner, np.zeros((3, 4)), src)
+    assert learner.round_index == 5
+    nan_learner = _NaNAtRound(3, bad_round=6)
+    core.drive(nan_learner, G[:4])
+    with pytest.raises(ReplayError, match="^round 6: iterate contains non-finite"):
+        core.drive(nan_learner, G[4:])
+    assert nan_learner.round_index == 6
+    with pytest.raises(ReplayError, match="^round 0: hint has norm"):
+        core.drive(_optimistic(3), G, _LongHint(3))
+
+
+def test_drive_rejects_a_misshapen_iterate():
+    class _Short(core.Learner):
+        def _prediction(self):
+            return [0.0] * (self.dim - 1)
+
+        def _update(self, g):
+            pass
+
+    class _AsList(_Short):
+        def _prediction(self):
+            return [0.5] * self.dim
+
+    with pytest.raises(ReplayError, match=r"^round 0: iterate has shape \(2,\), expected \(3,\)"):
+        core.drive(_Short(3), np.zeros((4, 3)))
+    losses, W, H = core.drive(_AsList(3), np.full((4, 3), 0.5))
+    assert W.tolist() == [[0.5] * 3] * 4 and losses.tolist() == [0.75] * 4 and H is None
+
+
+def test_drive_keeps_what_it_is_asked_to():
+    G = unit_stream(np.random.default_rng(8), 16, 3)
+    losses, W, H = core.drive(DimFreeLearner(3, 1.0), G, keep_iterates=False)
+    assert losses.shape == (16,) and W is None and H is None
+    losses, W, H = core.drive(_optimistic(3), G, LastGradient(3))
+    assert W.shape == (16, 3) and H.shape == (16, 3)
+    np.testing.assert_array_equal(H[1:], G[:-1])
+    assert [losses[t].tobytes() for t in range(16)] == [
+        np.dot(G[t], W[t]).tobytes() for t in range(16)]
+    learner = MultiHintLearner(DimFreeLearner(3, 0.5), [CoinBettor(0.5)] * 2)
+    _, _, H = core.drive(learner, G, [ZeroHint(3), LastGradient(3)], keep_iterates=False)
+    assert H.shape == (16, 2, 3)
+    np.testing.assert_array_equal(H[:, 0], 0.0)
+    np.testing.assert_array_equal(H[1:, 1], G[:-1])
+    block = np.stack([G, G[::-1]], axis=1)
+    losses, W, H = core.drive(_optimistic(3, batch=2), block, RunningAverage(3, 2))
+    assert losses.shape == (16, 2) and W is None and H is None
+
+
+@pytest.mark.parametrize("name", sorted(_HINTED_CONFIGS) + ["plain"])
+def test_harness_segments_match_one_drive(name):
+    """Driving checkpoint segments plays exactly the rounds of one drive."""
+    cfg = _HINTED_CONFIGS.get(name, {"kind": "add", "children": [{"kind": "dimfree"},
+                                                                 {"kind": "percoord"}]})
+    G = unit_stream(np.random.default_rng(11), 100, 4)
+    record = harness._drive(harness.build_learner(cfg, 4, stream=G), G, keep_iterates=True)
+    composed = harness.build_learner(cfg, 4, stream=G)
+    losses, W, H = core.drive(composed.learner, G, composed.hint_sources)
+    assert record.losses.tobytes() == losses.tobytes()
+    assert record.iterates.tobytes() == W.tobytes()
+    assert (record.hints is None and H is None) or record.hints.tobytes() == H.tobytes()
+    # the bettors' regret at 0, read at each checkpoint, as a round-by-round run reads it
+    composed = harness.build_learner(cfg, 4, stream=G)
+    per_round = []
+    for t in range(len(G)):
+        core.drive(composed.learner, G[t:t + 1], composed.hint_sources)
+        per_round.append([b.regret_at_zero() for b in composed.bettors])
+    ends = [T - 1 for T in harness.checkpoints(len(G))]
+    if composed.bettors:
+        assert record.bettor_regrets.tolist() == [per_round[t] for t in ends]
+    else:
+        assert record.bettor_regrets is None

@@ -15,11 +15,10 @@ from regretforge import (
     RegretLedger,
     ReplayError,
     ZeroLearner,
-    CoinBettorLearner,
-    regret_at,
+    PerCoordinateLearner,
     replay,
 )
-from regretforge.core import Accumulator, BatchAccumulator
+from regretforge.core import Accumulator
 from conftest import unit_stream
 
 
@@ -35,7 +34,7 @@ def summation_oracle(ws, gs, u):
 
 def test_regret_single_round():
     ledger = RegretLedger(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
-    assert regret_at(ledger, np.zeros(2)) == 1.0
+    assert ledger.regret_at(np.zeros(2)) == 1.0
 
 
 def test_regret_zero_when_comparator_equals_iterates(rng):
@@ -43,7 +42,7 @@ def test_regret_zero_when_comparator_equals_iterates(rng):
     W = np.tile(u, (5, 1))
     G = unit_stream(rng, 5, 3)
     ledger = RegretLedger(W, G)
-    assert abs(regret_at(ledger, u)) < 1e-15
+    assert abs(ledger.regret_at(u)) < 1e-15
 
 
 def test_regret_three_round_oracle_value():
@@ -54,7 +53,7 @@ def test_regret_three_round_oracle_value():
     expected = summation_oracle(ws, gs, u)
     assert expected == 0.0
     ledger = RegretLedger(np.array(ws), np.array(gs))
-    assert regret_at(ledger, np.array(u)) == pytest.approx(expected, abs=1e-15)
+    assert ledger.regret_at(np.array(u)) == pytest.approx(expected, abs=1e-15)
 
 
 def test_regret_dimension_mismatch_rejected():
@@ -80,7 +79,7 @@ def test_replay_coin_betting_matches_hand_simulation():
     # all-ones 1-D stream of length 8, hand-run betting recursion (exact
     # dyadic values): y_{t+1} = wealth_t * sum(z)/(t+1) with z = -1 each round
     G = np.ones((8, 1))
-    ledger = replay(CoinBettorLearner(1.0), G)
+    ledger = replay(PerCoordinateLearner(1, 1.0), G)
     expected = [0.0, -0.5, -1.0, -1.875, -3.5, -6.5625, -12.375, -23.4609375]
     assert ledger.per_round_losses().tolist() == expected
 
@@ -123,7 +122,7 @@ def test_regret_difference_independent_of_comparator(rng):
 
 
 def test_gradient_norm_contract(rng):
-    learner = CoinBettorLearner(1.0)
+    learner = PerCoordinateLearner(1, 1.0)
     learner.predict()
     with pytest.raises(ValueError):
         learner.observe(np.array([1.0 + 1e-6]))
@@ -177,12 +176,10 @@ def test_replay_abort_names_round(rng):
 
 
 def test_regret_contract_validation():
-    RegretContract(epsilon=1.0, C=2.0, c=1.0, D=0.5)
+    assert RegretContract(epsilon=0.0).epsilon == 0.0
     with pytest.raises(ValueError):
         RegretContract(epsilon=-1.0)
-    with pytest.raises(ValueError):
-        RegretContract(epsilon=1.0, lam=0.0)
-    contract = CoinBettorLearner(0.25).contract
+    contract = PerCoordinateLearner(1, 0.25).contract
     assert contract.epsilon == 0.25
 
 
@@ -226,7 +223,7 @@ def test_accumulator_matches_neumaier_bitwise(terms):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(_TERMS, min_size=3, max_size=3), max_size=30))
 def test_batch_accumulator_entries_match_scalar_runs(rows):
-    batch = BatchAccumulator(3)
+    batch = Accumulator(3)
     for row in rows:
         batch.add(np.array(row))
     for i in range(3):

@@ -10,13 +10,10 @@ from regretforge import (
     Box,
     NormSpec,
     WholeSpace,
-    distance,
-    distance_subgradient,
     dual_exponent,
     grid_cover,
     p_norm,
     pnorm_grid,
-    project,
 )
 
 
@@ -97,31 +94,31 @@ def test_grid_cover_inequalities(rng):
 
 def test_project_examples():
     ball = Ball(np.zeros(2), 1.0)
-    assert np.allclose(project(ball, np.array([3.0, 4.0])), [0.6, 0.8])
+    assert np.allclose(ball.project(np.array([3.0, 4.0])), [0.6, 0.8])
     inside = np.array([0.2, -0.1])
-    assert np.array_equal(project(ball, inside), inside)
+    assert np.array_equal(ball.project(inside), inside)
     box = Box([-1.0, -1.0], [1.0, 1.0])
-    assert np.array_equal(project(box, np.array([2.0, -3.0])), [1.0, -1.0])
-    assert np.array_equal(project(WholeSpace(), np.array([9.0, -9.0])), [9.0, -9.0])
+    assert np.array_equal(box.project(np.array([2.0, -3.0])), [1.0, -1.0])
+    assert np.array_equal(WholeSpace().project(np.array([9.0, -9.0])), [9.0, -9.0])
 
 
 def test_distance_matches_projection(rng):
     dom = Ball(np.array([0.5, -0.5, 0.0]), 0.75)
     for _ in range(200):
         x = rng.standard_normal(3) * 3
-        assert distance(dom, x) == pytest.approx(
-            float(np.linalg.norm(x - project(dom, x))), abs=1e-10
+        assert dom.distance(x) == pytest.approx(
+            float(np.linalg.norm(x - dom.project(x))), abs=1e-10
         )
 
 
 def test_distance_subgradient_examples():
     ball = Ball(np.zeros(2), 1.0)
-    assert np.allclose(distance_subgradient(ball, np.array([3.0, 4.0])), [0.6, 0.8])
+    assert np.allclose(ball.distance_subgradient(np.array([3.0, 4.0])), [0.6, 0.8])
     assert np.array_equal(
-        distance_subgradient(ball, np.array([0.1, 0.1])), np.zeros(2)
+        ball.distance_subgradient(np.array([0.1, 0.1])), np.zeros(2)
     )
     assert np.array_equal(
-        distance_subgradient(WholeSpace(), np.array([5.0, 5.0])), np.zeros(2)
+        WholeSpace().distance_subgradient(np.array([5.0, 5.0])), np.zeros(2)
     )
 
 

@@ -749,3 +749,89 @@ def test_sweep_hands_longest_cells_first_and_keeps_row_order(monkeypatch):
     by_cell = [f"order_T{T}_s{s}" for T in (300, 500, 700) for s in (0, 1)]
     assert list(dict.fromkeys(r["experiment_id"] for r in pooled)) == by_cell
     assert list(pooled_capped) == list(serial_capped) == by_cell
+
+
+# ---------------------------------------------------------------------------
+# config values checked before round 0: exit 2 with the field's path
+# ---------------------------------------------------------------------------
+
+_IID = {"kind": "rademacher_iid", "dim": 4, "T": 8}
+
+
+@pytest.mark.parametrize("command,stream,sweep,seed_env,path", [
+    ("run", {"kind": "sparse", "dim": 4, "T": 8, "k_active": 9}, None, None, "stream.k_active"),
+    ("run", {"kind": "sparse", "dim": 4, "T": 8, "k_active": 0}, None, None, "stream.k_active"),
+    ("run", {"kind": "biased", "dim": 4, "T": 8, "mu": [0.1, 0.2]}, None, None, "stream.mu"),
+    ("run", {"kind": "biased", "dim": 4, "T": 8, "noise": "x"}, None, None, "stream.noise"),
+    ("run", {"kind": "gaussian_clipped", "dim": 4, "T": 8, "sigma": "x"}, None, None,
+     "stream.sigma"),
+    ("run", dict(_IID, dim="four"), None, None, "stream.dim"),
+    ("run", dict(_IID, dim=2.5), None, None, "stream.dim"),
+    ("run", dict(_IID, T=0), None, None, "stream.T"),
+    ("run", dict(_IID, seed=-1), None, None, "stream.seed"),
+    ("run", {"kind": "slowly_varying", "dim": 4, "T": 8, "step_size": "nan"}, None, None,
+     "stream.step_size"),
+    ("run", _IID, None, "abc", "REGRETFORGE_SEED"),
+    ("sweep", _IID, None, "abc", "REGRETFORGE_SEED"),
+    ("sweep", _IID, {"T": []}, None, "sweep.T"),
+    ("sweep", _IID, {"T": ["x"]}, None, "sweep.T"),
+    ("sweep", _IID, {"T": [8, 0]}, None, "sweep.T"),
+    ("sweep", _IID, {"seeds": 0}, None, "sweep.seeds"),
+    ("sweep", _IID, {"seeds": [0, -1]}, None, "sweep.seeds"),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch, command, stream, sweep,
+                                  seed_env, path):
+    config = {"learner": {"kind": "dimfree"}, "stream": stream}
+    if sweep is not None:
+        config["sweep"] = sweep
+    if seed_env is not None:
+        monkeypatch.setenv("REGRETFORGE_SEED", seed_env)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main([command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1])["path"] == path
+
+
+def test_bad_seed_env_exits_2_for_bernstein(monkeypatch):
+    monkeypatch.setenv("REGRETFORGE_SEED", "abc")
+    assert cli_main(["bernstein", "--delta", "0.1", "--T", "8", "--trials", "2"]) == 2
+
+
+def test_config_error_in_a_pool_worker_exits_2(tmp_path, capsys):
+    # the error is raised in a worker process and must cross back intact
+    config = {"learner": {"kind": "dimfree"}, "stream": dict(_IID, kind="levy"),
+              "sweep": {"T": [8, 16]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["sweep", "--config", str(cfg_path), "--workers", "2"]) == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["path"] == "stream"
+
+
+@pytest.mark.parametrize("stream", [
+    {"kind": "sparse", "dim": 4, "T": 1, "k_active": 4},
+    {"kind": "sparse", "dim": 4, "T": 8, "k_active": 1},
+    {"kind": "biased", "dim": 4, "T": 8, "mu": [0.25, 0.0, 0.0, 0.0], "noise": 0},
+    {"kind": "gaussian_clipped", "dim": 1, "T": 8, "sigma": 0},
+    {"kind": "slowly_varying", "dim": 4, "T": 8, "step_size": 0.0},
+    dict(_IID, dim="4", T=8.0, seed=0),
+    dict(_IID, seed=2 ** 40),
+])
+def test_edge_config_values_still_build(stream):
+    spec = StreamSpec.from_config(stream)
+    G = generate_stream(spec)
+    assert G.shape == (spec.T, spec.dim) and np.isfinite(G).all()
+
+
+def test_edge_sweep_and_seed_values_still_run(tmp_path, monkeypatch):
+    config = {"learner": {"kind": "dimfree"}, "stream": _IID,
+              "sweep": {"T": [1, 2], "seeds": [0, "3"]}}
+    rows = run_sweep(config)
+    assert {r["experiment_id"] for r in rows} == {
+        f"experiment_T{T}_s{s}" for T in (1, 2) for s in (0, 3)}
+    monkeypatch.setenv("REGRETFORGE_SEED", "0")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["sweep", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out.csv")]) == 0

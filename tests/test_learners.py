@@ -10,7 +10,6 @@ from regretforge import (
     Ball,
     Box,
     CoinBettor,
-    CoinBettorLearner,
     DimFreeLearner,
     PerCoordinateLearner,
     PNormBallDescent,
@@ -88,16 +87,20 @@ def test_coin_wealth_nonnegative(rng):
 def test_coin_regret_at_origin(rng):
     for _ in range(30):
         G = rng.uniform(-1, 1, size=(2048, 1))
-        ledger = replay(CoinBettorLearner(1.0), G)
+        ledger = replay(PerCoordinateLearner(1, 1.0), G)
         assert ledger.regret_at(np.zeros(1)) <= 1.0 + 1e-6
 
 
 def test_coin_regret_at_matches_ledger(rng):
+    # the 1-D learner is a coin bettor fed z = -g: same bets, same regrets
     G = rng.uniform(-1, 1, size=(300, 1))
-    learner = CoinBettorLearner(1.0)
-    ledger = replay(learner, G)
+    ledger = replay(PerCoordinateLearner(1, 1.0), G)
+    bettor = CoinBettor(1.0)
+    for t in range(G.shape[0]):
+        assert ledger.iterates[t, 0] == bettor.predict()
+        bettor.observe(-G[t, 0])
     for u in (-2.0, 0.0, 0.7):
-        assert learner.bettor.regret_at(u) == pytest.approx(
+        assert bettor.regret_at(u) == pytest.approx(
             ledger.regret_at(np.array([u])), abs=1e-9
         )
 
