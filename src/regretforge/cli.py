@@ -77,7 +77,8 @@ def _cmd_sweep(args) -> int:
     try:
         seed = harness.env_seed_override()
         if seed is not None:
-            config.setdefault("sweep", {})["seeds"] = [seed]
+            sweep = harness.config_object(config, "config").setdefault("sweep", {})
+            harness.config_object(sweep, "sweep")["seeds"] = [seed]
         capped = {}
         rows = harness.run_sweep(config, workers=args.workers, capped=capped)
         out = args.output or config.get("output")

@@ -78,16 +78,16 @@ def add_iterates(children: Sequence[Learner]) -> AddCombiner:
 def multi_norm(d: int, epsilon: float = 1.0) -> Learner:
     """Learner adaptive to every p-norm in [1, 2] at once.
 
-    Builds one dimension-free learner per grid exponent with budget
-    epsilon / grid_size and sums them. Per-update work is proportional to
-    d times the grid size, i.e. O(d log d).
+    Sums the p = 2 dimension-free learner and one grid DimFreeLearner whose
+    rows are the p < 2 exponents, each with budget epsilon / grid_size.
+    Per-update work is proportional to d times the grid size, O(d log d).
     """
     grid = pnorm_grid(d)
     share = epsilon / len(grid)
-    children = [DimFreeLearner(d, epsilon=share, spec=spec) for spec in grid]
-    if len(children) == 1:
-        return children[0]
-    return AddCombiner(children)
+    two = DimFreeLearner(d, epsilon=share, spec=grid[0])
+    if len(grid) == 1:
+        return two
+    return AddCombiner([two, DimFreeLearner(d, epsilon=share, spec=grid[1:])])
 
 
 class OptimisticLearner(HintedLearner):

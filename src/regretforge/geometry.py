@@ -27,23 +27,41 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def p_norm(x, p: float) -> float:
-    """(sum |x_i|^p)^(1/p); max |x_i| for p = inf."""
+#: raise only the nonzero columns while at most this share is nonzero: NumPy's SIMD power
+#: is slow on zero lanes. A (3, 1024) power took 13-16 µs dense, 40-60 µs with 1% nonzero
+#: columns, 8-14 µs compacted; break-even 40-60% (2-CPU AVX-512 host, NumPy 2.4.6).
+COMPACT_SHARE = 0.5
+
+
+def row_powers(r: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``r ** e[:, None]`` for r >= 0 of shape (d,) or (len(e), d), bitwise; see COMPACT_SHARE."""
+    nz = (r if r.ndim == 1 else r.any(axis=0)).nonzero()[0]
+    if nz.size > COMPACT_SHARE * r.shape[-1]:
+        return r ** e[:, None]
+    out = np.zeros((e.size, r.shape[-1]))
+    out[:, nz] = r[..., nz] ** e[:, None]
+    return out
+
+
+def p_norm(x, p):
+    """(sum |x_i|^p)^(1/p); max |x_i| for p = inf.
+
+    A 1-D array ``p`` gives one norm per exponent, each bitwise ``p_norm(x, p_i)``:
+    |x| / max |x_i| is raised to all at once and each row summed at full length.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if math.isinf(p):
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    if p == 2.0:
-        return norm(x)
-    if p == 1.0:
-        return float(np.sum(np.abs(x)))
-    if p < 1.0:
+    if not np.ndim(p) and p in (1.0, 2.0):
+        return norm(x) if p == 2.0 else float(np.sum(np.abs(x)))
+    ps = np.asarray(p, dtype=np.float64).reshape(-1)
+    exps = ps.tolist()
+    if min(exps) < 1.0:
         raise ValueError("p must be >= 1")
     a = np.abs(x)
     m = float(a.max()) if a.size else 0.0
-    if m == 0.0:
-        return 0.0
-    # factor out the max to avoid overflow/underflow in the powers
-    return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
+    # factor out the max to avoid overflow/underflow in the powers (p = inf: m * S**0)
+    sums = row_powers(a / m, ps).sum(axis=1).tolist() if m else [0.0] * len(exps)
+    norms = [p_norm(x, e) if e in (1.0, 2.0) else m * s ** (1.0 / e) for s, e in zip(sums, exps)]
+    return np.array(norms) if np.ndim(p) else norms[0]
 
 
 @dataclass(frozen=True)

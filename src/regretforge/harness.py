@@ -175,6 +175,13 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
 # composition expressions
 # ---------------------------------------------------------------------------
 
+def config_object(node, path: str) -> dict:
+    """``node`` if it is a JSON object; a CompositionError at ``path`` otherwise."""
+    if not isinstance(node, dict):
+        raise CompositionError(path, f"must be an object, got {node!r}")
+    return node
+
+
 def _integer(raw, path: str, least: int = 1) -> int:
     """``raw`` as an integer of at least ``least``; a CompositionError at ``path`` otherwise."""
     try:
@@ -208,7 +215,7 @@ def _vector(cfg: dict, key: str, dim: int, path: str) -> np.ndarray:
 
 
 def _build_domain(cfg: dict, dim: int, path: str) -> ConvexDomain:
-    kind = cfg.get("kind")
+    kind = config_object(cfg, path).get("kind")
     if kind == "whole_space":
         return WholeSpace()
     if kind == "ball":
@@ -229,7 +236,7 @@ def _build_domain(cfg: dict, dim: int, path: str) -> ConvexDomain:
 
 def _build_hint_source(cfg: dict, dim: int, stream: Optional[np.ndarray],
                        path: str) -> HintSource:
-    kind = cfg.get("kind")
+    kind = config_object(cfg, path).get("kind")
     if kind == "zero":
         return ZeroHint(dim)
     if kind == "last_gradient":
@@ -276,7 +283,7 @@ def _budget(cfg: dict, key: str, path: str) -> float:
 
 
 def _build_plain(cfg: dict, dim: int, path: str) -> Learner:
-    kind = cfg.get("kind")
+    kind = config_object(cfg, path).get("kind")
     if kind in _HINTED_KINDS:
         raise CompositionError(
             path, f"{kind} consumes hints and may only appear at the root"
@@ -348,7 +355,7 @@ class ComposedLearner:
 def build_learner(cfg: dict, dim: int, stream: Optional[np.ndarray] = None,
                   path: str = "learner") -> ComposedLearner:
     """Build a composition expression; hinted kinds are root-only."""
-    kind = cfg.get("kind")
+    kind = config_object(cfg, path).get("kind")
     if kind == "optimistic":
         if "hints" not in cfg:
             raise CompositionError(path, "optimistic learner requires a hint source")
@@ -519,11 +526,11 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
     is checked before round 0. The record's ``capped`` names the bettors
     whose wealth cap bound during the run.
     """
-    if "stream" not in config:
+    if "stream" not in config_object(config, "config"):
         raise CompositionError("stream", "experiment config needs a 'stream'")
     if "learner" not in config:
         raise CompositionError("learner", "experiment config needs a 'learner'")
-    stream_cfg = dict(config["stream"])
+    stream_cfg = dict(config_object(config["stream"], "stream"))
     if seed_override is not None:
         stream_cfg["seed"] = int(seed_override)
     spec = StreamSpec.from_config(stream_cfg)
@@ -537,11 +544,11 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
 
     experiment_id = config.get("experiment_id", "experiment")
     rows = []
-    gsum_prefix = np.cumsum(G, axis=0)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     for j, T_prime in enumerate(checkpoints(spec.T)):
         cum_loss = math.fsum(record.losses[:T_prime])
-        gsum = gsum_prefix[T_prime - 1]
+        # bitwise row T' - 1 of np.cumsum(G, axis=0): both add the rows in order
+        gsum = G[:T_prime].sum(axis=0)
         for idx, ccfg in enumerate(comparator_cfgs):
             u = resolve_comparator(ccfg, spec.dim, gsum, f"comparators[{idx}]")
             regret = cum_loss - float(np.dot(gsum, u))
@@ -645,7 +652,8 @@ def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
     receives {cell experiment_id: {bettor path: rounds}} for every cell where
     a wealth cap bound.
     """
-    sweep, stream = config.get("sweep", {}), config.get("stream", {})
+    config_object(config, "config")
+    sweep, stream = (config_object(config.get(key, {}), key) for key in ("sweep", "stream"))
     Ts = _axis(sweep, "T", stream.get("T"), 1)
     seeds = _axis(sweep, "seeds", stream.get("seed", 0), 0)
     cells = sorted(((config, T, s) for T in Ts for s in seeds), key=lambda c: -c[1])

@@ -27,7 +27,7 @@ from .core import (
     row_dot,
     row_norm,
 )
-from .geometry import Ball, ConvexDomain, NormSpec, p_norm
+from .geometry import Ball, ConvexDomain, NormSpec, p_norm, row_powers
 
 # On a perfectly predictable stream the bettor's wealth grows exponentially
 # and would overflow float64; the cap keeps iterates finite. Capping only
@@ -49,10 +49,10 @@ class CoinBettor:
     Bets the fraction signed_sum / (round + 1) of current wealth; the divisor
     keeps |fraction| < 1 strictly so wealth stays positive for |z| <= 1.
     ``observe`` consumes the reward z = negated loss. With ``batch`` = B the
-    bettor runs B independent trials: outcomes, bets, wealth and regrets are
-    (B,) arrays, and the wealth cap applies to each trial on its own.
-    ``capped_rounds`` counts the rounds where the cap clipped wealth (one
-    count per trial with a trial axis).
+    bettor runs B independent copies, one per trial or per grid row of a
+    DimFreeLearner: outcomes, bets, wealth and regrets are (B,) arrays, and
+    the wealth cap applies to each copy on its own. ``capped_rounds`` counts
+    the rounds where the cap clipped wealth (one count per copy).
     """
 
     def __init__(self, epsilon: float = 1.0, batch: int | None = None):
@@ -110,12 +110,13 @@ class PNormBallDescent:
 
     Uses the gradient maps of psi_p = 0.5*||.||_p^2 and psi_q with adaptive
     step sqrt(p-1)/sqrt(sum ||g_s||_q^2), projecting back by radial
-    rescaling. For p = 2 both maps are the identity and this is plain
-    projected online gradient descent. Ties keep the previous point; the
-    initial point is the origin. A trial axis (``batch`` = B, points (B, d))
-    is supported for p = 2.
+    rescaling. Ties keep the previous point; the initial point is the
+    origin. ``spec`` is one NormSpec (p = 2 when None) or a sequence. One p = 2 spec is
+    projected online gradient descent on a (d,) point, or (B, d) with a trial axis
+    (``batch`` = B). Otherwise each norm is a grid row, point (k, d) and ``dual_sq_sum``
+    (k,): one set of array operations steps all rows, each bitwise as it would alone.
 
-    For p < 2 the state is kept in the dual: theta = grad psi_p(point),
+    The grid keeps its state in the dual: theta = grad psi_p(point),
     starting at 0. A round sets theta <- theta - eta*g and
     point = grad psi_q(theta), and when n = ||theta||_q > 1 divides both by
     n. This is the primal step "point <- grad psi_q(grad psi_p(point) -
@@ -125,60 +126,68 @@ class PNormBallDescent:
     The point's own map and p-norm are therefore never recomputed.
     """
 
-    def __init__(self, dim: int, spec: NormSpec | None = None, batch: int | None = None):
-        self.dim = dim
-        self.spec = spec if spec is not None else NormSpec.from_p(2.0)
-        if self.spec.p <= 1.0:
+    def __init__(self, dim: int, spec=None, batch: int | None = None):
+        single = spec is None or isinstance(spec, NormSpec)
+        specs = self.specs = (spec or NormSpec.from_p(2.0),) if single else tuple(spec)
+        if not specs or min(s.p for s in specs) <= 1.0:
             raise ValueError("direction learner needs p > 1 (lam > 0)")
-        self.batch = batch
-        if batch is None:
-            self.point = np.zeros(dim)
-            self.theta = np.zeros(dim) if self.spec.p != 2.0 else None
-            self.dual_sq_sum = 0.0
-        else:
-            if self.spec.p != 2.0:
-                raise ValueError("a trial axis needs the p = 2 direction learner")
-            self.point = np.zeros((batch, dim))
-            self.dual_sq_sum = np.zeros(batch)
-
-    def predict(self) -> np.ndarray:
-        return self.point.copy()
+        self.dim, self.batch = dim, batch
+        if single and specs[0].p == 2.0:
+            self.theta = None
+            self.point = np.zeros(dim if batch is None else (batch, dim))
+            self.dual_sq_sum = 0.0 if batch is None else np.zeros(batch)
+            return
+        if batch is not None:
+            raise ValueError("a trial axis needs the p = 2 direction learner")
+        self.q = np.array([s.q for s in specs])
+        self.theta, self.point = np.zeros((2, len(specs), dim))
+        self.dual_sq_sum = np.zeros(len(specs))
 
     def observe(self, g: np.ndarray) -> None:
+        if self.theta is not None:
+            self._observe_grid(g)
+            return
         if self.batch is not None:
             self._observe_trials(g)
             return
-        gq = norm(g) if self.theta is None else p_norm(g, self.spec.q)
+        gq = norm(g)
         self.dual_sq_sum += gq * gq
         if self.dual_sq_sum <= 0.0:
             return
-        eta = math.sqrt(self.spec.lam) / math.sqrt(self.dual_sq_sum)
-        if self.theta is None:
-            u = self.point - eta * g
-            np_u = norm(u)
-            if np_u > 1.0:
-                u = u / np_u
-            self.point = u
-            return
-        theta = self.theta - eta * g
-        q = self.spec.q
+        eta = math.sqrt(self.specs[0].lam) / math.sqrt(self.dual_sq_sum)
+        u = self.point - eta * g
+        np_u = norm(u)
+        if np_u > 1.0:
+            u = u / np_u
+        self.point = u
+
+    def _observe_grid(self, g: np.ndarray) -> None:
+        # per-row scalars (eta, powers of S) stay Python floats: NumPy's power rounds otherwise
+        gq = p_norm(g, self.q)
+        self.dual_sq_sum = self.dual_sq_sum + gq * gq
+        sums = self.dual_sq_sum.tolist()
+        if max(sums) <= 0.0:
+            return  # no evidence yet: theta and the point stay at the origin
+        # a row whose sum is still 0 takes a zero step and keeps theta = 0
+        eta = [math.sqrt(s.lam) / math.sqrt(t) if t else 0.0 for s, t in zip(self.specs, sums)]
+        theta = self.theta - np.array(eta)[:, None] * g
         a = np.abs(theta)
-        m = float(a.max())
-        if m == 0.0:
-            self.theta = theta
-            self.point = np.zeros(self.dim)
-            return
+        m = a.max(axis=1)
+        ms = m.tolist()
+        if 0.0 in ms:
+            m[m == 0.0] = 1.0  # r = 0 / 1 keeps a zero row at the origin
         # r = |theta|/m keeps the powers in range; r^(q-1) gives both
         # grad psi_q(theta) = m * S^(2/q - 1) * sign(theta) * r^(q-1) and
         # ||theta||_q = m * S^(1/q), where S = sum r^(q-1) * r.
-        r = a / m
-        rq1 = r ** (q - 1.0)
-        S = float(np.dot(rq1, r))
-        u = np.copysign(rq1, theta) * (m * S ** (2.0 / q - 1.0))
-        n = m * S ** (1.0 / q)
-        if n > 1.0:
-            u = u / n
-            theta = theta / n
+        r = a / m[:, None]
+        rq1 = row_powers(r, self.q - 1.0)
+        rows = list(zip(ms, row_dot(rq1, r).tolist(), self.q.tolist()))
+        scale = [m_i * S ** (2.0 / q - 1.0) if m_i else 0.0 for m_i, S, q in rows]
+        n = [max(m_i * S ** (1.0 / q), 1.0) if m_i else 1.0 for m_i, S, q in rows]
+        u = np.copysign(rq1, theta) * np.array(scale)[:, None]
+        if max(n) > 1.0:  # rows with n <= 1 divide by 1.0, which changes no bit
+            n = np.array(n)[:, None]
+            u, theta = u / n, theta / n
         self.theta = theta
         self.point = u
 
@@ -189,7 +198,7 @@ class PNormBallDescent:
         gq = row_norm(g)
         self.dual_sq_sum = self.dual_sq_sum + gq * gq
         eta = np.sqrt(self.dual_sq_sum)
-        np.divide(math.sqrt(self.spec.lam), eta, out=eta, where=eta > 0.0)
+        np.divide(math.sqrt(self.specs[0].lam), eta, out=eta, where=eta > 0.0)
         u = self.point - eta[:, None] * g
         np_u = row_norm(u)[:, None]
         self.point = np.divide(u, np_u, out=u, where=np_u > 1.0)
@@ -201,19 +210,23 @@ class DimFreeLearner(Learner):
     The magnitude bettor sees the loss <g, direction> (so |z| <= 1 whenever
     ||g||_2 <= 1 and p <= 2), the direction learner sees g itself. Zero
     accumulated gradient leaves the direction at the origin, so the learner
-    plays 0 until evidence arrives.
+    plays 0 until evidence arrives. With a grid direction the bettor has one entry
+    per row, each with budget ``epsilon``, and the learner plays the rows' sum.
     """
 
-    def __init__(self, dim: int, epsilon: float = 1.0, spec: NormSpec | None = None,
+    def __init__(self, dim: int, epsilon: float = 1.0, spec=None,
                  batch: int | None = None):
-        super().__init__(dim, epsilon=epsilon, batch=batch)
-        self.magnitude = CoinBettor(epsilon, batch)
         self.direction = PNormBallDescent(dim, spec, batch)
+        rows = None if self.direction.theta is None else len(self.direction.specs)
+        self.magnitude = CoinBettor(epsilon, batch if rows is None else rows)
+        super().__init__(dim, epsilon if rows is None else sum([epsilon] * rows), batch)
 
     def _prediction(self):
-        if self.batch is None:
-            return self.magnitude.predict() * self.direction.point
-        return self.magnitude.predict()[:, None] * self.direction.point
+        y = self.magnitude.predict()
+        if self.magnitude.batch is None:
+            return y * self.direction.point
+        w = y[:, None] * self.direction.point
+        return w if self.batch is not None else w.sum(axis=0)
 
     def _update(self, g):
         self.magnitude.observe(-row_dot(g, self.direction.point))

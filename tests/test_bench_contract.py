@@ -3,9 +3,10 @@
 ``perfbench/tracer.py`` wraps library functions by module attribute and
 methods on the class that defines them, so a renamed function, a moved
 method or a dropped import breaks every traced benchmark run. This file
-installs and uninstalls the tracer, and runs the first job of each
-workload's seed-0 pool against the stored reference outputs, so such a
-break fails here. Nothing is written under ``perfbench/``.
+installs and uninstalls the tracer, runs the first job of each workload's
+seed-0 pool against the stored reference outputs, and checks that a traced
+first cycle of jobs leaves no layer the benchmark expects to be busy
+silent, so such a break fails here. Nothing is written under ``perfbench/``.
 """
 
 import sys
@@ -24,16 +25,17 @@ def bench():
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
     try:
+        import run
         import tracer
         import workloads
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(BENCH))
-    return tracer, workloads
+    return tracer, workloads, run
 
 
 def test_tracer_wraps_and_restores_every_binding(bench):
-    tracer, _ = bench
+    tracer, _, _ = bench
     bindings = [(tracer.MODULES[mod], attr)
                 for layer in tracer.FUNCTIONS.values() for mod, attr in layer]
     bindings += [(getattr(tracer.MODULES[mod], cls), attr)
@@ -55,7 +57,7 @@ def test_tracer_wraps_and_restores_every_binding(bench):
 @pytest.mark.parametrize("name", ["hinted_small_d", "multinorm_d1024", "bernstein_mc",
                                   "sweep_pool"])
 def test_first_job_matches_reference(bench, name, tmp_path):
-    _, workloads = bench
+    _, workloads, _ = bench
     job = workloads.WORKLOADS[name].pool(0, tmp_path)[0]
     out, extra = job.run()
     assert job.check(out, extra) == []
@@ -64,3 +66,25 @@ def test_first_job_matches_reference(bench, name, tmp_path):
     # the p < 2 direction step of multi_norm rounds differently from the
     # reference commit's, within the benchmark's 1e-12 relative tolerance
     assert bitwise or name == "multinorm_d1024"
+
+
+@pytest.mark.parametrize("name", ["hinted_small_d", "multinorm_d1024", "bernstein_mc"])
+def test_traced_first_cycle_leaves_no_large_layer_silent(bench, name, tmp_path):
+    # A traced benchmark run fails when a layer it expects to be busy on a
+    # workload records no calls; a learner change that routes around the
+    # wrapped bindings fails here first. Like the benchmark, this runs whole
+    # cycles of job shapes: hinted_small_d reaches its projection and
+    # tilde_hint layers only in the cycle's constrained job. The sweep
+    # workload traces its cells in pool workers and is left to the
+    # benchmark's self-check.
+    tracer, workloads, run = bench
+    workload = workloads.WORKLOADS[name]
+    jobs = workload.pool(0, tmp_path)[:workload.cycle]
+    t = tracer.Tracer()
+    try:
+        t.install()
+        for job in jobs:
+            job.run()
+    finally:
+        t.uninstall()
+    assert run.silent_layers(name, {"layers": t.stats}) == []

@@ -15,6 +15,7 @@ from regretforge import (
     p_norm,
     pnorm_grid,
 )
+from regretforge.geometry import COMPACT_SHARE, row_powers
 
 
 def grid_oracle(d):
@@ -37,6 +38,50 @@ def test_p_norm_examples():
     assert p_norm([1.0, 1.0], 1.5) == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-12)
     assert p_norm([1.0, -3.0, 2.0], math.inf) == 3.0
     assert p_norm([], 1.5) == 0.0
+
+
+def p_norm_oracle(x, p):
+    """The one-exponent formulas, with every entry of |x| / max raised."""
+    a = np.abs(np.asarray(x, dtype=np.float64))
+    if p == 2.0:
+        return float(np.linalg.norm(a))
+    if p == 1.0:
+        return float(np.sum(a))
+    m = float(a.max()) if a.size else 0.0
+    if math.isinf(p) or m == 0.0:
+        return m
+    return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("d", [1, 64, 1024])
+def test_p_norm_of_many_exponents_is_each_one_bitwise(d):
+    rng = np.random.default_rng(d)
+    rule = math.floor(COMPACT_SHARE * d)
+    exps = [1.0, 1.5, 2.0, 2.6, 7.3, 52.0, math.inf]
+    # no nonzero, one, just at and just above the compaction rule, dense
+    for nnz in sorted({0, 1, rule, min(rule + 1, d), d}):
+        for scale in (1e-150, 1.0, 1e150):
+            x = np.zeros(d)
+            idx = rng.choice(d, nnz, replace=False)
+            x[idx] = rng.standard_normal(nnz) * scale
+            got = p_norm(x, np.array(exps))
+            assert got.shape == (len(exps),)
+            for p, norm_p in zip(exps, got.tolist()):
+                assert norm_p == p_norm(x, p) == p_norm_oracle(x, p), (nnz, scale, p)
+
+
+@pytest.mark.parametrize("d", [8, 64, 1024])
+def test_row_powers_is_the_dense_power(d):
+    rng = np.random.default_rng(d)
+    e = np.array([1.3, 2.6, 51.0])
+    for share in (0.0, 0.01, COMPACT_SHARE, COMPACT_SHARE + 1.0 / d, 0.9, 1.0):
+        nnz = min(d, math.ceil(share * d))
+        R = np.zeros((3, d))
+        cols = rng.choice(d, nnz, replace=False)
+        R[:, cols] = rng.uniform(0.0, 1.0, (3, nnz))
+        R[1, cols[: nnz // 3]] = 0.0  # a column may be zero in some rows only
+        assert np.array_equal(row_powers(R, e), R ** e[:, None])
+        assert np.array_equal(row_powers(R[0], e), R[0] ** e[:, None])
 
 
 def test_norm_spec_duality():

@@ -794,6 +794,46 @@ def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch, command, stream
     assert json.loads(captured.err.strip().splitlines()[-1])["path"] == path
 
 
+_DIMFREE = {"kind": "dimfree"}
+
+
+@pytest.mark.parametrize("command,config,seed_env,path", [
+    ("run", [1], None, "config"),
+    ("sweep", [1], None, "config"),
+    ("sweep", [1], "3", "config"),
+    ("run", {"learner": _DIMFREE, "stream": [1]}, None, "stream"),
+    ("sweep", {"learner": _DIMFREE, "stream": [1]}, None, "stream"),
+    ("run", {"learner": [1], "stream": _IID}, None, "learner"),
+    ("sweep", {"learner": [1], "stream": _IID}, None, "learner"),
+    ("sweep", {"learner": _DIMFREE, "stream": _IID, "sweep": [8, 16]}, None, "sweep"),
+    ("sweep", {"learner": _DIMFREE, "stream": _IID, "sweep": [8, 16]}, "3", "sweep"),
+    ("run", {"learner": {"kind": "optimistic", "base": [1], "hints": {"kind": "zero"}},
+             "stream": _IID}, None, "learner.base"),
+    ("run", {"learner": {"kind": "add", "children": [_DIMFREE, "percoord"]},
+             "stream": _IID}, None, "learner.children[1]"),
+    ("run", {"learner": {"kind": "apd", "domain": "ball"}, "stream": _IID}, None,
+     "learner.domain"),
+    ("run", {"learner": {"kind": "constrained", "domain": [1], "hints": {"kind": "zero"}},
+             "stream": _IID}, None, "learner.domain"),
+    ("run", {"learner": {"kind": "optimistic", "hints": "zero"}, "stream": _IID}, None,
+     "learner.hints"),
+    ("run", {"learner": {"kind": "multi_hint", "hints": [{"kind": "zero"}, 3]},
+             "stream": _IID}, None, "learner.hints[1]"),
+])
+def test_config_node_that_is_not_an_object_exits_2(tmp_path, capsys, monkeypatch, command,
+                                                    config, seed_env, path):
+    if seed_env is not None:
+        monkeypatch.setenv("REGRETFORGE_SEED", seed_env)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main([command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err.strip().splitlines()[-1])
+    assert payload["path"] == path
+    assert "must be an object" in payload["error"]
+
+
 def test_bad_seed_env_exits_2_for_bernstein(monkeypatch):
     monkeypatch.setenv("REGRETFORGE_SEED", "abc")
     assert cli_main(["bernstein", "--delta", "0.1", "--T", "8", "--trials", "2"]) == 2

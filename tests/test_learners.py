@@ -7,6 +7,7 @@ import pytest
 
 from regretforge import (
     AdaptiveProjectedDescent,
+    AddCombiner,
     Ball,
     Box,
     CoinBettor,
@@ -14,10 +15,12 @@ from regretforge import (
     PerCoordinateLearner,
     PNormBallDescent,
     WholeSpace,
+    multi_norm,
     p_norm,
     pnorm_grid,
     replay,
 )
+from regretforge.harness import capped_bettors
 from regretforge.learners import WEALTH_CAP
 from conftest import rademacher_stream, unit_stream
 
@@ -193,6 +196,12 @@ def test_direction_dual_step_matches_primal_oracle(d):
     # round. Over a whole trajectory the primal form drifts by itself: at
     # q ~ 52 it loses up to ~1e-11 over a few thousand interior rounds,
     # where the dual form stays within ~4e-14 of a 40-digit reference.
+    # A p < 2 spec runs as a one-row grid: its state is row 0.
+    def state(learner):
+        if learner.theta is None:
+            return learner.point, learner.dual_sq_sum
+        return learner.point[0], float(learner.dual_sq_sum[0])
+
     for spec in pnorm_grid(d):
         rescaled = 0
         for name, G in _oracle_streams(d).items():
@@ -200,10 +209,10 @@ def test_direction_dual_step_matches_primal_oracle(d):
             trajectory = np.zeros(d)
             trajectory_sq = 0.0
             for t, g in enumerate(G):
-                want, _, hit = primal_step_oracle(learner.point, learner.dual_sq_sum, g, spec)
+                want, _, hit = primal_step_oracle(*state(learner), g, spec)
                 rescaled += hit
                 learner.observe(g)
-                got = learner.point
+                got = state(learner)[0]
                 scale = float(np.abs(want).max())
                 where = f"q={spec.q:.3g} {name} round {t}"
                 assert np.abs(got - want).max() <= 1e-12 * scale, where
@@ -214,6 +223,52 @@ def test_direction_dual_step_matches_primal_oracle(d):
                         trajectory, trajectory_sq, g, spec)
                     assert np.array_equal(got, trajectory), where
         assert rescaled > 0, f"q={spec.q:.3g} never took the rescale branch"
+
+
+@pytest.mark.parametrize("d", [16, 64, 1024])
+def test_multi_norm_grid_rows_match_one_learner_per_norm(d):
+    # multi_norm steps its p < 2 norms as the rows of one grid learner; the
+    # reference is the sum of one DimFreeLearner per grid norm, stepped apart.
+    grid = pnorm_grid(d)
+    share = 1.0 / len(grid)
+    rescaled = [0] * (len(grid) - 1)
+    for name, G in _oracle_streams(d).items():
+        learner = multi_norm(d, 1.0)
+        stacked = learner.children[1]
+        apart = AddCombiner([DimFreeLearner(d, share, spec) for spec in grid])
+        assert learner.epsilon == apart.epsilon
+        for t, g in enumerate(G):
+            w, want = learner.predict(), apart.predict()
+            where = f"{name} round {t}"
+            assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max(), where
+            for i, (spec, row) in enumerate(zip(grid[1:], apart.children[1:])):
+                assert stacked.magnitude.predict()[i] == row.magnitude.predict()[0], where
+                assert np.array_equal(stacked.direction.point[i], row.direction.point[0]), where
+                rescaled[i] += primal_step_oracle(
+                    row.direction.point[0], float(row.direction.dual_sq_sum[0]), g, spec)[2]
+            learner.observe(g)
+            apart.observe(g)
+    assert all(rescaled), f"rows that never took the rescale branch: {rescaled}"
+
+
+def test_multi_norm_grid_cap_is_one_bettor_summed_over_rows():
+    # a fixed gradient is perfectly predictable: every magnitude bettor's
+    # wealth doubles each round until the cap binds
+    d, T = 1024, 400
+    G = np.zeros((T, d))
+    G[:, 0] = -1.0
+    grid = pnorm_grid(d)
+    learner = multi_norm(d, 1.0)
+    apart = [DimFreeLearner(d, 1.0 / len(grid), spec) for spec in grid]
+    replay(learner, G)
+    for row in apart:
+        replay(row, G)
+    capped = capped_bettors(learner)
+    assert set(capped) == {"learner.children[0].magnitude", "learner.children[1].magnitude"}
+    assert capped["learner.children[0].magnitude"] == apart[0].magnitude.capped_rounds > 0
+    rows = [int(row.magnitude.capped_rounds[0]) for row in apart[1:]]
+    assert min(rows) > 0
+    assert capped["learner.children[1].magnitude"] == sum(rows)
 
 
 def test_percoordinate_equals_independent_bettors(rng):
