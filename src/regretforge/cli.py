@@ -33,6 +33,16 @@ def _fail(code: int, message: str, **extra) -> int:
     return code
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _warn_capped(capped: dict) -> None:
     """One JSON line on stderr naming, per experiment, the bettors the wealth cap bound."""
     capped = {experiment: bettors for experiment, bettors in capped.items() if bettors}
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--trials", type=int, required=True)
     p_b.add_argument("--via-learner", action="store_true")
     p_b.add_argument("--sampler", choices=concentration.SAMPLER_PRESETS)
-    p_b.add_argument("--seed", type=int, default=0)
+    p_b.add_argument("--seed", type=_nonnegative_int, default=0)
     p_b.set_defaults(func=_cmd_bernstein)
 
     p_s = sub.add_parser("selftest", help="run the invariant suites")

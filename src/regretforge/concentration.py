@@ -13,12 +13,15 @@ worst-case range. Two modes compute it:
 K1 is an engineering constant calibrated so that (a) Monte Carlo coverage
 holds for every shipped sampler and (b) both modes agree within 4x.
 
-Via-learner trials run in blocks of up to 1 MiB of gradients along a
+Via-learner trials run in blocks of up to 8 MiB of gradients along a
 trial axis: one replay drives the same learner, hint source and validation
-for a whole (T, B, d) block, one row per trial. Each trial keeps its own
-draw (seed + trial index) and its radius is bitwise the one a replay of
-that trial alone gives, so results depend on neither the block size nor
-where block boundaries fall.
+for a whole (T, B, d) block, one row per trial. At T = 1024, d = 4 a block
+holds 256 trials, so a 60-trial job is one replay and 2000 trials take
+eight. A round costs about the same at B = 1 as at B = 32, so fewer, larger
+blocks are faster; the budget caps the memory a large job holds. Each trial
+keeps its own draw (seed + trial index) and its radius is bitwise the one a
+replay of that trial alone gives, so results depend on neither the block
+size nor where block boundaries fall.
 """
 
 from __future__ import annotations
@@ -36,14 +39,14 @@ from .learners import CoinBettor, DimFreeLearner
 K1 = 0.58
 
 #: bytes of (T, B, d) float64 gradients per via-learner trial block
-TRIAL_BLOCK_BYTES = 1 << 20
+TRIAL_BLOCK_BYTES = 8 << 20
 
 
 def trial_block(T: int, dim: int) -> int:
     """Trials per via-learner block: as many as fit in TRIAL_BLOCK_BYTES, at least 1.
 
-    A block holds 8 (d + 1) bytes per trial-round at full size: the (T, B, d)
-    gradients and the (T, B) losses of its batched replay.
+    Only the (T, B, d) gradients count, 8 d bytes per trial-round; the (T, B)
+    losses of the batched replay add another 1/d on top.
     """
     return max(1, TRIAL_BLOCK_BYTES // (8 * T * dim))
 

@@ -516,6 +516,14 @@ def _drive(composed: ComposedLearner, G: np.ndarray,
                      np.array(bettor_regrets) if bettors else None, capped_bettors(learner))
 
 
+def _check_parts(config) -> None:
+    """A config must be an object with a 'stream' and a 'learner'."""
+    config_object(config, "config")
+    for key in ("stream", "learner"):
+        if key not in config:
+            raise CompositionError(key, f"experiment config needs a '{key}'")
+
+
 def run_experiment(config: dict, seed_override: Optional[int] = None,
                    keep_record: bool = False):
     """Run one experiment config; returns result rows (and the record if asked).
@@ -526,10 +534,7 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
     is checked before round 0. The record's ``capped`` names the bettors
     whose wealth cap bound during the run.
     """
-    if "stream" not in config_object(config, "config"):
-        raise CompositionError("stream", "experiment config needs a 'stream'")
-    if "learner" not in config:
-        raise CompositionError("learner", "experiment config needs a 'learner'")
+    _check_parts(config)
     stream_cfg = dict(config_object(config["stream"], "stream"))
     if seed_override is not None:
         stream_cfg["seed"] = int(seed_override)
@@ -652,7 +657,7 @@ def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
     receives {cell experiment_id: {bettor path: rounds}} for every cell where
     a wealth cap bound.
     """
-    config_object(config, "config")
+    _check_parts(config)
     sweep, stream = (config_object(config.get(key, {}), key) for key in ("sweep", "stream"))
     Ts = _axis(sweep, "T", stream.get("T"), 1)
     seeds = _axis(sweep, "seeds", stream.get("seed", 0), 0)

@@ -834,6 +834,33 @@ def test_config_node_that_is_not_an_object_exits_2(tmp_path, capsys, monkeypatch
     assert "must be an object" in payload["error"]
 
 
+@pytest.mark.parametrize("sweep", [{"T": [8]}, None])
+def test_sweep_without_stream_exits_2(tmp_path, capsys, sweep):
+    config = {"learner": _DIMFREE}
+    if sweep is not None:
+        config["sweep"] = sweep
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {
+        "error": "stream: experiment config needs a 'stream'", "path": "stream"}
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_bernstein_seed_exits_2_before_any_trial(monkeypatch, capsys, seed):
+    from regretforge import concentration
+
+    def no_trials(cfg):
+        raise AssertionError("a trial ran before --seed was checked")
+
+    monkeypatch.setattr(concentration, "coverage_experiment", no_trials)
+    assert cli_main(["bernstein", "--delta", "0.1", "--T", "8", "--trials", "2",
+                     "--seed", seed]) == 2
+    assert "argument --seed: must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_bad_seed_env_exits_2_for_bernstein(monkeypatch):
     monkeypatch.setenv("REGRETFORGE_SEED", "abc")
     assert cli_main(["bernstein", "--delta", "0.1", "--T", "8", "--trials", "2"]) == 2

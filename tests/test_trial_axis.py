@@ -197,6 +197,33 @@ def test_radii_bitwise_whatever_the_block_size(monkeypatch, block):
     assert (res.failure_rate, res.mean_radius) == (default.failure_rate, default.mean_radius)
 
 
+def _block_shapes(monkeypatch, trials):
+    """Shapes of the blocks a T = 1024, d = 4 via-learner job hands learner_radius."""
+    shapes = []
+
+    def recording_radius(X, delta):
+        shapes.append(X.shape)
+        return np.zeros(X.shape[1])
+
+    monkeypatch.setattr(concentration, "learner_radius", recording_radius)
+    coverage_experiment(BernsteinConfig(delta=0.05, T=1024, trials=trials, seed=3, dim=4,
+                                        via_learner=True))
+    return shapes
+
+
+def test_sixty_trial_job_is_one_block(monkeypatch):
+    # the shape of a bernstein_mc job and of acceptance line C10
+    assert _block_shapes(monkeypatch, 60) == [(1024, 60, 4)]
+
+
+def test_block_sizes_follow_the_byte_budget(monkeypatch):
+    assert trial_block(1024, 4) == concentration.TRIAL_BLOCK_BYTES // (8 * 1024 * 4) == 256
+    shapes = _block_shapes(monkeypatch, 2000)
+    assert [B for _, B, _ in shapes] == [256] * 7 + [208]
+    assert {(T, d) for T, _, d in shapes} == {(1024, 4)}
+    assert trial_block(1 << 22, 4) == 1
+
+
 def test_batched_bettor_rejects_what_it_rejected_before():
     B = 3
     for bad, exc, match in ((np.nan, ValueError, "non-finite"),
