@@ -11,7 +11,6 @@ from .core import (
     DimensionMismatch,
     HintedLearner,
     Learner,
-    RegretContract,
     RegretLedger,
     ReplayError,
     ZeroLearner,

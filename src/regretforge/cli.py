@@ -4,7 +4,6 @@ Subcommands:
   run       one experiment from a JSON config, CSV out
   sweep     grid over T and/or seeds from a JSON config, merged CSV out
   bernstein Monte Carlo coverage of the concentration bound
-  selftest  quick invariant suites for every module
 
 Exit codes: 0 success, 2 usage or config error, 1 runtime failure. Failures
 print one machine-readable JSON line to stderr. A run or sweep in which the
@@ -20,10 +19,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import combinators, concentration, geometry, harness, hints, learners
-from .core import drive, replay, replay_hinted
+from . import concentration, harness
 
 
 def _fail(code: int, message: str, **extra) -> int:
@@ -52,57 +48,57 @@ def _warn_capped(capped: dict) -> None:
                           "capped": capped}), file=sys.stderr)
 
 
-def _cmd_run(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(2, f"cannot read config: {exc}")
-    try:
-        seed = harness.env_seed_override()
-        rows, record = harness.run_experiment(config, seed_override=seed,
-                                              keep_record=True)
-        out = args.output or config.get("output")
-        if out:
-            harness.write_csv(rows, out)
-        else:
-            for row in rows:
-                print(json.dumps(row))
-        if args.dump_ledger:
-            harness.dump_ledger(record, args.dump_ledger)
-        _warn_capped({config.get("experiment_id", "experiment"): record.capped})
-    except harness.CompositionError as exc:
-        return _fail(2, str(exc), path=exc.path)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        return _fail(1, str(exc))
-    return 0
+def _config_command(body):
+    """A run/sweep handler: read the JSON config at --config, then body(args, config).
+
+    An unreadable config or a CompositionError exits 2, any other failure 1.
+    """
+    def handler(args) -> int:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            return _fail(2, f"cannot read config: {exc}")
+        try:
+            body(args, config)
+        except harness.CompositionError as exc:
+            return _fail(2, str(exc), path=exc.path)
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            return _fail(1, str(exc))
+        return 0
+    return handler
 
 
-def _cmd_sweep(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(2, f"cannot read config: {exc}")
-    try:
-        seed = harness.env_seed_override()
-        if seed is not None:
-            sweep = harness.config_object(config, "config").setdefault("sweep", {})
-            harness.config_object(sweep, "sweep")["seeds"] = [seed]
-        capped = {}
-        rows = harness.run_sweep(config, workers=args.workers, capped=capped)
-        out = args.output or config.get("output")
-        if out:
-            harness.write_csv(rows, out)
-        else:
-            for row in rows:
-                print(json.dumps(row))
-        _warn_capped(capped)
-    except harness.CompositionError as exc:
-        return _fail(2, str(exc), path=exc.path)
-    except Exception as exc:  # noqa: BLE001
-        return _fail(1, str(exc))
-    return 0
+def _write_rows(rows, args, config) -> None:
+    """Rows to the CSV at --output (else the config's 'output'), or JSON lines on stdout."""
+    out = args.output or config.get("output")
+    if out:
+        harness.write_csv(rows, out)
+    else:
+        for row in rows:
+            print(json.dumps(row))
+
+
+@_config_command
+def _cmd_run(args, config) -> None:
+    seed = harness.env_seed_override()
+    rows, record = harness.run_experiment(config, seed_override=seed, keep_record=True)
+    _write_rows(rows, args, config)
+    if args.dump_ledger:
+        harness.dump_ledger(record, args.dump_ledger)
+    _warn_capped({config.get("experiment_id", "experiment"): record.capped})
+
+
+@_config_command
+def _cmd_sweep(args, config) -> None:
+    seed = harness.env_seed_override()
+    if seed is not None:
+        sweep = harness.config_object(config, "config").setdefault("sweep", {})
+        harness.config_object(sweep, "sweep")["seeds"] = [seed]
+    capped = {}
+    rows = harness.run_sweep(config, workers=args.workers, capped=capped)
+    _write_rows(rows, args, config)
+    _warn_capped(capped)
 
 
 def _cmd_bernstein(args) -> int:
@@ -131,131 +127,16 @@ def _cmd_bernstein(args) -> int:
         return _fail(2, str(exc))
 
 
-def _selftest_suites():
-    rng = np.random.default_rng(7)
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the CLI's one JSON line on stderr, exit 2."""
 
-    def bounded_stream(T, d, scale=1.0):
-        v = rng.standard_normal((T, d))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return v * (scale * rng.uniform(0.0, 1.0, size=(T, 1)))
-
-    def core_identity():
-        G = bounded_stream(256, 4)
-        ledger = replay(learners.DimFreeLearner(4, 1.0), G)
-        u = rng.standard_normal(4)
-        lhs = ledger.regret_at(u)
-        rhs = ledger.cumulative_loss - float(ledger.gradient_sum() @ u)
-        assert abs(lhs - rhs) <= 1e-9 * len(ledger)
-
-    def geometry_cover():
-        for d in (8, 64):
-            for _ in range(200):
-                x = rng.standard_normal(d)
-                p = float(rng.uniform(1.0, 2.0))
-                i = geometry.grid_cover(d, x, p)
-                spec = geometry.pnorm_grid(d)[i]
-                assert spec.primal(x) <= geometry.p_norm(x, p) + 1e-10
-                q = geometry.dual_exponent(p)
-                assert spec.dual(x) <= math.e * geometry.p_norm(x, q) + 1e-10
-
-    def geometry_subgradient():
-        dom = geometry.Ball(np.zeros(3), 1.0)
-        for _ in range(200):
-            x = rng.standard_normal(3) * 2
-            v = rng.standard_normal(3) * 2
-            z = dom.distance_subgradient(x)
-            assert dom.distance(v) >= dom.distance(x) + float(z @ (v - x)) - 1e-9
-
-    def bettor_origin_budget():
-        for _ in range(20):
-            G = rng.uniform(-1, 1, size=(512, 1))
-            ledger = replay(learners.PerCoordinateLearner(1, 1.0), G)
-            assert ledger.regret_at(np.zeros(1)) <= 1.0 + 1e-6
-
-    def add_decomposition():
-        G = bounded_stream(512, 8)
-        kids = [learners.DimFreeLearner(8, 0.5), learners.PerCoordinateLearner(8, 0.5)]
-        shadow = [learners.DimFreeLearner(8, 0.5), learners.PerCoordinateLearner(8, 0.5)]
-        combined = replay(combinators.add_iterates(kids), G)
-        parts = [replay(s, G) for s in shadow]
-        per_round = combined.per_round_losses()
-        part_sum = sum(p.per_round_losses() for p in parts)
-        assert np.max(np.abs(per_round - part_sum)) <= 1e-9
-
-    def optimism_safety():
-        G = bounded_stream(512, 4)
-        opt = combinators.OptimisticLearner(
-            learners.DimFreeLearner(4, 0.5), learners.CoinBettor(0.5)
-        )
-        ledger = replay_hinted(opt, G, hints.AdversarialNegate(4))
-        base = replay(learners.DimFreeLearner(4, 0.5), G)
-        u = rng.standard_normal(4) / 2
-        assert ledger.regret_at(u) <= base.regret_at(u) + 0.5 + 1e-6
-
-    def constrained_invariants():
-        dom = geometry.Ball(np.zeros(3), 0.5)
-        G = bounded_stream(256, 3)
-        learner = combinators.ConstrainedOptimisticLearner(
-            learners.DimFreeLearner(3, 0.5), dom, learners.CoinBettor(0.5)
-        )
-
-        class CheckedLastGradient(hints.LastGradient):
-            # fed after the learner's step, while last_z is still the round's
-            def _feed(self, g):
-                g_tilde = 0.5 * g + 0.5 * np.linalg.norm(g) * learner.last_z
-                assert np.linalg.norm(g_tilde) <= np.linalg.norm(g) + 1e-9
-                super()._feed(g)
-
-        _, W, _ = drive(learner, G, CheckedLastGradient(3))
-        assert all(dom.contains(w, 1e-9) for w in W)
-
-    def ftl_gap():
-        G = bounded_stream(2048, 4)
-        gap = hints.ftl_regret_check(G)
-        assert 0.0 <= gap <= 8.0 * math.log(G.shape[0])
-
-    def bernstein_coverage():
-        cfg = concentration.BernsteinConfig(delta=0.1, T=256, trials=200, seed=11)
-        res = concentration.coverage_experiment(cfg)
-        assert res.failure_rate <= 0.1 + 3 * math.sqrt(0.1 * 0.9 / 200)
-
-    def slope_sanity():
-        rows = [
-            {"comparator_id": "c", "T": 2 ** k, "regret": math.sqrt(2 ** k)}
-            for k in range(4, 12)
-        ]
-        assert abs(harness.fit_slope(rows, "c") - 0.5) < 1e-9
-
-    return [
-        ("core regret identity", core_identity),
-        ("p-norm grid cover", geometry_cover),
-        ("distance subgradient inequality", geometry_subgradient),
-        ("bettor origin budget", bettor_origin_budget),
-        ("add-iterates decomposition", add_decomposition),
-        ("optimism safety", optimism_safety),
-        ("constrained invariants", constrained_invariants),
-        ("ftl gap growth", ftl_gap),
-        ("bernstein coverage", bernstein_coverage),
-        ("slope fitting", slope_sanity),
-    ]
-
-
-def _cmd_selftest(_args) -> int:
-    failures = 0
-    for name, suite in _selftest_suites():
-        try:
-            suite()
-            print(f"[selftest] {name}: ok")
-        except AssertionError as exc:
-            failures += 1
-            print(f"[selftest] {name}: FAIL {exc}")
-    if failures:
-        return _fail(1, f"{failures} selftest suite(s) failed")
-    return 0
+    def error(self, message):
+        _fail(2, message)
+        self.exit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regretforge",
         description="Online linear optimization experiments and checks.",
     )
@@ -281,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--sampler", choices=concentration.SAMPLER_PRESETS)
     p_b.add_argument("--seed", type=_nonnegative_int, default=0)
     p_b.set_defaults(func=_cmd_bernstein)
-
-    p_s = sub.add_parser("selftest", help="run the invariant suites")
-    p_s.set_defaults(func=_cmd_selftest)
     return parser
 
 
@@ -292,7 +170,7 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on bad flags already; normalize other codes
+        # _Parser.error exits 2 after its JSON line; --help exits 0
         return int(exc.code) if exc.code else 0
     return args.func(args)
 

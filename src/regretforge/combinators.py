@@ -41,22 +41,19 @@ class AddCombiner(Learner):
     gradient.
     """
 
-    def __init__(self, children: Sequence[Learner], require_budgets: bool = True):
+    def __init__(self, children: Sequence[Learner]):
         children = list(children)
         if len(children) < 2:
             raise ValueError("add_iterates needs at least two children")
         dims = {c.dim for c in children}
         if len(dims) != 1:
             raise DimensionMismatch(f"children disagree on dimension: {sorted(dims)}")
-        epsilon = None
-        if require_budgets:
-            for i, c in enumerate(children):
-                if c.epsilon is None:
-                    raise ValueError(
-                        f"child {i} declares no origin budget; add_iterates requires one"
-                    )
-            epsilon = sum(c.epsilon for c in children)
-        super().__init__(dims.pop(), epsilon=epsilon)
+        for i, c in enumerate(children):
+            if c.epsilon is None:
+                raise ValueError(
+                    f"child {i} declares no origin budget; add_iterates requires one"
+                )
+        super().__init__(dims.pop(), epsilon=sum(c.epsilon for c in children))
         self.children = children
 
     def _prediction(self):

@@ -12,7 +12,6 @@ Cumulative sums that tests check to 1e-9*T are accumulated with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -181,17 +180,6 @@ class Accumulator:
         return self._s + self._c
 
 
-@dataclass
-class RegretContract:
-    """Declared regret guarantee of a learner: ``epsilon`` is its regret at the origin."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-
-
 class RegretLedger:
     """Replay record of (w_t, g_t) pairs.
 
@@ -312,12 +300,6 @@ class Learner:
             raise ContractViolation(
                 f"observe at round {self.round_index} without a preceding predict"
             )
-
-    @property
-    def contract(self) -> Optional[RegretContract]:
-        if self.epsilon is None:
-            return None
-        return RegretContract(epsilon=self.epsilon)
 
     def _prediction(self) -> np.ndarray:
         raise NotImplementedError

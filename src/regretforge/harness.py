@@ -248,9 +248,11 @@ def _build_hint_source(cfg: dict, dim: int, stream: Optional[np.ndarray],
     if kind == "adversarial_negate":
         return AdversarialNegate(dim)
     if kind == "constant":
-        if "vector" not in cfg:
-            raise CompositionError(path, "constant hint needs a 'vector'")
-        return ConstantHint(as_vector(cfg["vector"], dim, "hint"))
+        vector = _vector(cfg, "vector", dim, path)
+        try:
+            return ConstantHint(vector)
+        except ValueError as exc:  # norm above 1
+            raise CompositionError(f"{path}.vector", str(exc)) from None
     if kind == "external":
         if "path" not in cfg:
             raise CompositionError(path, "external hints need a 'path'")

@@ -24,8 +24,6 @@ class HintSource:
     subclass that defines feed() without _feed() is a TypeError.
     """
 
-    kind = "abstract"
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "feed" in vars(cls) and "_feed" not in vars(cls):
@@ -49,16 +47,12 @@ class HintSource:
 
 
 class ZeroHint(HintSource):
-    kind = "zero"
-
     def next_hint(self):
         return np.zeros(self.dim)
 
 
 class LastGradient(HintSource):
     """Emits the previous round's gradient verbatim."""
-
-    kind = "last_gradient"
 
     def __init__(self, dim):
         super().__init__(dim)
@@ -73,8 +67,6 @@ class LastGradient(HintSource):
 
 class AdversarialNegate(HintSource):
     """Emits minus the previous gradient: a deliberately harmful hint."""
-
-    kind = "adversarial_negate"
 
     def __init__(self, dim):
         super().__init__(dim)
@@ -93,8 +85,6 @@ class RunningAverage(HintSource):
     Means of unit-bounded vectors stay unit-bounded, so no normalization.
     With ``batch`` = B it keeps one mean per trial and emits (B, dim) hints.
     """
-
-    kind = "running_average"
 
     def __init__(self, dim, batch=None):
         super().__init__(dim, batch)
@@ -117,8 +107,6 @@ class UnitBallDescent(HintSource):
     toward the normalized gradient sum.
     """
 
-    kind = "unit_ball_descent"
-
     def __init__(self, dim):
         super().__init__(dim)
         self.point = np.zeros(dim)
@@ -139,8 +127,6 @@ class UnitBallDescent(HintSource):
 
 
 class ConstantHint(HintSource):
-    kind = "constant"
-
     def __init__(self, vector):
         v = as_vector(vector, name="hint")
         check_unit_norm(v, "hint")
@@ -156,8 +142,6 @@ class ExternalHints(HintSource):
 
     Feeding the stream itself yields oracle ("perfect") hints in replays.
     """
-
-    kind = "external"
 
     def __init__(self, rows):
         rows = np.asarray(rows, dtype=np.float64)

@@ -58,12 +58,13 @@ def bettor_with_prediction(y):
 # add_iterates
 # ---------------------------------------------------------------------------
 
-def test_add_plays_exact_sum_of_constants():
-    combiner = AddCombiner(
-        [ConstantLearner([1.0, 0.0]), ConstantLearner([0.0, 2.0])],
-        require_budgets=False,
-    )
-    assert np.array_equal(combiner.predict(), [1.0, 2.0])
+def test_add_plays_exact_sum_of_children(rng):
+    a, b = DimFreeLearner(3, 0.5), PerCoordinateLearner(3, 0.5)
+    combiner = AddCombiner([a, b])
+    for g in unit_stream(rng, 5, 3):
+        assert np.array_equal(combiner.predict(), a.predict() + b.predict())
+        combiner.observe(g)
+    assert np.array_equal(combiner.predict(), a.predict() + b.predict())
 
 
 def test_add_zero_learner_is_identity(rng):

@@ -11,7 +11,6 @@ from regretforge import (
     ContractViolation,
     DimensionMismatch,
     Learner,
-    RegretContract,
     RegretLedger,
     ReplayError,
     ZeroLearner,
@@ -175,12 +174,8 @@ def test_replay_abort_names_round(rng):
         replay(_NaNAtRound(2, bad_round=3), G)
 
 
-def test_regret_contract_validation():
-    assert RegretContract(epsilon=0.0).epsilon == 0.0
-    with pytest.raises(ValueError):
-        RegretContract(epsilon=-1.0)
-    contract = PerCoordinateLearner(1, 0.25).contract
-    assert contract.epsilon == 0.25
+def test_learner_epsilon_is_its_origin_budget():
+    assert PerCoordinateLearner(1, 0.25).epsilon == 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,13 @@ def test_nonpositive_budget_is_a_config_error(tmp_path, capsys, learner, bad_pat
       "domain": {"kind": "box", "lo": [-1] * 4, "hi": [1] * 5}}, "learner.domain.hi"),
     ({"kind": "constrained", "hints": {"kind": "zero"}, "base": {"kind": "dimfree", "p": 2.5},
       "domain": {"kind": "ball", "radius": 1.0}}, "learner.base.p"),
+    ({"kind": "optimistic", "hints": {"kind": "constant", "vector": [0.1, 0.2]}},
+     "learner.hints.vector"),
+    ({"kind": "optimistic", "hints": {"kind": "constant", "vector": [2.0, 0, 0, 0]}},
+     "learner.hints.vector"),
+    ({"kind": "optimistic", "hints": {"kind": "constant", "vector": "abc"}},
+     "learner.hints.vector"),
+    ({"kind": "optimistic", "hints": {"kind": "constant"}}, "learner.hints"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, capsys, learner, bad_path):
     with pytest.raises(CompositionError) as err:
@@ -629,10 +636,22 @@ def test_cli_bernstein_via_learner(capsys):
     assert "mode=learner" in out
 
 
-def test_cli_selftest_passes(capsys):
-    assert cli_main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count(": ok") == 10
+@pytest.mark.parametrize("argv", [
+    ["bernstein", "--delta", "0.1", "--T", "8", "--trials", "2", "--seed", "-1"],
+    ["bernstein", "--delta", "0.1", "--T", "8", "--trials", "2", "--sampler", "nope"],
+    ["run"],
+    ["selftest"],
+], ids=["bad-seed", "bad-sampler", "run-without-config", "selftest"])
+def test_usage_error_is_one_json_line(capsys, argv):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err.strip().splitlines()[-1])
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli_main(["--help"]) == 0
+    assert "usage: regretforge" in capsys.readouterr().out
 
 
 def test_cli_env_seed_override(tmp_path, monkeypatch):
