@@ -126,6 +126,36 @@ def _clip_rows_to_unit(G: np.ndarray) -> np.ndarray:
     return G
 
 
+def _sparse_replay(rng, G: np.ndarray, k: int):
+    """The (indices, signs) that rows of ``rng.choice(d, k, replace=False)`` then
+    ``rng.integers(0, 2, k)`` draw, decoded from one block of raw words.
+
+    NumPy draws a value in [0, r] as the high word of next_uint32() * (r + 1)
+    and redraws while the low word is below (2**32 - r - 1) % (r + 1) (Lemire).
+    A row takes k Floyd draws (r = d - k .. d - 1), k - 1 shuffle draws
+    (r = k - 1 .. 1) and k sign draws (r = 1). Floyd's taken set is marked in
+    the zero (T, d) array G. None where the replay does not hold: k == d (the
+    first Floyd draw takes no word), NumPy's tail shuffle, a redrawn word, a bad k.
+    """
+    T, d = G.shape
+    if not 0 < k < d or (d > 10000 and k > d // 50):
+        return None
+    n = np.concatenate([np.arange(d - k + 1, d + 1), np.arange(k, 1, -1),
+                        np.full(k, 2)]).astype(np.uint64)
+    m = rng.integers(0, 2**32, size=(T, 3 * k - 1), dtype=np.uint32) * n
+    if np.any((m & 0xFFFFFFFF) < (2**32 - n) % n):
+        return None
+    v = (m >> 32).astype(np.intp)
+    rows, idx = np.arange(T), v[:, :k]
+    for c in range(k):  # Floyd: a value already taken gives way to d - k + c
+        idx[G[rows, idx[:, c]] != 0, c] = d - k + c
+        G[rows, idx[:, c]] = 1.0
+    for c, i in enumerate(range(k - 1, 0, -1)):  # swap slot i with the drawn slot in [0, i]
+        j = v[:, k + c]
+        idx[rows, j], idx[:, i] = idx[:, i], idx[rows, j]
+    return idx, v[:, 2 * k - 1:]
+
+
 def generate_stream(spec: StreamSpec) -> np.ndarray:
     """Deterministic (T, d) gradient stream with every row norm <= 1."""
     rng = np.random.default_rng(spec.seed)
@@ -154,12 +184,16 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
         return G
     if spec.kind == "sparse":
         k = int(spec.params.get("k_active", max(1, d // 8)))
-        idx = np.empty((T, k), dtype=np.int64)
-        signs = np.empty((T, k))
-        for t in range(T):
-            idx[t] = rng.choice(d, size=k, replace=False)
-            signs[t] = rng.integers(0, 2, size=k)
         G = np.zeros((T, d))
+        drawn = _sparse_replay(rng, G, k)
+        if drawn is None:  # the per-row loop, from the same seed
+            rng = np.random.default_rng(spec.seed)
+            idx, signs = np.empty((T, k), dtype=np.int64), np.empty((T, k))
+            for t in range(T):
+                idx[t] = rng.choice(d, size=k, replace=False)
+                signs[t] = rng.integers(0, 2, size=k)
+        else:
+            idx, signs = drawn
         G[np.arange(T)[:, None], idx] = (signs * 2.0 - 1.0) * (1.0 / math.sqrt(k))
         return G
     if spec.kind == "biased":
@@ -183,9 +217,9 @@ def config_object(node, path: str) -> dict:
 
 
 def _integer(raw, path: str, least: int = 1) -> int:
-    """``raw`` as an integer of at least ``least``; a CompositionError at ``path`` otherwise."""
+    """``raw`` as a non-bool integer >= ``least``; a CompositionError at ``path`` otherwise."""
     try:
-        value = int(raw)
+        value = None if isinstance(raw, bool) else int(raw)
     except (TypeError, ValueError, OverflowError):
         value = None
     if value is None or value < least or (isinstance(raw, float) and value != raw):
@@ -254,9 +288,12 @@ def _build_hint_source(cfg: dict, dim: int, stream: Optional[np.ndarray],
         except ValueError as exc:  # norm above 1
             raise CompositionError(f"{path}.vector", str(exc)) from None
     if kind == "external":
-        if "path" not in cfg:
-            raise CompositionError(path, "external hints need a 'path'")
-        src = ExternalHints.from_file(cfg["path"])
+        if not isinstance(cfg.get("path"), str):
+            raise CompositionError(f"{path}.path", "external hints need a 'path' string")
+        try:
+            src = ExternalHints.from_file(cfg["path"])
+        except (OSError, ValueError) as exc:  # unreadable, malformed, or a row norm above 1
+            raise CompositionError(f"{path}.path", str(exc)) from None
         if src.dim != dim:
             raise CompositionError(path, f"hint file dim {src.dim} != stream dim {dim}")
         if stream is not None and src.rows.shape[0] < stream.shape[0]:
@@ -519,11 +556,14 @@ def _drive(composed: ComposedLearner, G: np.ndarray,
 
 
 def _check_parts(config) -> None:
-    """A config must be an object with a 'stream' and a 'learner'."""
+    """A config must be an object with a 'stream', a 'learner' and a string experiment_id."""
     config_object(config, "config")
     for key in ("stream", "learner"):
         if key not in config:
             raise CompositionError(key, f"experiment config needs a '{key}'")
+    if not isinstance(config.get("experiment_id", ""), str):
+        raise CompositionError("experiment_id",
+                               f"must be a string, got {config['experiment_id']!r}")
 
 
 def run_experiment(config: dict, seed_override: Optional[int] = None,

@@ -739,6 +739,28 @@ def test_slowly_varying_and_sparse_match_their_loops(seed, T, d):
         assert np.array_equal(got, _sparse_loop(seed, T, d, k))
 
 
+@pytest.mark.parametrize("d, k, T, seeds", [
+    (1024, 8, 256, range(4)),  # the multinorm_d1024 stream
+    (6, 6, 64, range(3)),      # k == d: the first Floyd draw takes no word
+    (2000, 1000, 400, [26]),   # a word NumPy redraws (Lemire rejection)
+    (10001, 300, 3, range(2)), # NumPy's tail shuffle (d > 10000, k > d // 50)
+])
+def test_sparse_matches_its_loop_on_every_branch(d, k, T, seeds):
+    from regretforge.harness import _sparse_replay
+
+    for seed in seeds:
+        got = generate_stream(StreamSpec("sparse", d, T, seed, {"k_active": k}))
+        assert np.array_equal(got, _sparse_loop(seed, T, d, k))
+    if d == 2000:  # the case still reaches a redraw, so the loop runs
+        assert _sparse_replay(np.random.default_rng(seeds[0]), np.zeros((T, d)), k) is None
+
+
+@pytest.mark.parametrize("k, error", [(0, ZeroDivisionError), (5, ValueError)])
+def test_sparse_bad_k_active_raises_as_the_loop_does(k, error):
+    with pytest.raises(error):
+        generate_stream(StreamSpec("sparse", 4, 8, 0, {"k_active": k}))
+
+
 class _OrderPool(_RecordingPool):
     """Also records the order in which cells reach the pool."""
 
@@ -797,6 +819,14 @@ _IID = {"kind": "rademacher_iid", "dim": 4, "T": 8}
     ("sweep", _IID, {"T": [8, 0]}, None, "sweep.T"),
     ("sweep", _IID, {"seeds": 0}, None, "sweep.seeds"),
     ("sweep", _IID, {"seeds": [0, -1]}, None, "sweep.seeds"),
+    # JSON booleans are not integers
+    ("run", {"kind": "sparse", "dim": 4, "T": 8, "k_active": True}, None, None,
+     "stream.k_active"),
+    ("run", dict(_IID, T=True), None, None, "stream.T"),
+    ("run", dict(_IID, dim=True), None, None, "stream.dim"),
+    ("run", dict(_IID, seed=False), None, None, "stream.seed"),
+    ("sweep", _IID, {"T": [8, True]}, None, "sweep.T"),
+    ("sweep", _IID, {"seeds": [False]}, None, "sweep.seeds"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch, command, stream, sweep,
                                   seed_env, path):
@@ -851,6 +881,32 @@ def test_config_node_that_is_not_an_object_exits_2(tmp_path, capsys, monkeypatch
     payload = json.loads(captured.err.strip().splitlines()[-1])
     assert payload["path"] == path
     assert "must be an object" in payload["error"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("experiment_id", [[1], 7, None])
+def test_non_string_experiment_id_exits_2(tmp_path, capsys, command, experiment_id):
+    config = {"experiment_id": experiment_id, "learner": _DIMFREE, "stream": _IID}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main([command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1])["path"] == "experiment_id"
+
+
+@pytest.mark.parametrize("hint_path", [5, None, "missing.txt", "bad.txt"])
+def test_bad_external_hint_path_exits_2(tmp_path, capsys, monkeypatch, hint_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("0.1 x\n")
+    config = {"learner": {"kind": "optimistic", "hints": {"kind": "external", "path": hint_path}},
+              "stream": _IID}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1])["path"] == "learner.hints.path"
 
 
 @pytest.mark.parametrize("sweep", [{"T": [8]}, None])
