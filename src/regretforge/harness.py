@@ -30,8 +30,8 @@ from .combinators import (
     MultiHintLearner,
     OptimisticLearner,
 )
-from .core import DimensionMismatch, Learner, as_vector, check_stream, drive, norm, row_dot
-from .geometry import Ball, Box, ConvexDomain, WholeSpace
+from .core import Learner, ZeroLearner, as_vector, check_stream, drive, norm, row_dot
+from .geometry import Ball, Box, NormSpec, WholeSpace
 from .hints import (
     AdversarialNegate,
     ConstantHint,
@@ -49,7 +49,6 @@ from .learners import (
     PerCoordinateLearner,
 )
 from . import combinators
-from .geometry import NormSpec
 
 SEED_ENV_VAR = "REGRETFORGE_SEED"
 
@@ -80,16 +79,6 @@ class CompositionError(ValueError):
 # gradient streams
 # ---------------------------------------------------------------------------
 
-STREAM_KINDS = (
-    "rademacher_iid",
-    "gaussian_clipped",
-    "slowly_varying",
-    "sparse",
-    "biased",
-    "zero",
-)
-
-
 @dataclass
 class StreamSpec:
     kind: str
@@ -100,22 +89,8 @@ class StreamSpec:
 
     @classmethod
     def from_config(cls, cfg: dict, path: str = "stream") -> "StreamSpec":
-        """The spec of a stream config, every field and parameter checked."""
-        for key in ("kind", "dim", "T"):
-            if key not in cfg:
-                raise CompositionError(path, f"missing field {key!r}")
-        if cfg["kind"] not in STREAM_KINDS:
-            raise CompositionError(path, f"unknown stream kind {cfg['kind']!r}")
-        dim, T = _integer(cfg["dim"], f"{path}.dim"), _integer(cfg["T"], f"{path}.T")
-        for key in ("sigma", "step_size", "noise"):
-            if key in cfg:
-                _number(cfg, key, 0.0, path)
-        if "mu" in cfg:
-            _vector(cfg, "mu", dim, path)
-        if "k_active" in cfg and _integer(cfg["k_active"], f"{path}.k_active") > dim:
-            raise CompositionError(f"{path}.k_active", f"k_active must be at most dim = {dim}")
-        extra = {k: v for k, v in cfg.items() if k not in ("kind", "dim", "T", "seed")}
-        return cls(cfg["kind"], dim, T, _integer(cfg.get("seed", 0), f"{path}.seed", 0), extra)
+        """The spec of a stream config, read against its kind's row of TABLE."""
+        return _walk("stream", cfg, path)
 
 
 def _clip_rows_to_unit(G: np.ndarray) -> np.ndarray:
@@ -197,8 +172,7 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
         G[np.arange(T)[:, None], idx] = (signs * 2.0 - 1.0) * (1.0 / math.sqrt(k))
         return G
     if spec.kind == "biased":
-        mu = np.asarray(spec.params.get("mu", [0.25] + [0.0] * (d - 1)), dtype=np.float64)
-        mu = as_vector(mu, d, "mu")
+        mu = as_vector(spec.params.get("mu", [0.25] + [0.0] * (d - 1)), d, "mu")
         noise = float(spec.params.get("noise", 0.5))
         G = mu + noise * rng.standard_normal((T, d)) / math.sqrt(d)
         return _clip_rows_to_unit(G)
@@ -206,8 +180,15 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# composition expressions
+# the config grammar: one table of kinds, read and built by one walker
 # ---------------------------------------------------------------------------
+
+#: the bound on the magnitude of every config number: below 2**53, so an
+#: integer up to it is exact as a JSON float and fits an array dimension, and
+#: the squares of such entries sum to a finite norm in any stream
+LIMIT = 1e15
+REQUIRED = object()  # the default of a field that must be given
+
 
 def config_object(node, path: str) -> dict:
     """``node`` if it is a JSON object; a CompositionError at ``path`` otherwise."""
@@ -216,161 +197,236 @@ def config_object(node, path: str) -> dict:
     return node
 
 
-def _integer(raw, path: str, least: int = 1) -> int:
-    """``raw`` as a non-bool integer >= ``least``; a CompositionError at ``path`` otherwise."""
-    try:
-        value = None if isinstance(raw, bool) else int(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = None
-    if value is None or value < least or (isinstance(raw, float) and value != raw):
-        raise CompositionError(path, f"must be an integer >= {least}, got {raw!r}")
-    return value
+# A reader maps (raw value, its path, the node read so far: "dim", "stream" and
+# the fields before) to the value, or raises CompositionError at the path.
 
+def _number(low: float = -math.inf, high: float = LIMIT, integer: bool = False):
+    """A number in (low, high] of magnitude at most LIMIT, or such an integer; JSON
+    booleans are neither."""
+    lower = f"[{low + 1:g}" if integer else f"({low:g}" if low > -LIMIT else f"[{-LIMIT:g}"
+    what = f"{'an integer' if integer else 'a number'} in {lower}, {high:g}]"
 
-def _number(cfg: dict, key: str, default: float, path: str) -> float:
-    """The finite number ``cfg[key]`` (``default`` when absent)."""
-    try:
-        value = float(cfg.get(key, default))
-    except (TypeError, ValueError):
-        raise CompositionError(f"{path}.{key}", f"{key} must be a number") from None
-    if not math.isfinite(value):
-        raise CompositionError(f"{path}.{key}", f"{key} must be finite, got {value!r}")
-    return value
-
-
-def _vector(cfg: dict, key: str, dim: int, path: str) -> np.ndarray:
-    """The finite length-``dim`` vector ``cfg[key]``."""
-    if key not in cfg:
-        raise CompositionError(path, f"{cfg.get('kind')} needs field {key!r}")
-    try:
-        return as_vector(cfg[key], dim, key)
-    except (TypeError, ValueError) as exc:
-        raise CompositionError(f"{path}.{key}", str(exc)) from None
-
-
-def _build_domain(cfg: dict, dim: int, path: str) -> ConvexDomain:
-    kind = config_object(cfg, path).get("kind")
-    if kind == "whole_space":
-        return WholeSpace()
-    if kind == "ball":
-        center = _vector(cfg, "center", dim, path) if "center" in cfg else np.zeros(dim)
-        radius = _number(cfg, "radius", 1.0, path)
-        if radius <= 0.0:
-            raise CompositionError(path + ".radius", f"radius must be positive, got {radius!r}")
-        return Ball(center, radius)
-    if kind == "box":
-        lo = _vector(cfg, "lo", dim, path)
-        hi = _vector(cfg, "hi", dim, path)
-        if np.any(lo > hi):
-            i = int(np.argmax(lo > hi))
-            raise CompositionError(path + ".lo", f"lo[{i}] = {lo[i]!r} exceeds hi[{i}] = {hi[i]!r}")
-        return Box(lo, hi)
-    raise CompositionError(path, f"unknown domain kind {kind!r}")
-
-
-def _build_hint_source(cfg: dict, dim: int, stream: Optional[np.ndarray],
-                       path: str) -> HintSource:
-    kind = config_object(cfg, path).get("kind")
-    if kind == "zero":
-        return ZeroHint(dim)
-    if kind == "last_gradient":
-        return LastGradient(dim)
-    if kind == "running_average":
-        return RunningAverage(dim)
-    if kind == "unit_ball_descent":
-        return UnitBallDescent(dim)
-    if kind == "adversarial_negate":
-        return AdversarialNegate(dim)
-    if kind == "constant":
-        vector = _vector(cfg, "vector", dim, path)
+    def read(raw, path: str, node=None):
         try:
-            return ConstantHint(vector)
-        except ValueError as exc:  # norm above 1
-            raise CompositionError(f"{path}.vector", str(exc)) from None
-    if kind == "external":
-        if not isinstance(cfg.get("path"), str):
-            raise CompositionError(f"{path}.path", "external hints need a 'path' string")
+            value = math.nan if isinstance(raw, bool) else (int if integer else float)(raw)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if not (low < value <= high and abs(value) <= LIMIT) or (
+                isinstance(raw, float) and value != raw):  # an integer from 2.5
+            raise CompositionError(path, f"must be {what}, got {raw!r}")
+        return value
+    return read
+
+
+def _vector(raw, path: str, node) -> np.ndarray:
+    """A length-dim vector of numbers in [-LIMIT, LIMIT]."""
+    try:
+        v = as_vector(raw, node["dim"], path.rsplit(".", 1)[-1])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CompositionError(path, str(exc)) from None
+    if np.any(np.abs(v) > LIMIT):
+        raise CompositionError(path, f"entries must lie in [{-LIMIT:g}, {LIMIT:g}]")
+    return v
+
+
+def _string(raw, path: str, node) -> str:
+    if not isinstance(raw, str):
+        raise CompositionError(path, f"must be a string, got {raw!r}")
+    return raw
+
+
+def _node(what: str):
+    """An object, read and built against its kind's row of TABLE[what]."""
+    return lambda raw, path, node: _walk(what, raw, path, node["dim"], node.get("stream"))
+
+
+def _plain(raw, path: str, node):
+    """A learner that consumes no hints: those kinds may only be the root."""
+    if isinstance(raw, dict) and raw.get("kind") in ("optimistic", "constrained", "multi_hint"):
+        raise CompositionError(path, f"{raw['kind']} consumes hints and may only appear at "
+                                     "the root")
+    return _walk("learner", raw, path, node["dim"], node.get("stream"))
+
+
+def _list(read, least: int):
+    """A list of at least ``least`` entries, entry i read by ``read`` at ``path[i]``."""
+    def read_all(raw, path: str, node) -> list:
+        if not isinstance(raw, list) or len(raw) < least:
+            raise CompositionError(path, f"must be a list of length >= {least}, got {raw!r}")
+        return [read(item, f"{path}[{i}]", node) for i, item in enumerate(raw)]
+    return read_all
+
+
+def _then(read, make):
+    """``make`` of the value ``read`` gives; a value ``make`` refuses fails at the field."""
+    def read_then(raw, path: str, node):
+        value = read(raw, path, node)
         try:
-            src = ExternalHints.from_file(cfg["path"])
-        except (OSError, ValueError) as exc:  # unreadable, malformed, or a row norm above 1
-            raise CompositionError(f"{path}.path", str(exc)) from None
-        if src.dim != dim:
-            raise CompositionError(path, f"hint file dim {src.dim} != stream dim {dim}")
-        if stream is not None and src.rows.shape[0] < stream.shape[0]:
-            raise CompositionError(
-                path, f"hint file has {src.rows.shape[0]} rows, stream has T={stream.shape[0]}"
-            )
-        return src
-    if kind == "perfect":
-        # oracle sugar: external hints equal to the upcoming gradients
-        if stream is None:
-            raise CompositionError(path, "perfect hints need the stream at build time")
-        return ExternalHints(stream)
-    raise CompositionError(path, f"unknown hint kind {kind!r}")
+            return make(value)
+        except (OSError, ValueError) as exc:
+            raise CompositionError(path, str(exc)) from None
+    return read_then
 
 
-_PLAIN_KINDS = ("coin", "dimfree", "percoord", "apd", "add", "multi_norm", "zero")
-_HINTED_KINDS = ("optimistic", "constrained", "multi_hint")
+def _walk(what: str, cfg, path: str, dim: Optional[int] = None,
+          stream: Optional[np.ndarray] = None):
+    """Read the config node ``cfg`` against its kind's row of TABLE[what] and build it.
 
-
-def _budget(cfg: dict, key: str, path: str) -> float:
-    """The positive origin budget ``cfg[key]`` (default 1.0)."""
-    value = _number(cfg, key, 1.0, path)
-    if value <= 0.0:
-        raise CompositionError(f"{path}.{key}", f"{key} must be positive, got {value!r}")
-    return value
-
-
-def _build_plain(cfg: dict, dim: int, path: str) -> Learner:
+    An absent field takes its default, read like a given value (None stays
+    None). A bad field raises CompositionError at its path; a missing
+    required field, and values a library constructor refuses, at the node's.
+    """
     kind = config_object(cfg, path).get("kind")
-    if kind in _HINTED_KINDS:
+    row = TABLE[what].get(kind) if isinstance(kind, str) else None
+    if row is None:
+        raise CompositionError(path, f"unknown {what} kind {kind!r}")
+    fields, build = row
+    node = {"kind": kind, "dim": dim, "stream": stream}
+    for name, read, default in fields:
+        if name in cfg:
+            node[name] = read(cfg[name], f"{path}.{name}", node)
+        elif default is REQUIRED:
+            raise CompositionError(path, f"{kind} {what} requires a {name} field")
+        else:
+            node[name] = None if default is None else read(default, f"{path}.{name}", node)
+    try:
+        return build(node, path)
+    except CompositionError:
+        raise
+    except ValueError as exc:  # an add child without a budget, multi_norm below d = 3
+        raise CompositionError(path, str(exc)) from None
+
+
+# Builders map (node, path) to the built object; cross-field rules live here.
+
+def _stream_spec(node, path: str) -> StreamSpec:
+    if (node.get("k_active") or 0) > node["dim"]:
+        raise CompositionError(f"{path}.k_active", f"k_active must be at most dim = {node['dim']}")
+    params = {k: node[k] for k in ("sigma", "step_size", "k_active", "mu", "noise")
+              if node.get(k) is not None}
+    return StreamSpec(node["kind"], node["dim"], node["T"], node["seed"], params)
+
+
+def _coin(node, path: str) -> Learner:
+    if node["dim"] != 1:
+        raise CompositionError(path, "coin learner is 1-D; stream dim must be 1")
+    return PerCoordinateLearner(1, node["epsilon"])
+
+
+def _apd(node, path: str) -> Learner:
+    if not node["domain"].bounded:
+        raise CompositionError(path + ".domain", "apd needs a bounded domain")
+    return AdaptiveProjectedDescent(node["domain"])
+
+
+def _hinted(make):
+    """The builder of a hinted root whose learner is ``make(node, new_bettor)``."""
+    return lambda node, path: ComposedLearner(
+        make(node, lambda: CoinBettor(node["bettor_epsilon"])), node["hints"])
+
+
+def _external(node, path: str) -> HintSource:
+    src, stream = node["path"], node["stream"]
+    if src.dim != node["dim"]:
+        raise CompositionError(path, f"hint file dim {src.dim} != stream dim {node['dim']}")
+    if stream is not None and src.rows.shape[0] < stream.shape[0]:
         raise CompositionError(
-            path, f"{kind} consumes hints and may only appear at the root"
-        )
-    eps = _budget(cfg, "epsilon", path)
-    if kind == "coin":
-        if dim != 1:
-            raise CompositionError(path, "coin learner is 1-D; stream dim must be 1")
-        return PerCoordinateLearner(1, eps)
-    if kind == "dimfree":
-        spec = None
-        if "p" in cfg:
-            p = _number(cfg, "p", 2.0, path)
-            if not 1.0 < p <= 2.0:
-                raise CompositionError(path + ".p", f"p must lie in (1, 2], got {p!r}")
-            spec = NormSpec.from_p(p)
-        return DimFreeLearner(dim, epsilon=eps, spec=spec)
-    if kind == "percoord":
-        return PerCoordinateLearner(dim, epsilon=eps)
-    if kind == "zero":
-        from .core import ZeroLearner
+            path, f"hint file has {src.rows.shape[0]} rows, stream has T={stream.shape[0]}")
+    return src
 
-        return ZeroLearner(dim)
-    if kind == "apd":
-        if "domain" not in cfg:
-            raise CompositionError(path, "apd needs a bounded 'domain'")
-        dom = _build_domain(cfg["domain"], dim, path + ".domain")
-        if not dom.bounded:
-            raise CompositionError(path + ".domain", "apd needs a bounded domain")
-        return AdaptiveProjectedDescent(dom)
-    if kind == "add":
-        children_cfg = cfg.get("children")
-        if not children_cfg or len(children_cfg) < 2:
-            raise CompositionError(path, "add needs at least two children")
-        children = [
-            _build_plain(c, dim, f"{path}.children[{i}]")
-            for i, c in enumerate(children_cfg)
-        ]
-        try:
-            return AddCombiner(children)
-        except (ValueError, DimensionMismatch) as exc:
-            raise CompositionError(path, str(exc)) from exc
-    if kind == "multi_norm":
-        try:
-            return combinators.multi_norm(dim, eps)
-        except ValueError as exc:
-            raise CompositionError(path, str(exc)) from exc
-    raise CompositionError(path, f"unknown learner kind {cfg.get('kind')!r}")
+
+def _perfect(node, path: str) -> HintSource:
+    # oracle sugar: external hints equal to the upcoming gradients
+    if node["stream"] is None:
+        raise CompositionError(path, "perfect hints need the stream at build time")
+    return ExternalHints(node["stream"])
+
+
+def _box(node, path: str) -> Box:
+    lo, hi = node["lo"], node["hi"]
+    if np.any(lo > hi):
+        i = int(np.argmax(lo > hi))
+        raise CompositionError(path + ".lo", f"lo[{i}] = {lo[i]!r} exceeds hi[{i}] = {hi[i]!r}")
+    return Box(lo, hi)
+
+
+def _scaled_unit(node, path: str):
+    size = float(np.linalg.norm(node["direction"]))
+    if size == 0.0:
+        raise CompositionError(path, "scaled_unit direction must be nonzero")
+    u = node["r"] * node["direction"] / size
+    return lambda gsum: u
+
+
+def _best_in_ball(node, path: str):
+    r = node["radius"]
+
+    def resolve(gsum):  # the minimizer of <sum g, u> over the ball: -r * sum g / ||sum g||
+        size = float(np.linalg.norm(gsum))
+        return np.zeros(gsum.shape[0]) if size == 0.0 else -r * gsum / size
+    return resolve
+
+
+_REAL, _POSITIVE = _number(), _number(0.0)
+_COUNT, _SEED = _number(0, integer=True), _number(-1, integer=True)  # >= 1, >= 0
+_STREAM = (("dim", _COUNT, REQUIRED), ("T", _COUNT, REQUIRED), ("seed", _SEED, 0))
+_EPSILON = (("epsilon", _POSITIVE, 1.0),)
+_HINTED = (("base", _plain, {"kind": "dimfree"}), ("bettor_epsilon", _POSITIVE, 1.0))
+_HINT = (("hints", _node("hint"), REQUIRED),)
+_DOMAIN = (("domain", _node("domain"), REQUIRED),)
+
+#: node type -> kind -> (fields, build); a field is (name, reader, default).
+#: An absent stream parameter takes generate_stream's default, and a
+#: comparator builds to a function from the checkpoint's gradient sum to u.
+TABLE = {
+    "stream": {
+        "rademacher_iid": (_STREAM, _stream_spec),
+        "gaussian_clipped": (_STREAM + (("sigma", _REAL, None),), _stream_spec),
+        "slowly_varying": (_STREAM + (("step_size", _REAL, None),), _stream_spec),
+        "sparse": (_STREAM + (("k_active", _COUNT, None),), _stream_spec),
+        "biased": (_STREAM + (("mu", _vector, None), ("noise", _REAL, None)), _stream_spec),
+        "zero": (_STREAM, _stream_spec),
+    },
+    "learner": {
+        "coin": (_EPSILON, _coin),
+        "dimfree": (_EPSILON + (("p", _then(_number(1.0, 2.0), NormSpec.from_p), None),),
+                    lambda n, path: DimFreeLearner(n["dim"], n["epsilon"], spec=n["p"])),
+        "percoord": (_EPSILON, lambda n, path: PerCoordinateLearner(n["dim"], n["epsilon"])),
+        "apd": (_DOMAIN, _apd),
+        "add": ((("children", _list(_plain, 2), REQUIRED),),
+                lambda n, path: AddCombiner(n["children"])),
+        "multi_norm": (_EPSILON, lambda n, path: combinators.multi_norm(n["dim"], n["epsilon"])),
+        "zero": ((), lambda n, path: ZeroLearner(n["dim"])),
+        "optimistic": (_HINTED + _HINT, _hinted(
+            lambda n, bettor: OptimisticLearner(n["base"], bettor()))),
+        "constrained": (_HINTED + _HINT + _DOMAIN, _hinted(
+            lambda n, bettor: ConstrainedOptimisticLearner(n["base"], n["domain"], bettor()))),
+        "multi_hint": (_HINTED + (("hints", _list(_node("hint"), 1), REQUIRED),), _hinted(
+            lambda n, bettor: MultiHintLearner(n["base"], [bettor() for _ in n["hints"]]))),
+    },
+    "hint": {
+        **{kind: ((), lambda n, path, cls=cls: cls(n["dim"])) for kind, cls in (
+            ("zero", ZeroHint), ("last_gradient", LastGradient),
+            ("running_average", RunningAverage), ("unit_ball_descent", UnitBallDescent),
+            ("adversarial_negate", AdversarialNegate))},
+        "constant": ((("vector", _then(_vector, ConstantHint), REQUIRED),),
+                     lambda n, path: n["vector"]),
+        "external": ((("path", _then(_string, ExternalHints.from_file), REQUIRED),), _external),
+        "perfect": ((), _perfect),
+    },
+    "domain": {
+        "whole_space": ((), lambda n, path: WholeSpace()),
+        "ball": ((("center", _vector, None), ("radius", _POSITIVE, 1.0)), lambda n, path: Ball(
+            np.zeros(n["dim"]) if n["center"] is None else n["center"], n["radius"])),
+        "box": ((("lo", _vector, REQUIRED), ("hi", _vector, REQUIRED)), _box),
+    },
+    "comparator": {
+        "origin": ((), lambda n, path: lambda gsum: np.zeros(n["dim"])),
+        "vector": ((("entries", _vector, REQUIRED),), lambda n, path: lambda gsum: n["entries"]),
+        "scaled_unit": ((("direction", _vector, REQUIRED), ("r", _REAL, 1.0)), _scaled_unit),
+        "best_in_ball": ((("radius", _REAL, 1.0),), _best_in_ball),
+    },
+}
 
 
 @dataclass
@@ -394,80 +450,13 @@ class ComposedLearner:
 def build_learner(cfg: dict, dim: int, stream: Optional[np.ndarray] = None,
                   path: str = "learner") -> ComposedLearner:
     """Build a composition expression; hinted kinds are root-only."""
-    kind = config_object(cfg, path).get("kind")
-    if kind == "optimistic":
-        if "hints" not in cfg:
-            raise CompositionError(path, "optimistic learner requires a hint source")
-        base = _build_plain(cfg.get("base", {"kind": "dimfree"}), dim, path + ".base")
-        eps_b = _budget(cfg, "bettor_epsilon", path)
-        learner = OptimisticLearner(base, CoinBettor(eps_b))
-        src = _build_hint_source(cfg["hints"], dim, stream, path + ".hints")
-        return ComposedLearner(learner, src)
-    if kind == "constrained":
-        if "hints" not in cfg:
-            raise CompositionError(path, "constrained learner requires a hint source")
-        if "domain" not in cfg:
-            raise CompositionError(path, "constrained learner requires a domain")
-        base = _build_plain(cfg.get("base", {"kind": "dimfree"}), dim, path + ".base")
-        dom = _build_domain(cfg["domain"], dim, path + ".domain")
-        eps_b = _budget(cfg, "bettor_epsilon", path)
-        learner = ConstrainedOptimisticLearner(base, dom, CoinBettor(eps_b))
-        src = _build_hint_source(cfg["hints"], dim, stream, path + ".hints")
-        return ComposedLearner(learner, src)
-    if kind == "multi_hint":
-        hints_cfg = cfg.get("hints")
-        if not hints_cfg or not isinstance(hints_cfg, list):
-            raise CompositionError(path, "multi_hint requires a list of hint sources")
-        base = _build_plain(cfg.get("base", {"kind": "dimfree"}), dim, path + ".base")
-        eps_b = _budget(cfg, "bettor_epsilon", path)
-        learner = MultiHintLearner(base, [CoinBettor(eps_b) for _ in hints_cfg])
-        sources = [
-            _build_hint_source(h, dim, stream, f"{path}.hints[{i}]")
-            for i, h in enumerate(hints_cfg)
-        ]
-        return ComposedLearner(learner, sources)
-    return ComposedLearner(_build_plain(cfg, dim, path))
+    built = _walk("learner", cfg, path, dim, stream)
+    return built if isinstance(built, ComposedLearner) else ComposedLearner(built)
 
-
-# ---------------------------------------------------------------------------
-# comparators
-# ---------------------------------------------------------------------------
 
 def resolve_comparator(cfg: dict, dim: int, gsum: np.ndarray, path: str) -> np.ndarray:
-    """Comparator vector at a checkpoint; best_in_ball uses the gradient sum.
-
-    A malformed comparator config is a CompositionError naming ``path``.
-    """
-    if not isinstance(cfg, dict):
-        raise CompositionError(path, f"comparator must be an object, got {cfg!r}")
-    kind = cfg.get("kind")
-    if kind == "origin":
-        return np.zeros(dim)
-    if kind == "vector":
-        return _vector(cfg, "entries", dim, path)
-    if kind == "scaled_unit":
-        direction = _vector(cfg, "direction", dim, path)
-        r = _number(cfg, "r", 1.0, path)
-        n = float(np.linalg.norm(direction))
-        if n == 0.0:
-            raise CompositionError(path, "scaled_unit direction must be nonzero")
-        return r * direction / n
-    if kind == "best_in_ball":
-        # minimizer of <sum g, u> over the ball: u* = -r * sum g / ||sum g||
-        r = _number(cfg, "radius", 1.0, path)
-        n = float(np.linalg.norm(gsum))
-        if n == 0.0:
-            return np.zeros(dim)
-        return -r * gsum / n
-    raise CompositionError(path, f"unknown comparator kind {kind!r}")
-
-
-def check_comparators(cfgs, dim: int) -> None:
-    """Resolve every comparator config once, so a bad one fails before round 0."""
-    if not isinstance(cfgs, list) or not cfgs:
-        raise CompositionError("comparators", "comparators must be a non-empty list")
-    for idx, ccfg in enumerate(cfgs):
-        resolve_comparator(ccfg, dim, np.zeros(dim), f"comparators[{idx}]")
+    """Comparator vector at a checkpoint; best_in_ball uses the gradient sum."""
+    return _walk("comparator", cfg, path, dim)(gsum)
 
 
 def comparator_id(cfg: dict, index: int) -> str:
@@ -561,9 +550,7 @@ def _check_parts(config) -> None:
     for key in ("stream", "learner"):
         if key not in config:
             raise CompositionError(key, f"experiment config needs a '{key}'")
-    if not isinstance(config.get("experiment_id", ""), str):
-        raise CompositionError("experiment_id",
-                               f"must be a string, got {config['experiment_id']!r}")
+    _string(config.get("experiment_id", ""), "experiment_id", None)
 
 
 def run_experiment(config: dict, seed_override: Optional[int] = None,
@@ -583,8 +570,9 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
     spec = StreamSpec.from_config(stream_cfg)
     G = generate_stream(spec)
     composed = build_learner(config["learner"], spec.dim, stream=G)
-    comparator_cfgs = config.get("comparators", [{"kind": "origin"}])
-    check_comparators(comparator_cfgs, spec.dim)
+    cfgs = config.get("comparators", [{"kind": "origin"}])
+    comparators = _list(_node("comparator"), 1)(cfgs, "comparators", {"dim": spec.dim})
+    ids = [comparator_id(c, i) for i, c in enumerate(cfgs)]
 
     start = time.perf_counter()
     record = _drive(composed, G, keep_iterates=keep_record or bool(config.get("dump_ledger")))
@@ -596,13 +584,12 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
         cum_loss = math.fsum(record.losses[:T_prime])
         # bitwise row T' - 1 of np.cumsum(G, axis=0): both add the rows in order
         gsum = G[:T_prime].sum(axis=0)
-        for idx, ccfg in enumerate(comparator_cfgs):
-            u = resolve_comparator(ccfg, spec.dim, gsum, f"comparators[{idx}]")
-            regret = cum_loss - float(np.dot(gsum, u))
+        for cid, resolve in zip(ids, comparators):
+            regret = cum_loss - float(np.dot(gsum, resolve(gsum)))
             row = {
                 "experiment_id": experiment_id,
                 "T": T_prime,
-                "comparator_id": comparator_id(ccfg, idx),
+                "comparator_id": cid,
                 "regret": regret,
                 "cum_loss": cum_loss,
                 "sum_gh_sq": math.fsum(record.gh_sq[:T_prime]),
@@ -683,12 +670,12 @@ def _sweep_cell(args):
     return (T, seed), rows, {cfg["experiment_id"]: record.capped} if record.capped else {}
 
 
-def _axis(sweep: dict, key: str, default, least: int) -> list:
+def _axis(sweep: dict, key: str, default, read) -> list:
     """The sweep axis ``sweep[key]`` as integers; a missing axis is ``[default]``."""
     values = sweep.get(key, [default])
     if not isinstance(values, list) or not values:
         raise CompositionError(f"sweep.{key}", f"must be a non-empty list, got {values!r}")
-    return [_integer(v, f"sweep.{key}", least) for v in values]
+    return [read(v, f"sweep.{key}") for v in values]
 
 
 def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
@@ -701,8 +688,8 @@ def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
     """
     _check_parts(config)
     sweep, stream = (config_object(config.get(key, {}), key) for key in ("sweep", "stream"))
-    Ts = _axis(sweep, "T", stream.get("T"), 1)
-    seeds = _axis(sweep, "seeds", stream.get("seed", 0), 0)
+    Ts = _axis(sweep, "T", stream.get("T"), _COUNT)
+    seeds = _axis(sweep, "seeds", stream.get("seed", 0), _SEED)
     cells = sorted(((config, T, s) for T in Ts for s in seeds), key=lambda c: -c[1])
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
@@ -721,4 +708,4 @@ def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
 
 def env_seed_override() -> Optional[int]:
     raw = os.environ.get(SEED_ENV_VAR)
-    return None if raw is None else _integer(raw, SEED_ENV_VAR, 0)
+    return None if raw is None else _SEED(raw, SEED_ENV_VAR)

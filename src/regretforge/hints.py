@@ -8,6 +8,7 @@ projects, the others cannot exceed it when fed unit-bounded gradients.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -159,7 +160,12 @@ class ExternalHints(HintSource):
     @classmethod
     def from_file(cls, path) -> "ExternalHints":
         # whitespace-separated reals, one row per round
-        return cls(np.loadtxt(path, ndmin=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
+            rows = np.loadtxt(path, ndmin=2)
+        if rows.size == 0:
+            raise ValueError(f"hint file {path} has no rows")
+        return cls(rows)
 
     def next_hint(self):
         if self._next >= self.rows.shape[0]:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +407,18 @@ def test_nonpositive_budget_is_a_config_error(tmp_path, capsys, learner, bad_pat
     ({"kind": "optimistic", "hints": {"kind": "constant", "vector": "abc"}},
      "learner.hints.vector"),
     ({"kind": "optimistic", "hints": {"kind": "constant"}}, "learner.hints"),
+    # past the magnitude bound, or not a list
+    ({"kind": "add", "children": True}, "learner.children"),
+    ({"kind": "add", "children": -1}, "learner.children"),
+    ({"kind": "add", "children": 1e308}, "learner.children"),
+    ({"kind": "apd", "domain": {"kind": "box", "lo": [-1e308] * 4, "hi": [1e308] * 4}},
+     "learner.domain.lo"),
+    ({"kind": "apd", "domain": {"kind": "ball", "radius": 1e308}}, "learner.domain.radius"),
+    ({"kind": "dimfree", "epsilon": 1e308}, "learner.epsilon"),
+    ({"kind": "dimfree", "epsilon": True}, "learner.epsilon"),
+    # a value the library constructor refuses: an add child without a budget
+    ({"kind": "add", "children": [{"kind": "dimfree"},
+                                  {"kind": "apd", "domain": {"kind": "ball"}}]}, "learner"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, capsys, learner, bad_path):
     with pytest.raises(CompositionError) as err:
@@ -437,18 +450,23 @@ def test_coin_budget_checked_at_build():
 
 def test_short_external_hint_file_is_a_config_error(tmp_path, capsys):
     hint_path = tmp_path / "hints.txt"
-    np.savetxt(hint_path, np.full((1, 3), 0.1))
     config = {
         "learner": {"kind": "optimistic", "hints": {"kind": "external", "path": str(hint_path)}},
         "stream": {"kind": "rademacher_iid", "dim": 3, "T": 32, "seed": 4},
     }
-    with pytest.raises(CompositionError, match="1 rows, stream has T=32"):
-        run_experiment(config)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["path"] == "learner.hints"
+    # one row for T = 32, then an empty file, which loadtxt would warn about
+    for text, message, bad_path in [("0.1 0.1 0.1\n", "1 rows, stream has T=32", "learner.hints"),
+                                    ("", "has no rows", "learner.hints.path")]:
+        hint_path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CompositionError, match=message):
+                run_experiment(config)
+            assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["path"] == bad_path
 
 
 @pytest.mark.parametrize("bad, bad_path", [
@@ -462,6 +480,10 @@ def test_short_external_hint_file_is_a_config_error(tmp_path, capsys):
     ({"kind": "best_in_ball", "radius": [1.0]}, "comparators[1].radius"),
     ({"kind": "no_such_kind"}, "comparators[1]"),
     ("origin", "comparators[1]"),
+    # past the magnitude bound
+    ({"kind": "vector", "entries": [1e308, 0, 0, 0]}, "comparators[1].entries"),
+    ({"kind": "scaled_unit", "direction": [1e308, 0, 0, 0]}, "comparators[1].direction"),
+    ({"kind": "best_in_ball", "radius": 1e308}, "comparators[1].radius"),
 ])
 def test_bad_comparator_fails_before_round_0(monkeypatch, tmp_path, capsys, bad, bad_path):
     from regretforge import harness
@@ -827,6 +849,18 @@ _IID = {"kind": "rademacher_iid", "dim": 4, "T": 8}
     ("run", dict(_IID, seed=False), None, None, "stream.seed"),
     ("sweep", _IID, {"T": [8, True]}, None, "sweep.T"),
     ("sweep", _IID, {"seeds": [False]}, None, "sweep.seeds"),
+    # past the magnitude bound
+    ("run", dict(_IID, dim=1e308), None, None, "stream.dim"),
+    ("run", dict(_IID, T=1e308), None, None, "stream.T"),
+    ("sweep", _IID, {"T": [1e308]}, None, "sweep.T"),
+    ("run", dict(_IID, seed=1e308), None, None, "stream.seed"),
+    ("run", {"kind": "slowly_varying", "dim": 4, "T": 8, "step_size": 1e308}, None, None,
+     "stream.step_size"),
+    ("run", {"kind": "gaussian_clipped", "dim": 4, "T": 8, "sigma": 1e308}, None, None,
+     "stream.sigma"),
+    ("run", {"kind": "biased", "dim": 4, "T": 8, "noise": 1e308}, None, None, "stream.noise"),
+    ("run", {"kind": "biased", "dim": 2, "T": 8, "mu": [1e200, 0]}, None, None, "stream.mu"),
+    ("run", dict(_IID, kind=["sparse"]), None, None, "stream"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch, command, stream, sweep,
                                   seed_env, path):
@@ -959,6 +993,10 @@ def test_config_error_in_a_pool_worker_exits_2(tmp_path, capsys):
     {"kind": "slowly_varying", "dim": 4, "T": 8, "step_size": 0.0},
     dict(_IID, dim="4", T=8.0, seed=0),
     dict(_IID, seed=2 ** 40),
+    # at the magnitude bound
+    {"kind": "gaussian_clipped", "dim": 4, "T": 8, "sigma": 1e15},
+    {"kind": "slowly_varying", "dim": 4, "T": 8, "step_size": -1e15},
+    {"kind": "biased", "dim": 2, "T": 8, "mu": [1e15, -1e15], "noise": 1e15},
 ])
 def test_edge_config_values_still_build(stream):
     spec = StreamSpec.from_config(stream)
