@@ -82,7 +82,8 @@ def _write_rows(rows, args, config) -> None:
 @_config_command
 def _cmd_run(args, config) -> None:
     seed = harness.env_seed_override()
-    rows, record = harness.run_experiment(config, seed_override=seed, keep_record=True)
+    rows, record = harness.run_experiment(config, seed_override=seed, keep_record=True,
+                                          keep_iterates=bool(args.dump_ledger))
     _write_rows(rows, args, config)
     if args.dump_ledger:
         harness.dump_ledger(record, args.dump_ledger)

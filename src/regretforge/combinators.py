@@ -57,8 +57,9 @@ class AddCombiner(Learner):
         self.children = children
 
     def _prediction(self):
-        w = self.children[0].predict().copy()
-        for c in self.children[1:]:
+        first, second, *rest = self.children
+        w = first.predict() + second.predict()
+        for c in rest:
             w += c.predict()
         return w
 
@@ -127,7 +128,7 @@ class OptimisticLearner(HintedLearner):
             )
         self.base._step(g)
         # loss -<g, h>; the bettor consumes the negated loss
-        self.bettor.observe(row_dot(g, self.last_hint))
+        self.bettor.observe(row_dot(g, self.last_hint), checked=True)
         self.last_hint = None
 
 
@@ -193,7 +194,7 @@ class ConstrainedOptimisticLearner(HintedLearner):
         # ||g_tilde|| <= ||g|| because ||z|| <= 1, so the base trusts it too
         g_tilde = 0.5 * g + 0.5 * norm(g) * self.last_z
         self.base._step(g_tilde)
-        self.bettor.observe(row_dot(g_tilde, self.last_tilde_hint))
+        self.bettor.observe(row_dot(g_tilde, self.last_tilde_hint), checked=True)
         self.last_hint = None
 
 
@@ -235,7 +236,7 @@ class MultiHintLearner(Learner):
             )
         self.base._step(g)
         for b, z in zip(self.bettors, row_dot(self.last_hints, g).tolist()):
-            b.observe(z)
+            b.observe(z, checked=True)
         self.last_hints = None
 
 

@@ -188,6 +188,9 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
 #: the squares of such entries sum to a finite norm in any stream
 LIMIT = 1e15
 REQUIRED = object()  # the default of a field that must be given
+#: the most entries a (T, dim) stream may hold: 2 GiB of float64 gradients,
+#: checked before the stream is drawn
+MAX_STREAM_ENTRIES = 2 ** 28
 
 
 def config_object(node, path: str) -> dict:
@@ -219,7 +222,10 @@ def _number(low: float = -math.inf, high: float = LIMIT, integer: bool = False):
 
 
 def _vector(raw, path: str, node) -> np.ndarray:
-    """A length-dim vector of numbers in [-LIMIT, LIMIT]."""
+    """A length-dim vector of numbers in [-LIMIT, LIMIT]; JSON booleans are not numbers."""
+    for i, x in enumerate(raw if isinstance(raw, list) else ()):
+        if isinstance(x, bool):
+            raise CompositionError(path, f"entry [{i}] must be a number, got {x!r}")
     try:
         v = as_vector(raw, node["dim"], path.rsplit(".", 1)[-1])
     except (TypeError, ValueError, OverflowError) as exc:
@@ -300,6 +306,9 @@ def _walk(what: str, cfg, path: str, dim: Optional[int] = None,
 # Builders map (node, path) to the built object; cross-field rules live here.
 
 def _stream_spec(node, path: str) -> StreamSpec:
+    if node["T"] * node["dim"] > MAX_STREAM_ENTRIES:
+        raise CompositionError(path, f"T * dim = {node['T'] * node['dim']} exceeds the "
+                                     f"stream size limit of {MAX_STREAM_ENTRIES} entries")
     if (node.get("k_active") or 0) > node["dim"]:
         raise CompositionError(f"{path}.k_active", f"k_active must be at most dim = {node['dim']}")
     params = {k: node[k] for k in ("sigma", "step_size", "k_active", "mu", "noise")
@@ -351,10 +360,13 @@ def _box(node, path: str) -> Box:
 
 
 def _scaled_unit(node, path: str):
-    size = float(np.linalg.norm(node["direction"]))
-    if size == 0.0:
-        raise CompositionError(path, "scaled_unit direction must be nonzero")
-    u = node["r"] * node["direction"] / size
+    v = node["direction"]
+    if v.dot(v) < np.finfo(float).tiny:  # the squares underflow: scale by the largest entry
+        top = np.abs(v).max()
+        if top == 0.0:
+            raise CompositionError(path, "scaled_unit direction must be nonzero")
+        v = v / top
+    u = node["r"] * v / float(np.linalg.norm(v))
     return lambda gsum: u
 
 
@@ -554,14 +566,16 @@ def _check_parts(config) -> None:
 
 
 def run_experiment(config: dict, seed_override: Optional[int] = None,
-                   keep_record: bool = False):
+                   keep_record: bool = False, keep_iterates: bool = True):
     """Run one experiment config; returns result rows (and the record if asked).
 
     Rows appear per (checkpoint, comparator) with measured regret, cumulative
     loss, and the optimism statistics; bettor columns are appended when the
     learner carries scalar bettors. The whole config, comparators included,
     is checked before round 0. The record's ``capped`` names the bettors
-    whose wealth cap bound during the run.
+    whose wealth cap bound during the run. The record holds the (T, d)
+    iterates unless ``keep_iterates`` is False; without ``keep_record`` no
+    iterate is kept.
     """
     _check_parts(config)
     stream_cfg = dict(config_object(config["stream"], "stream"))
@@ -575,7 +589,7 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
     ids = [comparator_id(c, i) for i, c in enumerate(cfgs)]
 
     start = time.perf_counter()
-    record = _drive(composed, G, keep_iterates=keep_record or bool(config.get("dump_ledger")))
+    record = _drive(composed, G, keep_iterates=keep_record and keep_iterates)
 
     experiment_id = config.get("experiment_id", "experiment")
     rows = []
@@ -666,7 +680,7 @@ def _sweep_cell(args):
     cfg["stream"]["T"] = T
     cfg["stream"]["seed"] = seed
     cfg["experiment_id"] = f"{cfg.get('experiment_id', 'experiment')}_T{T}_s{seed}"
-    rows, record = run_experiment(cfg, keep_record=True)
+    rows, record = run_experiment(cfg, keep_record=True, keep_iterates=False)
     return (T, seed), rows, {cfg["experiment_id"]: record.capped} if record.capped else {}
 
 

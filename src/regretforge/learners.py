@@ -60,6 +60,7 @@ class CoinBettor:
         self.batch = batch
         self.round = 0
         self._loss_sum = Accumulator(batch)  # sum_t (-z_t) * y_t, measured exactly
+        self._bet = None  # this round's bet, kept by predict() for observe()
         if batch is None:
             self.wealth = self.epsilon
             self.signed_sum = 0.0
@@ -70,20 +71,33 @@ class CoinBettor:
             self.capped_rounds = np.zeros(batch, dtype=np.int64)
 
     def predict(self):
-        return self.signed_sum / (self.round + 1) * self.wealth
+        self._bet = self.signed_sum / (self.round + 1) * self.wealth
+        return self._bet
 
-    def observe(self, z) -> None:
+    def observe(self, z, checked: bool = False) -> None:
+        """Settle the round on the reward z, checked to lie in [-1, 1] up to GRAD_TOL.
+
+        The reductions pass ``checked=True``: their z is <g, v> for a checked
+        gradient g and a v no longer than a checked hint (the hint itself, the
+        constrained reduction's corrected hint, a unit-ball direction), so it is
+        finite and |z| <= c = (1 + GRAD_TOL)**2 up to rounding, and it is not
+        checked again. Wealth stays positive under that bound: after t rounds
+        the bet fraction has size at most c * t / (t + 1), so |z * fraction| < 1
+        for the first 1 / (c**2 - 1), about 2.5e8, rounds.
+        """
         if self.batch is None:
             z = float(z)
-            if not math.isfinite(z) or abs(z) > 1.0 + GRAD_TOL:
+            if not checked and (not math.isfinite(z) or abs(z) > 1.0 + GRAD_TOL):
                 raise ValueError(f"bettor outcome {z!r} outside [-1, 1]")
-        else:
+        elif not checked:
             z = np.asarray(z, dtype=np.float64)
             worst = np.abs(z).max() if z.shape == (self.batch,) else math.nan
             if not worst <= 1.0 + GRAD_TOL:  # as_vector rejects a bad shape or NaN first
                 as_vector(z, self.batch, "bettor outcome")
                 raise ValueError(f"bettor outcome of size {float(worst)!r} outside [-1, 1]")
-        zy = z * self.predict()
+        bet = self.predict() if self._bet is None else self._bet
+        self._bet = None
+        zy = z * bet
         self._loss_sum.add(-zy)
         wealth = self.wealth + zy
         if self.batch is None:
@@ -229,7 +243,7 @@ class DimFreeLearner(Learner):
         return w if self.batch is not None else w.sum(axis=0)
 
     def _update(self, g):
-        self.magnitude.observe(-row_dot(g, self.direction.point))
+        self.magnitude.observe(-row_dot(g, self.direction.point), checked=True)
         self.direction.observe(g)
 
 
@@ -249,18 +263,20 @@ class PerCoordinateLearner(Learner):
         self.signed_sum = np.zeros(dim)
         self.round = 0
         self.capped_rounds = 0
+        self._bet = np.zeros(dim)  # the last prediction, the bet _update settles
 
     def _prediction(self):
-        return self.signed_sum / (self.round + 1) * self.wealth
+        self._bet = self.signed_sum / (self.round + 1) * self.wealth
+        return self._bet
 
     def _update(self, g):
-        y = self._prediction()
-        z = -g
-        wealth = self.wealth + y * z
+        # the reward is z = -g: wealth + bet * z and signed_sum + z, to the bit
+        wealth = self.wealth - self._bet * g
         if wealth.max() > WEALTH_CAP:
             self.capped_rounds += 1
-        self.wealth = np.minimum(wealth, WEALTH_CAP)
-        self.signed_sum = self.signed_sum + z
+            wealth = np.minimum(wealth, WEALTH_CAP)
+        self.wealth = wealth
+        self.signed_sum = self.signed_sum - g
         self.round += 1
 
 

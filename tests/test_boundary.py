@@ -103,6 +103,29 @@ def test_check_stream_passes_rows_at_the_tolerance():
         check_stream(G, 2)
 
 
+def test_gradients_and_hints_at_the_tolerance_replay_cleanly():
+    # a gradient and a hint each of norm 1 + 9e-10 pass their checks, and
+    # their inner product, about 1 + 1.8e-9, is a bettor outcome in contract
+    edge = 1.0 + 9e-10
+    G = np.zeros((3, 4))
+    G[:, 0] = edge
+    assert check_stream(G, 4) is G
+    for source in (LastGradient(4), hints.ExternalHints(G)):
+        ledger = replay_hinted(combinators.optimistic(4), G, source)
+        assert np.isfinite(ledger.cumulative_loss)
+    replay_multi_hint(combinators.multi_hint(4, 2), G,
+                      [hints.ExternalHints(G), hints.ExternalHints(-G)])
+    for domain in (Ball(np.zeros(4), 0.5), geometry.Box(np.full(4, -0.3), np.full(4, 0.3))):
+        replay_hinted(combinators.constrained_optimistic(4, domain), G, hints.ExternalHints(G))
+    block = np.repeat(G[:, None, :], 2, axis=1)
+    learner = OptimisticLearner(DimFreeLearner(4, 0.5, batch=2), CoinBettor(0.5, batch=2))
+    ledger = replay_hinted(learner, block, RunningAverage(4, batch=2))
+    assert np.isfinite(ledger.cumulative_loss).all()
+    assert (learner.bettor.wealth > 0).all()
+    with pytest.raises(ValueError, match="outside"):
+        CoinBettor(1.0).observe(1.0 + 1e-6)
+
+
 def test_check_stream_block_names_round_and_trial():
     G = np.zeros((5, 3, 2))
     G[3, 1] = [1.0, 1.0]

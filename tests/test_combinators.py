@@ -67,6 +67,22 @@ def test_add_plays_exact_sum_of_children(rng):
     assert np.array_equal(combiner.predict(), a.predict() + b.predict())
 
 
+@pytest.mark.parametrize("kinds", [("percoord", "dimfree"), ("dimfree", "percoord", "percoord")])
+def test_add_plays_bitwise_the_sum_of_its_children_run_alone(rng, kinds):
+    # the sum is first + second (+= the rest) and writes into no child's
+    # prediction, so each child steps as it would alone; a PerCoordinateLearner
+    # settles the very bet it played
+    make = {"percoord": lambda: PerCoordinateLearner(4, 0.5),
+            "dimfree": lambda: DimFreeLearner(4, 0.5)}
+    G = rademacher_stream(rng, 400, 4)
+    played = replay(AddCombiner([make[k]() for k in kinds]), G).iterates
+    first, second, *rest = [replay(make[k](), G).iterates for k in kinds]
+    expected = first + second
+    for W in rest:
+        expected += W
+    assert played.tobytes() == expected.tobytes()
+
+
 def test_add_zero_learner_is_identity(rng):
     G = unit_stream(rng, 256, 3)
     combined = replay(add_iterates([ZeroLearner(3), DimFreeLearner(3, 1.0)]), G)

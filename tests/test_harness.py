@@ -419,6 +419,11 @@ def test_nonpositive_budget_is_a_config_error(tmp_path, capsys, learner, bad_pat
     # a value the library constructor refuses: an add child without a budget
     ({"kind": "add", "children": [{"kind": "dimfree"},
                                   {"kind": "apd", "domain": {"kind": "ball"}}]}, "learner"),
+    # JSON booleans are not vector entries either
+    ({"kind": "apd", "domain": {"kind": "box", "lo": [True, 0, 0, 0], "hi": [1] * 4}},
+     "learner.domain.lo"),
+    ({"kind": "optimistic", "hints": {"kind": "constant", "vector": [0, False, 0, 0]}},
+     "learner.hints.vector"),
 ])
 def test_out_of_range_value_is_a_config_error(tmp_path, capsys, learner, bad_path):
     with pytest.raises(CompositionError) as err:
@@ -484,6 +489,9 @@ def test_short_external_hint_file_is_a_config_error(tmp_path, capsys):
     ({"kind": "vector", "entries": [1e308, 0, 0, 0]}, "comparators[1].entries"),
     ({"kind": "scaled_unit", "direction": [1e308, 0, 0, 0]}, "comparators[1].direction"),
     ({"kind": "best_in_ball", "radius": 1e308}, "comparators[1].radius"),
+    # JSON booleans are not vector entries
+    ({"kind": "vector", "entries": [True, False, 0, 0]}, "comparators[1].entries"),
+    ({"kind": "scaled_unit", "direction": [True, 0, 0, 0]}, "comparators[1].direction"),
 ])
 def test_bad_comparator_fails_before_round_0(monkeypatch, tmp_path, capsys, bad, bad_path):
     from regretforge import harness
@@ -861,6 +869,8 @@ _IID = {"kind": "rademacher_iid", "dim": 4, "T": 8}
     ("run", {"kind": "biased", "dim": 4, "T": 8, "noise": 1e308}, None, None, "stream.noise"),
     ("run", {"kind": "biased", "dim": 2, "T": 8, "mu": [1e200, 0]}, None, None, "stream.mu"),
     ("run", dict(_IID, kind=["sparse"]), None, None, "stream"),
+    # JSON booleans are not vector entries either
+    ("run", {"kind": "biased", "dim": 2, "T": 8, "mu": [True, 0]}, None, None, "stream.mu"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, monkeypatch, command, stream, sweep,
                                   seed_env, path):
@@ -1002,6 +1012,101 @@ def test_edge_config_values_still_build(stream):
     spec = StreamSpec.from_config(stream)
     G = generate_stream(spec)
     assert G.shape == (spec.T, spec.dim) and np.isfinite(G).all()
+
+
+def test_stream_size_is_checked_before_the_stream_is_drawn(monkeypatch, tmp_path, capsys):
+    from regretforge import harness
+
+    def no_draw(spec):
+        raise AssertionError("a stream was drawn before its size was checked")
+
+    monkeypatch.setattr(harness, "generate_stream", no_draw)
+    limit = harness.MAX_STREAM_ENTRIES
+    at_limit = StreamSpec.from_config({"kind": "zero", "dim": limit // 4, "T": 4})
+    assert at_limit.T * at_limit.dim == limit
+    with pytest.raises(CompositionError, match="exceeds the stream size limit") as err:
+        StreamSpec.from_config({"kind": "zero", "dim": limit // 4, "T": 5})
+    assert err.value.path == "stream"
+    cfg_path = tmp_path / "cfg.json"
+    for command, stream, sweep in [("run", {"kind": "zero", "dim": 1e15, "T": 1}, None),
+                                   ("sweep", {"kind": "zero", "dim": 1e15, "T": 1}, None),
+                                   ("sweep", dict(_IID, dim=2 ** 20), {"T": [2 ** 20]})]:
+        config = {"learner": {"kind": "dimfree"}, "stream": stream}
+        cfg_path.write_text(json.dumps(config if sweep is None else dict(config, sweep=sweep)))
+        assert cli_main([command, "--config", str(cfg_path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["path"] == "stream"
+
+
+@pytest.mark.parametrize("direction", [[1e-200, 0.0], [1e-160, 0.0], [5e-324, 0.0]])
+def test_tiny_scaled_unit_direction_is_normalised_without_underflow(direction):
+    # the squared norm underflows (to 0, or to a subnormal that keeps few bits)
+    for r in (1.0, 2.5, -3.0):
+        u = resolve_comparator({"kind": "scaled_unit", "direction": direction, "r": r},
+                               2, np.zeros(2), "c")
+        assert u.tolist() == [r, 0.0]
+    # a direction whose squared norm is a normal float keeps the plain formula's bits
+    v = np.array([3e-150, -4e-150])
+    u = resolve_comparator({"kind": "scaled_unit", "direction": v.tolist(), "r": 2.0},
+                           2, np.zeros(2), "c")
+    assert u.tobytes() == (2.0 * v / float(np.linalg.norm(v))).tobytes()
+
+
+def _without_wallclock(rows):
+    return [{k: v for k, v in row.items() if k != "wallclock_ms"} for row in rows]
+
+
+def test_iterates_are_kept_only_where_they_are_read(monkeypatch, tmp_path):
+    from regretforge import harness
+    from regretforge.core import replay
+    from regretforge.learners import DimFreeLearner
+
+    config = {"experiment_id": "kept", "learner": {"kind": "dimfree"},
+              "stream": {"kind": "gaussian_clipped", "dim": 4, "T": 48, "seed": 2}}
+    rows, record = run_experiment(config, keep_record=True)
+    G = generate_stream(StreamSpec.from_config(config["stream"]))
+    assert record.iterates.shape == (48, 4)
+    assert record.iterates.tobytes() == replay(DimFreeLearner(4, 1.0), G).iterates.tobytes()
+    lean_rows, lean = run_experiment(config, keep_record=True, keep_iterates=False)
+    assert lean.iterates is None and lean.losses.tobytes() == record.losses.tobytes()
+    assert _without_wallclock(lean_rows) == _without_wallclock(rows)
+
+    kept, drive = [], harness._drive
+
+    def recording_drive(composed, G, keep_iterates):
+        kept.append(keep_iterates)
+        return drive(composed, G, keep_iterates)
+
+    monkeypatch.setattr(harness, "_drive", recording_drive)
+    cfg_path, ledger = tmp_path / "cfg.json", tmp_path / "ledger.jsonl"
+    cfg_path.write_text(json.dumps(dict(config, sweep={"T": [8], "seeds": [0, 1]})))
+    out = str(tmp_path / "out.csv")
+    assert cli_main(["run", "--config", str(cfg_path), "--output", out]) == 0
+    assert cli_main(["run", "--config", str(cfg_path), "--output", out,
+                     "--dump-ledger", str(ledger)]) == 0
+    assert cli_main(["sweep", "--config", str(cfg_path), "--output", out]) == 0
+    assert kept == [False, True, False, False]
+    assert len(ledger.read_text().splitlines()) == 48
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rows_and_capped_match_each_cell_run_alone(workers):
+    # cells keep no iterates; their rows and capped bettors are those of a
+    # run that keeps them
+    config = dict(_CAPPED, sweep={"T": [512, 1024], "seeds": [0, 3]})
+    capped = {}
+    rows = run_sweep(config, workers=workers, capped=capped)
+    alone_rows, alone_capped = [], {}
+    for T in (512, 1024):
+        for seed in (0, 3):
+            cell = dict(_CAPPED, experiment_id=f"perfect_slow_T{T}_s{seed}",
+                        stream=dict(_CAPPED["stream"], T=T, seed=seed))
+            cell_rows, record = run_experiment(cell, keep_record=True)
+            assert record.iterates.shape == (T, 4)
+            alone_rows += cell_rows
+            alone_capped[cell["experiment_id"]] = record.capped
+    assert _without_wallclock(rows) == _without_wallclock(alone_rows)
+    assert capped == alone_capped and len(capped) == 4
+    assert all(set(c) == {"learner.bettor", "learner.base.magnitude"} for c in capped.values())
 
 
 def test_edge_sweep_and_seed_values_still_run(tmp_path, monkeypatch):

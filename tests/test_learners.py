@@ -286,6 +286,83 @@ def test_percoordinate_equals_independent_bettors(rng):
             b.observe(-float(G[t, i]))
 
 
+def _bits(*values) -> bytes:
+    return b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in values)
+
+
+def test_percoordinate_state_is_bitwise_that_of_scalar_bettors(rng):
+    # the docstring's claim, through core.drive's _step path: bets, wealth,
+    # signed sums and the capped-round count of d CoinBettor(epsilon / d)
+    # fed z = -g_i, also after the cap binds (coordinates 0 and 1 win 900 rounds)
+    d = 4
+    lock = np.tile([-0.7, -0.7, 0.0, 0.0], (900, 1))
+    G = np.concatenate([unit_stream(rng, 150, d), lock, -lock[:5], unit_stream(rng, 150, d)])
+    learner = PerCoordinateLearner(d, epsilon=1.0)
+    bettors = [CoinBettor(1.0 / d) for _ in range(d)]
+    ledger = replay(learner, G)
+    capped = 0
+    for t, g in enumerate(G):
+        assert _bits(ledger.iterates[t]) == _bits([b.predict() for b in bettors])
+        before = [b.capped_rounds for b in bettors]
+        for b, gi in zip(bettors, g.tolist()):
+            b.observe(-gi)
+        capped += [b.capped_rounds for b in bettors] != before
+    assert _bits(learner.wealth, learner.signed_sum) == _bits(
+        [b.wealth for b in bettors], [b.signed_sum for b in bettors])
+    assert 0 < learner.capped_rounds == capped < len(G)
+    assert learner.round == bettors[0].round == len(G)
+
+
+def _outcomes(rng, batch):
+    """Outcomes that reach the wealth cap, turn, and sit at the outcome bound of 1."""
+    shape = (1,) if batch is None else (batch,)
+    zs = np.concatenate([rng.uniform(-1, 1, (40,) + shape), np.full((400,) + shape, 0.9),
+                         np.full((5,) + shape, -1.0), rng.uniform(-1, 1, (40,) + shape)])
+    if batch is not None:
+        zs[:, 1] *= -0.5  # one copy loses its bets, one copy draws its own path
+        zs[:, -1] = rng.uniform(-1, 1, len(zs))
+    return zs if batch is not None else zs[:, 0]
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["scalar", "batch"])
+def test_coin_observe_is_bitwise_the_same_however_often_predict_ran(rng, batch):
+    # predict() twice, once or not at all before observe(), also mixed round by
+    # round: the bet observe() settles is always the one of the bettor's state
+    zs = _outcomes(rng, batch)
+    states, bets = {}, {}
+    for name, schedule in [("once", [1]), ("twice", [2]), ("never", [0]),
+                           ("mixed", [1, 0, 2, 0, 0, 1])]:
+        b, bets[name] = CoinBettor(0.5, batch), []
+        for t, z in enumerate(zs):
+            for _ in range(schedule[t % len(schedule)]):
+                bets[name].append(_bits(b.predict()))
+            b.observe(z)
+        states[name] = (_bits(b.wealth, b.signed_sum, b.regret_at_zero(), b.regret_at(0.3)),
+                        b.round, np.asarray(b.capped_rounds).tolist())
+    assert all(state == states["once"] for state in states.values())
+    assert bets["twice"] == [bet for bet in bets["once"] for _ in range(2)]
+    assert np.max(states["once"][2]) > 0  # the cap bound on the way
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DimFreeLearner(4, 1.0),                              # scalar magnitude bettor
+    lambda: DimFreeLearner(4, 1.0, batch=3),                     # trial axis
+    lambda: DimFreeLearner(16, 1.0, spec=pnorm_grid(16)[1:]),    # grid rows
+    lambda: AddCombiner([DimFreeLearner(4, 0.5), PerCoordinateLearner(4, 0.5)]),
+], ids=["scalar", "trial", "row", "add"])
+def test_learner_play_is_the_same_with_one_or_two_predicts(rng, make):
+    once, twice = make(), make()
+    shape = (once.dim,) if once.batch is None else (once.batch, once.dim)
+    G = unit_stream(rng, 300 * (once.batch or 1), once.dim).reshape((300,) + shape)
+    for g in G:
+        w = once.predict()
+        twice.predict()
+        assert _bits(twice.predict()) == _bits(w)
+        once.observe(g)
+        twice.observe(g)
+    assert _bits(once.predict()) == _bits(twice.predict())
+
+
 def test_percoordinate_rejects_nonpositive_epsilon():
     for eps in (0.0, -1.0):
         with pytest.raises(ValueError, match="epsilon must be positive"):
