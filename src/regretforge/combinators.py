@@ -116,7 +116,7 @@ class OptimisticLearner(HintedLearner):
     def _hinted_prediction(self, h):
         x = self.base.predict()
         y = self.bettor.predict()
-        self.last_hint = h.copy()
+        self.last_hint = h
         if self.batch is None:
             return x - y * h
         return x - y[:, None] * h
@@ -148,8 +148,8 @@ def tilde_hint(domain: ConvexDomain, x, y: float, h):
     z = domain.distance_subgradient(anchor)
     h_norm = norm(h)
     yh = y * h_norm
-    if yh > 1e-12 and 0.5 * yh > domain.distance(anchor):
-        z = (2.0 * domain.distance(anchor) / yh) * z
+    if yh > 1e-12 and 0.5 * yh > (dist := domain.distance(anchor)):
+        z = (2.0 * dist / yh) * z
     return 0.5 * h + 0.5 * h_norm * z, z
 
 
@@ -170,7 +170,6 @@ class ConstrainedOptimisticLearner(HintedLearner):
         self.bettor = bettor if bettor is not None else CoinBettor(bettor_epsilon)
         eps = None if base.epsilon is None else 2.0 * (base.epsilon + self.bettor.epsilon)
         super().__init__(base.dim, epsilon=eps)
-        self.last_hint = None
         self.last_tilde_hint = None
         self.last_z = None
         self.last_tilde_iterate = None
@@ -180,14 +179,13 @@ class ConstrainedOptimisticLearner(HintedLearner):
         y = self.bettor.predict()
         h_tilde, z = tilde_hint(self.domain, x, y, h)
         w_tilde = x - y * h_tilde
-        self.last_hint = h.copy()
         self.last_tilde_hint = h_tilde
         self.last_z = z
         self.last_tilde_iterate = w_tilde
         return self.domain.project(w_tilde)
 
     def _update(self, g):
-        if self.last_hint is None:
+        if self.last_tilde_hint is None:
             raise ContractViolation(
                 f"observe at round {self.round_index} without a hint this round"
             )
@@ -195,7 +193,7 @@ class ConstrainedOptimisticLearner(HintedLearner):
         g_tilde = 0.5 * g + 0.5 * norm(g) * self.last_z
         self.base._step(g_tilde)
         self.bettor.observe(row_dot(g_tilde, self.last_tilde_hint), checked=True)
-        self.last_hint = None
+        self.last_tilde_hint = None
 
 
 class MultiHintLearner(Learner):
@@ -219,14 +217,17 @@ class MultiHintLearner(Learner):
         self.k = len(bettors)
         self.last_hints = None
 
-    def predict(self, hints) -> np.ndarray:
-        H = check_hints(hints, self.dim, self.k, row="slot", name="hints")
-        x = self.base.predict()
-        w = x.copy()
+    def predict(self, hints) -> np.ndarray:  # checks and copies as HintedLearner.predict
+        w = self._hinted_prediction(
+            check_hints(hints, self.dim, self.k, row="slot", name="hints").copy())
+        self._awaiting_predict = False
+        return w
+
+    def _hinted_prediction(self, H):
+        w = self.base.predict()
         for i, b in enumerate(self.bettors):
             w = w - b.predict() * H[i]
-        self.last_hints = H.copy()
-        self._awaiting_predict = False
+        self.last_hints = H
         return w
 
     def _update(self, g):

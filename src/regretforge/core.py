@@ -108,22 +108,14 @@ _CLEAR_SQ = (1.0 + 0.5 * GRAD_TOL) ** 2
 
 
 def check_hints(h, dim: int, batch: Optional[int] = None, row="trial", name="hint") -> np.ndarray:
-    """``as_vector(h, dim, name, batch)`` then ``check_unit_norm(h, "hint", row=row)``, cheaply.
-
-    A squared-norm pass clears h of the right shape whose rows all have norm
-    <= 1 by a margin; anything else (a non-finite entry included) goes through
-    those two checks, which decide and give the message.
-    """
-    v = np.asarray(h, dtype=np.float64)
-    if v.shape != ((dim,) if batch is None else (batch, dim)) or not (
-            (v.dot(v) if batch is None else row_dot(v, v).max()) <= _CLEAR_SQ):
-        v = as_vector(v, dim, name, batch)
-        check_unit_norm(v, "hint", row=row)
+    """``as_vector(h, dim, name, batch)`` then ``check_unit_norm(h, "hint", row=row)``."""
+    v = as_vector(h, dim, name, batch)
+    check_unit_norm(v, "hint", row=row)
     return v
 
 
 def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True,
-                 first_round: int = 0) -> np.ndarray:
+                 first_round: int = 0, name: str = "gradient", row: str = "trial") -> np.ndarray:
     """Validate a whole (T, dim) stream, or a (T, batch, dim) block, before round 0.
 
     Applies to every round the checks ``Learner.observe`` applies to one:
@@ -132,13 +124,14 @@ def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True,
     clears the rows that pass with a margin; any other row is checked again
     on its own with ``as_vector``/``check_unit_norm``, which decide. The
     error message is theirs, prefixed with the first bad round, counted from
-    ``first_round`` (row 0 of G). Returns the stream as a float64 array.
+    ``first_round`` (row 0 of G). ``name`` is what a row of G is and ``row``
+    what its rows are in a block. Returns the stream as a float64 array.
     """
     G = np.asarray(G, dtype=np.float64)
-    row = (dim,) if batch is None else (batch, dim)
-    if G.shape[1:] != row:
+    shape = (dim,) if batch is None else (batch, dim)
+    if G.shape[1:] != shape:
         raise DimensionMismatch(
-            f"round {first_round}: gradient has shape {G.shape[1:]}, expected {row}")
+            f"round {first_round}: {name} has shape {G.shape[1:]}, expected {shape}")
     sq = row_dot(G, G)
     # a non-finite entry makes its row's squared norm non-finite
     clear = sq <= _CLEAR_SQ if unit else np.isfinite(sq)
@@ -146,9 +139,9 @@ def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True,
         clear = clear.all(axis=1)
     for t in np.flatnonzero(~clear):
         try:
-            v = as_vector(G[t], dim, "gradient", batch)
+            v = as_vector(G[t], dim, name, batch)
             if unit:
-                check_unit_norm(v, "gradient")
+                check_unit_norm(v, name, row=row)
         except ValueError as exc:
             raise type(exc)(f"round {first_round + t}: {exc}") from None
     return G
@@ -317,11 +310,12 @@ class HintedLearner(Learner):
     """
 
     def predict(self, h) -> np.ndarray:  # noqa: D102 - contract in class docstring
-        w = self._hinted_prediction(check_hints(h, self.dim, self.batch))
+        w = self._hinted_prediction(check_hints(h, self.dim, self.batch).copy())
         self._awaiting_predict = False
         return w
 
     def _hinted_prediction(self, h: np.ndarray) -> np.ndarray:
+        """The play for a checked hint, kept uncopied until observe (predict() passes a copy)."""
         raise NotImplementedError
 
 
@@ -362,15 +356,49 @@ def _check_iterate(w, shape) -> np.ndarray:
     return w
 
 
+#: rounds of a (T, B, d) block whose hints are drawn and checked together
+HINT_SEGMENT = 64
+
+
+def _draw_hints(hints, G, learner: Learner, first_round: int) -> np.ndarray:
+    """The checked hints for the rows of G: (n, ...) for one source, (n, k, d) for a list of k.
+
+    Each source gives its hint for a row and is then fed the row, as in a
+    round-by-round replay, so a hint depends only on the rows before its own.
+    """
+    multi = isinstance(hints, list)
+    sources = hints if multi else [hints]
+    H = np.empty((len(G), len(sources)) + G.shape[1:])
+    for t, g in enumerate(G):
+        try:
+            for i, src in enumerate(sources):
+                h = src.next_hint()
+                if type(h) is not np.ndarray or h.shape != g.shape:
+                    h = as_vector(h, learner.dim, "hint", learner.batch)
+                H[t, i] = h
+            for src in sources:
+                src._feed(g)
+        except (ContractViolation, ValueError) as exc:
+            raise ReplayError(f"round {first_round + t}: {exc}") from exc
+    rows = getattr(learner, "k", learner.batch)  # the learner's hint slots, or its trials
+    try:
+        return check_stream(H if multi else H[:, 0], learner.dim, rows, True, first_round,
+                            "hint", "slot" if multi else "trial")
+    except ValueError as exc:
+        raise ReplayError(str(exc)) from exc
+
+
 def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     """Step ``learner`` over a gradient stream: the one predict/step round loop.
 
     ``G`` is a (T, d) stream, or a (T, B, d) block for a learner built with
     batch = B, one trial per column. ``hints`` is None for a plain learner,
-    one HintSource, or a list of k sources whose hints are stacked to (k, d)
-    each round. The stream is checked once with check_stream before the
-    first round; each round then plays the hints into predict(), steps the
-    learner with _step() and feeds the sources with _feed().
+    one HintSource, or a list of k sources whose hints form a (k, d) array.
+    The stream is checked once with check_stream before the first round.
+    Before each segment of rounds (the whole stream, or HINT_SEGMENT rounds
+    of a block), _draw_hints runs the sources over its gradients and checks
+    their hints. Each round plays its hints, uncopied, into the trusted
+    _hinted_prediction() (or calls predict()) and steps the learner with _step().
 
     Returns (losses, iterates, hints played). The losses are
     row_dot(g_t, w_t), (T,) or (T, B) for a block. The iterates are (T, d)
@@ -378,7 +406,7 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     sources. A block keeps neither, so it costs little more memory than its
     gradients. Every failure (a bad gradient, hint or iterate, or a broken
     predict/step turn) is a ReplayError naming the absolute round,
-    ``learner.round_index + t``.
+    ``learner.round_index + t``; a bad hint fails before its segment runs.
     """
     t0 = learner.round_index
     try:
@@ -388,40 +416,30 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     T, shape, block = len(G), G.shape[1:], G.ndim == 3
     losses = np.empty(G.shape[:-1])
     W = np.empty_like(G) if keep_iterates and not block else None
-    sources = [] if hints is None else hints if isinstance(hints, list) else [hints]
-    if isinstance(hints, list):
-        next_hint = lambda: np.stack([s.next_hint() for s in hints])  # noqa: E731
-    else:
-        next_hint = None if hints is None else hints.next_hint
-    H = None
-    if hints is not None and not block:
-        H = np.empty((T, len(hints)) + shape if isinstance(hints, list) else G.shape)
-    predict, step, feeds = learner.predict, learner._step, [s._feed for s in sources]
+    seg, H = (HINT_SEGMENT if block else max(T, 1)), None
+    predict, step = learner.predict if hints is None else learner._hinted_prediction, learner._step
     finite = (lambda x: np.isfinite(x).all()) if block else math.isfinite
-    for t in range(T):
-        g = G[t]
-        try:
-            if next_hint is None:
-                w = predict()
-            else:
-                h = next_hint()
-                if H is not None:
-                    H[t] = h
-                w = predict(h)
-            if type(w) is not np.ndarray or w.shape != shape:
-                w = _check_iterate(w, shape)
-            loss = row_dot(g, w)
-            if not finite(loss):  # a non-finite entry of w makes the loss non-finite
-                _check_iterate(w, shape)
-            step(g)
-            for feed in feeds:
-                feed(g)
-        except (ContractViolation, ValueError) as exc:
-            raise ReplayError(f"round {t0 + t}: {exc}") from exc
-        losses[t] = loss
-        if W is not None:
-            W[t] = w
-    return losses, W, H
+    for start in range(0, max(T, 1), seg):  # an empty stream still returns its (0, ...) hints
+        stop = min(T, start + seg)
+        if hints is not None:  # a fresh array: no hint row is written once played
+            H = _draw_hints(hints, G[start:stop], learner, t0 + start)
+        for t in range(start, stop):
+            g = G[t]
+            try:
+                w = predict() if H is None else predict(H[t - start])
+                learner._awaiting_predict = False  # the trusted hinted play leaves it to drive
+                if type(w) is not np.ndarray or w.shape != shape:
+                    w = _check_iterate(w, shape)
+                loss = row_dot(g, w)
+                if not finite(loss):  # a non-finite entry of w makes the loss non-finite
+                    _check_iterate(w, shape)
+                step(g)
+            except (ContractViolation, ValueError) as exc:
+                raise ReplayError(f"round {t0 + t}: {exc}") from exc
+            losses[t] = loss
+            if W is not None:
+                W[t] = w
+    return losses, W, None if block else H
 
 
 def replay(learner: Learner, gradients) -> RegretLedger:

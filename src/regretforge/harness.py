@@ -598,6 +598,8 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
         cum_loss = math.fsum(record.losses[:T_prime])
         # bitwise row T' - 1 of np.cumsum(G, axis=0): both add the rows in order
         gsum = G[:T_prime].sum(axis=0)
+        hint_sums = {"sum_gh_sq": math.fsum(record.gh_sq[:T_prime]),
+                     "sum_gh_sq_minus_h_sq": math.fsum(record.gh_sq_minus[:T_prime])}
         for cid, resolve in zip(ids, comparators):
             regret = cum_loss - float(np.dot(gsum, resolve(gsum)))
             row = {
@@ -606,8 +608,7 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
                 "comparator_id": cid,
                 "regret": regret,
                 "cum_loss": cum_loss,
-                "sum_gh_sq": math.fsum(record.gh_sq[:T_prime]),
-                "sum_gh_sq_minus_h_sq": math.fsum(record.gh_sq_minus[:T_prime]),
+                **hint_sums,
                 "wallclock_ms": elapsed_ms,
             }
             if record.bettor_regrets is not None:

@@ -18,11 +18,11 @@ from .core import GRAD_TOL, as_vector, check_unit_norm, norm
 class HintSource:
     """next_hint() -> vector before the round; feed(g) after it.
 
-    feed() validates g (shape and finite entries) here, once, and hands the
-    array to the trusted _feed(), which subclasses implement. The stream
-    driver, core.drive, checks the whole stream before round 0 and calls
-    _feed() directly, so it would never reach an override of feed(): a
-    subclass that defines feed() without _feed() is a TypeError.
+    feed() validates g (shape and finite entries) and hands it to the trusted
+    _feed(), which subclasses implement. core.drive runs a source over a segment
+    of rounds before they run, calling _feed() directly, so a hint may depend
+    only on the gradients fed so far, and an override of feed() is never
+    reached: a subclass that defines feed() without _feed() is a TypeError.
     """
 
     def __init_subclass__(cls, **kwargs):

@@ -148,6 +148,7 @@ class PNormBallDescent:
         self.dim, self.batch = dim, batch
         if single and specs[0].p == 2.0:
             self.theta = None
+            self.sqrt_lam = math.sqrt(specs[0].lam)
             self.point = np.zeros(dim if batch is None else (batch, dim))
             self.dual_sq_sum = 0.0 if batch is None else np.zeros(batch)
             return
@@ -168,11 +169,10 @@ class PNormBallDescent:
         self.dual_sq_sum += gq * gq
         if self.dual_sq_sum <= 0.0:
             return
-        eta = math.sqrt(self.specs[0].lam) / math.sqrt(self.dual_sq_sum)
-        u = self.point - eta * g
+        u = self.point - self.sqrt_lam / math.sqrt(self.dual_sq_sum) * g
         np_u = norm(u)
         if np_u > 1.0:
-            u = u / np_u
+            u /= np_u
         self.point = u
 
     def _observe_grid(self, g: np.ndarray) -> None:
@@ -212,7 +212,7 @@ class PNormBallDescent:
         gq = row_norm(g)
         self.dual_sq_sum = self.dual_sq_sum + gq * gq
         eta = np.sqrt(self.dual_sq_sum)
-        np.divide(math.sqrt(self.specs[0].lam), eta, out=eta, where=eta > 0.0)
+        np.divide(self.sqrt_lam, eta, out=eta, where=eta > 0.0)
         u = self.point - eta[:, None] * g
         np_u = row_norm(u)[:, None]
         self.point = np.divide(u, np_u, out=u, where=np_u > 1.0)

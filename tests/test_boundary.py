@@ -296,14 +296,28 @@ def test_run_experiment_checks_no_gradient_per_round(monkeypatch, name):
     config = {"learner": _HINTED_CONFIGS[name],
               "stream": {"kind": "gaussian_clipped", "dim": 4, "T": T, "seed": 2}}
     counts = _count_checks(monkeypatch)
+    hint_rows = []
+
+    def checking_stream(G, *args, **kwargs):
+        bound = inspect.signature(check_stream).bind(G, *args, **kwargs).arguments
+        if bound.get("name") == "hint":
+            hint_rows.append((bound["first_round"], len(G)))
+        return check_stream(G, *args, **kwargs)
+
+    monkeypatch.setattr(core, "check_stream", checking_stream)
     harness.run_experiment(config)
     assert counts.get(("as_vector", "gradient"), 0) == 0
     assert counts.get(("check_unit_norm", "gradient"), 0) == 0
-    # hints are still checked every round, by check_hints; every hint here is
-    # inside the unit ball by a margin, so its squared-norm pass clears it and
-    # the full check (which decides any hint that pass does not clear) never runs
-    assert counts[("check_hints", "hints" if name == "multi_hint" else None)] == T
-    assert counts.get(("as_vector", "hints" if name == "multi_hint" else "hint"), 0) == 0
+    # hints are checked by check_stream, one segment of rounds at a time, and
+    # no hint is checked round by round: the segments tile the T rounds, so
+    # every hint row is checked exactly once. Every hint here is inside the
+    # unit ball by a margin, so the squared-norm pass clears it and the full
+    # check (which decides any hint that pass does not clear) never runs.
+    assert counts.get(("check_hints", "hints" if name == "multi_hint" else None), 0) == 0
+    starts = [start for start, _ in hint_rows]
+    assert starts == [0] + list(np.cumsum([n for _, n in hint_rows]))[:-1]
+    assert sum(n for _, n in hint_rows) == T
+    assert counts.get(("as_vector", "hint"), 0) == 0
     assert counts.get(("check_unit_norm", "hint"), 0) == 0
 
 
@@ -457,3 +471,131 @@ def test_harness_segments_match_one_drive(name):
         assert record.bettor_regrets.tolist() == [per_round[t] for t in ends]
     else:
         assert record.bettor_regrets is None
+
+
+# ---------------------------------------------------------------------------
+# hints drawn a segment ahead: predictable, checked before the segment runs
+# ---------------------------------------------------------------------------
+
+_SOURCES = {
+    "zero": ZeroHint, "last_gradient": LastGradient, "adversarial_negate": AdversarialNegate,
+    "running_average": RunningAverage, "unit_ball_descent": UnitBallDescent,
+    "constant": lambda d: hints.ConstantHint(np.full(d, 0.5 / np.sqrt(d))),
+    "external": lambda d: hints.ExternalHints(unit_stream(np.random.default_rng(1), 150, d)),
+}
+_DATA_DRIVEN = {"last_gradient", "adversarial_negate", "running_average", "unit_ball_descent"}
+
+
+class _Recorder(core.HintedLearner):
+    """Plays the origin and keeps a copy of every hint it is played."""
+
+    def __init__(self, dim, batch=None):
+        super().__init__(dim, batch=batch)
+        self.played = []
+
+    def _hinted_prediction(self, h):
+        self.played.append(h.copy())
+        return np.zeros(self.dim if self.batch is None else (self.batch, self.dim))
+
+    def _update(self, g):
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(_SOURCES))
+def test_hints_depend_only_on_earlier_gradients(kind):
+    # The hint for round t is fixed before g_t: changing g_t leaves the hints
+    # of rounds 0..t bitwise as they were, though drive draws them all first.
+    T, d = 150, 3
+    make = _SOURCES[kind]
+    G = unit_stream(np.random.default_rng(6), T, d)
+    _, _, H = core.drive(_optimistic(d), G, make(d))
+    _, _, HK = core.drive(combinators.multi_hint(d, 2), G, [make(d), LastGradient(d)])
+    for t in (0, 1, 77, T - 1):
+        P = G.copy()
+        P[t] = -P[t]
+        _, _, H2 = core.drive(_optimistic(d), P, make(d))
+        _, _, HK2 = core.drive(combinators.multi_hint(d, 2), P, [make(d), LastGradient(d)])
+        assert H2[:t + 1].tobytes() == H[:t + 1].tobytes()
+        assert HK2[:t + 1].tobytes() == HK[:t + 1].tobytes()
+        if kind in _DATA_DRIVEN and t + 1 < T:
+            assert H2[t + 1].tobytes() != H[t + 1].tobytes()
+
+
+def test_block_hints_depend_only_on_earlier_gradients():
+    T, B, d = 150, 3, 2
+    X = np.stack([unit_stream(np.random.default_rng(20 + i), T, d) for i in range(B)], axis=1)
+    first = _Recorder(d, B)
+    core.drive(first, X, RunningAverage(d, B))
+    for t in (0, core.HINT_SEGMENT - 1, core.HINT_SEGMENT, T - 1):
+        P = X.copy()
+        P[t, 1] = -P[t, 1]
+        again = _Recorder(d, B)
+        core.drive(again, P, RunningAverage(d, B))
+        assert np.array(again.played[:t + 1]).tobytes() == np.array(first.played[:t + 1]).tobytes()
+        if t + 1 < T:
+            assert again.played[t + 1][1].tobytes() != first.played[t + 1][1].tobytes()
+
+
+class _LongAt(hints.HintSource):
+    """Zero hints, except one of norm 2 at round ``bad`` (in trial ``trial`` of a block)."""
+
+    def __init__(self, dim, bad, batch=None, trial=0):
+        super().__init__(dim, batch)
+        self.bad, self.trial, self.round = bad, trial, 0
+
+    def next_hint(self):
+        h = np.zeros(self.dim if self.batch is None else (self.batch, self.dim))
+        if self.round == self.bad:
+            (h if self.batch is None else h[self.trial])[0] = 2.0
+        self.round += 1
+        return h
+
+
+def test_bad_hint_fails_before_its_segment_runs():
+    G = unit_stream(np.random.default_rng(9), 20, 3)
+    learner = _optimistic(3)
+    with pytest.raises(ReplayError, match=r"^round 7: hint has norm 2 > 1"):
+        core.drive(learner, G, _LongAt(3, 7))
+    assert learner.round_index == 0 and learner.base.round_index == 0
+    learner = combinators.multi_hint(3, 3)
+    with pytest.raises(ReplayError, match=r"^round 7: hint of slot 2 has norm 2 > 1"):
+        core.drive(learner, G, [ZeroHint(3), ZeroHint(3), _LongAt(3, 7)])
+    assert learner.round_index == 0
+    # a block runs HINT_SEGMENT rounds a segment; round 70 sits in the second
+    B = 4
+    X = np.stack([unit_stream(np.random.default_rng(30 + i), 150, 3) for i in range(B)], axis=1)
+    learner = _optimistic(3, batch=B)
+    with pytest.raises(ReplayError, match=r"^round 70: hint of trial 2 has norm 2 > 1"):
+        core.drive(learner, X, _LongAt(3, 70, batch=B, trial=2))
+    assert learner.round_index == core.HINT_SEGMENT
+    # an exhausted external sequence raises before the rounds it cannot serve
+    learner = _optimistic(3)
+    with pytest.raises(IndexError, match="exhausted after 5 rounds"):
+        core.drive(learner, G, hints.ExternalHints(G[:5]))
+    assert learner.round_index == 0
+
+
+def test_sources_that_do_not_fit_the_learner_fail_at_round_0():
+    # the hints are checked against what the learner plays, not what the sources gave
+    G = unit_stream(np.random.default_rng(10), 6, 3)
+    for learner, sources, shape in [
+            (combinators.multi_hint(3, 2), LastGradient(3), r"\(3,\), expected \(2, 3\)"),
+            (combinators.multi_hint(3, 3), [ZeroHint(3)] * 2, r"\(2, 3\), expected \(3, 3\)"),
+            (_optimistic(3), [ZeroHint(3)], r"\(1, 3\), expected \(3,\)")]:
+        with pytest.raises(ReplayError, match=f"^round 0: hint has shape {shape}"):
+            core.drive(learner, G, sources)
+    with pytest.raises(ReplayError, match="^round 0: hint has dim 4, expected 3"):
+        core.drive(_optimistic(3), G, ZeroHint(4))
+
+
+@pytest.mark.parametrize("kind", ["optimistic", "multi_hint"])
+def test_public_predict_copies_the_hint(kind):
+    g = np.array([0.6, 0.0, 0.8])
+    h = np.array([0.5, 0.1, -0.2]) if kind == "optimistic" else np.array([[0.5, 0.1, -0.2]])
+    learner = _optimistic(3) if kind == "optimistic" else combinators.multi_hint(3, 1)
+    played = h.copy()
+    learner.predict(played)
+    played[...] = 0.0  # a write after predict must not reach this round's bettor outcome
+    learner.observe(g)
+    bettor = learner.bettor if kind == "optimistic" else learner.bettors[0]
+    assert bettor.signed_sum == float(np.dot(g, h.ravel())) != 0.0

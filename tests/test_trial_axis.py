@@ -1,8 +1,8 @@
 """A leading trial axis B: batched replays must equal single-trial replays, trial by trial.
 
-Also: via-learner radii do not depend on the block size, and the batched
-bettor and the per-round hint checks decide as they did before their
-cheaper fast paths.
+Also: via-learner radii do not depend on the block size or on drive's hint
+segments, the batched bettor decides as it did before its cheaper fast
+path, and the public predict(h) decides hints as as_vector/check_unit_norm do.
 """
 
 import numpy as np
@@ -23,13 +23,15 @@ from regretforge.combinators import multi_hint
 from regretforge.concentration import SAMPLER_PRESETS, trial_block
 from regretforge.core import (
     GRAD_TOL,
+    HINT_SEGMENT,
     DimensionMismatch,
     ReplayError,
     as_vector,
     check_unit_norm,
+    drive,
 )
 from regretforge.geometry import NormSpec
-from regretforge.hints import RunningAverage
+from regretforge.hints import HintSource, RunningAverage
 from regretforge.learners import WEALTH_CAP, PNormBallDescent
 
 
@@ -117,6 +119,17 @@ def test_wealth_cap_applies_per_trial():
     _assert_trials_equal(singles, batched, ledger)
     assert batched.bettor.wealth[0] == WEALTH_CAP
     assert batched.bettor.wealth[1] < 1e6
+
+
+@pytest.mark.parametrize("T", [0, 5, HINT_SEGMENT, 2 * HINT_SEGMENT + 7])
+def test_hint_segments_leave_every_trial_bitwise(T):
+    # a block's hints are drawn and checked HINT_SEGMENT rounds at a time: no
+    # segment, one short one, whole ones and a ragged last one
+    sampler = make_sampler("rademacher_half")
+    trials = [sampler.draw(np.random.default_rng(60 + i), T) for i in range(4)]
+    _assert_trials_equal(*_run_both(trials))
+    radii = learner_radius(np.stack(trials, axis=1), 0.05)
+    assert np.array_equal(radii, [learner_radius(X, 0.05) for X in trials])
 
 
 def test_radii_do_not_depend_on_block_boundaries():
@@ -245,7 +258,7 @@ def test_batched_bettor_rejects_what_it_rejected_before():
 
 
 def _old_hint_check(h, dim, batch, as_name, row):
-    """The per-round hint check before the pre-check: as_vector then check_unit_norm."""
+    """The hint check of the public predict(h): as_vector then check_unit_norm."""
     v = as_vector(h, dim, as_name, batch)
     check_unit_norm(v, "hint", row=row)
 
@@ -258,7 +271,31 @@ def _outcome(fn):
     return None
 
 
-# norms around the pre-check's margin (1 + GRAD_TOL/2) and the tolerance
+class _Fixed(HintSource):
+    """Emits the same hint every round."""
+
+    def __init__(self, h):
+        super().__init__(h.shape[-1])
+        self.h = h
+
+    def next_hint(self):
+        return self.h.copy()
+
+
+def _drive_outcome(learner, G, source):
+    """None, or drive's ReplayError message."""
+    try:
+        drive(learner, G, source)
+    except ReplayError as exc:
+        return str(exc)
+    return None
+
+
+def _at_round_0(expected):
+    return None if expected is None else f"round 0: {expected[1]}"
+
+
+# norms around the segment check's margin (1 + GRAD_TOL/2) and the tolerance
 _EDGE_NORMS = [1.0, 1.0 + 0.4 * GRAD_TOL, 1.0 + 0.5 * GRAD_TOL, 1.0 + 0.6 * GRAD_TOL,
                1.0 + GRAD_TOL, 1.0 + 1.01 * GRAD_TOL, 1.0 + 1.1 * GRAD_TOL, 2.0,
                np.nan, np.inf, 1e200]
@@ -271,6 +308,7 @@ def test_hint_edges_decided_as_before(n):
     h = np.array([n, 0.0, 0.0]) if np.isfinite(n) else np.array([0.5, n, 0.0])
     expected = _outcome(lambda: _old_hint_check(h, d, None, "hint", "trial"))
     assert _outcome(lambda: _optimistic(d).predict(h)) == expected
+    assert _drive_outcome(_optimistic(d), np.zeros((2, d)), _Fixed(h)) == _at_round_0(expected)
     if np.isfinite(n) and 1.0 < n <= 1.0 + GRAD_TOL:
         assert expected is None
     if np.isfinite(n) and n > 1.0 + GRAD_TOL:
@@ -279,6 +317,11 @@ def test_hint_edges_decided_as_before(n):
     H[2] = h
     expected = _outcome(lambda: _old_hint_check(H, d, B, "hint", "trial"))
     assert _outcome(lambda: _optimistic(d, B).predict(H)) == expected
+    assert _drive_outcome(_optimistic(d, B), np.zeros((2, B, d)), _Fixed(H)) == _at_round_0(
+        expected)
+    # drive checks the k stacked hints of a multi-hint round under the name "hint"
+    assert _drive_outcome(multi_hint(d, B), np.zeros((2, d)), [_Fixed(r) for r in H]) == (
+        _at_round_0(_outcome(lambda: _old_hint_check(H, d, B, "hint", "slot"))))
     expected = _outcome(lambda: _old_hint_check(H, d, B, "hints", "slot"))
     assert _outcome(lambda: multi_hint(d, B).predict(H)) == expected
     if np.isfinite(n) and n > 1.0 + GRAD_TOL:
