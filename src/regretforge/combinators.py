@@ -88,6 +88,28 @@ def multi_norm(d: int, epsilon: float = 1.0) -> Learner:
     return AddCombiner([two, DimFreeLearner(d, epsilon=share, spec=grid[1:])])
 
 
+PLAY_ROWS = 1024  # rows of hint play a scan subtracts at a time: its temporary stays small
+
+
+def _scan_hinted(root, G, H):
+    """Learner._scan of an OptimisticLearner or MultiHintLearner: each bettor's KT recursion runs
+    on one row_dot's outcomes, and its bets times its hints leave the base's plays as rounds do."""
+    if type(root) not in (OptimisticLearner, MultiHintLearner) or H is None:
+        return None
+    bettors = root.bettors if type(root) is MultiHintLearner else [root.bettor]
+    if any(type(b) is not CoinBettor or b.batch is not None for b in bettors):
+        return None
+    W = root.base._scan(G, None)
+    if W is not None:
+        H = H if H.ndim == 3 else H[:, None]
+        Y = [np.array(b._settle(z)) for b, z in zip(bettors, row_dot(H, G[:, None]).T.tolist())]
+        for s in range(0, len(W), PLAY_ROWS):
+            for y, h in zip(Y, H[s:s + PLAY_ROWS].transpose(1, 0, 2)):
+                W[s:s + PLAY_ROWS] -= y[s:s + PLAY_ROWS, None] * h
+        root.round_index, root._awaiting_predict = root.round_index + len(G), True
+    return W
+
+
 class OptimisticLearner(HintedLearner):
     """Hint reduction on an unconstrained domain.
 
@@ -130,6 +152,8 @@ class OptimisticLearner(HintedLearner):
         # loss -<g, h>; the bettor consumes the negated loss
         self.bettor.observe(row_dot(g, self.last_hint), checked=True)
         self.last_hint = None
+
+    _scan = _scan_hinted
 
 
 def tilde_hint(domain: ConvexDomain, x, y: float, h):
@@ -239,6 +263,8 @@ class MultiHintLearner(Learner):
         for b, z in zip(self.bettors, row_dot(self.last_hints, g).tolist()):
             b.observe(z, checked=True)
         self.last_hints = None
+
+    _scan = _scan_hinted
 
 
 def optimistic(dim: int, epsilon: float = 1.0, spec=None) -> OptimisticLearner:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinators import OptimisticLearner
-from .core import replay_hinted, row_norm
+from .core import MAX_STREAM_ENTRIES, replay_hinted, row_norm
 from .hints import RunningAverage
 from .learners import CoinBettor, DimFreeLearner
 
@@ -153,6 +153,10 @@ class BernsteinConfig:
             raise ValueError("delta must lie in (0, 1]")
         if self.T < 1 or self.trials < 1:
             raise ValueError("T and trials must be positive")
+        # a trial draws a (T, dim) sample and keeps 2 numbers, its deviation and radius
+        if max(self.T * self.dim, 2 * self.trials) > MAX_STREAM_ENTRIES:
+            raise ValueError(f"T * dim = {self.T * self.dim} and 2 * trials = {2 * self.trials} "
+                             f"must not exceed the stream size limit of {MAX_STREAM_ENTRIES}")
 
 
 @dataclass

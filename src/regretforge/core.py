@@ -18,6 +18,9 @@ import numpy as np
 
 # Tolerance for the unit-gradient / unit-hint contracts.
 GRAD_TOL = 1e-9
+#: the most entries a (T, dim) stream may hold: 2 GiB of float64 gradients,
+#: checked before a config's stream or a Bernstein run's samples are drawn
+MAX_STREAM_ENTRIES = 2 ** 28
 
 
 class ContractViolation(RuntimeError):
@@ -60,7 +63,8 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Both ``np.vecdot`` and a stacked (1, d) @ (d, 1) matmul run NumPy's 1-D
     dot loop on every row, so row i is bitwise equal to ``np.dot(a[i], b[i])``
     (not for a reversed, negative-stride row). Two 1-D vectors take
-    ``ndarray.dot``, which is ``np.dot`` at less call cost.
+    ``ndarray.dot``, which is ``np.dot`` at less call cost. The one difference:
+    a row of length 1 whose product is -0.0 gives +0.0, where ``np.dot`` gives -0.0.
     """
     if a.ndim == 1 == b.ndim:
         return a.dot(b)
@@ -84,6 +88,15 @@ def norm(v: np.ndarray) -> float:
     """
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
+
+
+def ball_step(point: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The p = 2 step: point - step, divided by its norm when that exceeds 1."""
+    u = point - step
+    n = norm(u)
+    if n > 1.0:
+        u /= n
+    return u
 
 
 def check_unit_norm(v: np.ndarray, name: str, tol: float = GRAD_TOL,
@@ -247,7 +260,8 @@ class Learner:
     stream once with check_stream before round 0 and then calls _step()
     directly. Composite learners pass the array they were given straight to
     their children's _step(), so a nested gradient is not checked again; a
-    child's own observe() still validates.
+    child's own observe() still validates. drive() replays a (T, d) stream
+    with _scan() instead, when the learner's class defines one.
 
     Learners that support it take ``batch`` = B to run B independent trials
     in lockstep: every vector then carries a leading trial axis, (B, d), and
@@ -299,6 +313,12 @@ class Learner:
 
     def _update(self, g: np.ndarray) -> None:
         raise NotImplementedError
+
+    def _scan(self, G: np.ndarray, H) -> Optional[np.ndarray]:
+        """The plays for n >= 1 checked rows G and hints H (None, (n, d) or (n, k, d)), in a
+        fresh array, every component stepped past the rows bitwise as the rounds would; or
+        None, changing nothing. A class that scans matches its exact type: subclasses loop."""
+        return None
 
 
 class HintedLearner(Learner):
@@ -389,7 +409,7 @@ def _draw_hints(hints, G, learner: Learner, first_round: int) -> np.ndarray:
 
 
 def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
-    """Step ``learner`` over a gradient stream: the one predict/step round loop.
+    """Replay ``learner`` over a gradient stream: one scan, or the one predict/step round loop.
 
     ``G`` is a (T, d) stream, or a (T, B, d) block for a learner built with
     batch = B, one trial per column. ``hints`` is None for a plain learner,
@@ -397,8 +417,9 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     The stream is checked once with check_stream before the first round.
     Before each segment of rounds (the whole stream, or HINT_SEGMENT rounds
     of a block), _draw_hints runs the sources over its gradients and checks
-    their hints. Each round plays its hints, uncopied, into the trusted
-    _hinted_prediction() (or calls predict()) and steps the learner with _step().
+    their hints. A (T, d) stream then runs through the learner's _scan(), if
+    its class has one. Otherwise each round plays its hints, uncopied, into the
+    trusted _hinted_prediction() (or calls predict()) and steps it with _step().
 
     Returns (losses, iterates, hints played). The losses are
     row_dot(g_t, w_t), (T,) or (T, B) for a block. The iterates are (T, d)
@@ -414,14 +435,25 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     except ValueError as exc:
         raise ReplayError(str(exc)) from exc
     T, shape, block = len(G), G.shape[1:], G.ndim == 3
+    seg = HINT_SEGMENT if block else max(T, 1)  # an empty stream still returns its (0, ...) hints
+    # a fresh array: no hint row is written once played
+    H = None if hints is None else _draw_hints(hints, G[:seg], learner, t0)
+    # a scan reads whole rows: a strided row's dot may add in another order than a round's
+    W = learner._scan(G, H) if T and not block and G.flags.c_contiguous else None
+    if W is not None:
+        # a round's 1-D dot of length 1 is the product, -0.0 included (see row_dot)
+        losses = row_dot(G, W) if shape[0] > 1 else G[:, 0] * W[:, 0]
+        for t in np.flatnonzero(~np.isfinite(losses)):  # as a round checks its play
+            if not np.isfinite(W[t]).all():
+                raise ReplayError(f"round {t0 + t}: iterate contains non-finite entries")
+        return losses, W if keep_iterates else None, H
     losses = np.empty(G.shape[:-1])
     W = np.empty_like(G) if keep_iterates and not block else None
-    seg, H = (HINT_SEGMENT if block else max(T, 1)), None
     predict, step = learner.predict if hints is None else learner._hinted_prediction, learner._step
     finite = (lambda x: np.isfinite(x).all()) if block else math.isfinite
-    for start in range(0, max(T, 1), seg):  # an empty stream still returns its (0, ...) hints
+    for start in range(0, T, seg):
         stop = min(T, start + seg)
-        if hints is not None:  # a fresh array: no hint row is written once played
+        if start and hints is not None:  # the first segment's hints are drawn above
             H = _draw_hints(hints, G[start:stop], learner, t0 + start)
         for t in range(start, stop):
             g = G[t]

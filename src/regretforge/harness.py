@@ -30,7 +30,8 @@ from .combinators import (
     MultiHintLearner,
     OptimisticLearner,
 )
-from .core import Learner, ZeroLearner, as_vector, check_stream, drive, norm, row_dot
+from .core import (MAX_STREAM_ENTRIES, Learner, ZeroLearner, as_vector, check_stream, drive,
+                   norm, row_dot)
 from .geometry import Ball, Box, NormSpec, WholeSpace
 from .hints import (
     AdversarialNegate,
@@ -152,10 +153,10 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
         S *= step
         S /= math.sqrt(d)
         G = np.empty((T, d))
-        for t in range(T):
-            G[t] = v
-            v = v + S[t]
-            v /= norm(v)
+        G[:1] = v
+        for prev, s, row in zip(G, S, G[1:]):  # row t: row t - 1 plus step t - 1, normalized
+            np.add(prev, s, row)
+            row /= norm(row)
         return G
     if spec.kind == "sparse":
         k = int(spec.params.get("k_active", max(1, d // 8)))
@@ -188,9 +189,6 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
 #: the squares of such entries sum to a finite norm in any stream
 LIMIT = 1e15
 REQUIRED = object()  # the default of a field that must be given
-#: the most entries a (T, dim) stream may hold: 2 GiB of float64 gradients,
-#: checked before the stream is drawn
-MAX_STREAM_ENTRIES = 2 ** 28
 
 
 def config_object(node, path: str) -> dict:

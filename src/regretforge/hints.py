@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .core import GRAD_TOL, as_vector, check_unit_norm, norm
+from .core import GRAD_TOL, as_vector, ball_step, check_unit_norm
 
 
 class HintSource:
@@ -118,13 +118,8 @@ class UnitBallDescent(HintSource):
 
     def _feed(self, g):
         self._sq_sum += 4.0 * float(np.dot(g, g))
-        if self._sq_sum <= 0.0:
-            return
-        h = self.point + (2.0 / math.sqrt(self._sq_sum)) * g
-        n = norm(h)
-        if n > 1.0:
-            h = h / n
-        self.point = h
+        if self._sq_sum > 0.0:  # point + step * g, bitwise
+            self.point = ball_step(self.point, -(2.0 / math.sqrt(self._sq_sum)) * g)
 
 
 class ConstantHint(HintSource):

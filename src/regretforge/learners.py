@@ -23,6 +23,7 @@ from .core import (
     Accumulator,
     Learner,
     as_vector,
+    ball_step,
     norm,
     row_dot,
     row_norm,
@@ -89,7 +90,9 @@ class CoinBettor:
             z = float(z)
             if not checked and (not math.isfinite(z) or abs(z) > 1.0 + GRAD_TOL):
                 raise ValueError(f"bettor outcome {z!r} outside [-1, 1]")
-        elif not checked:
+            self._settle((z,))
+            return
+        if not checked:
             z = np.asarray(z, dtype=np.float64)
             worst = np.abs(z).max() if z.shape == (self.batch,) else math.nan
             if not worst <= 1.0 + GRAD_TOL:  # as_vector rejects a bad shape or NaN first
@@ -100,16 +103,36 @@ class CoinBettor:
         zy = z * bet
         self._loss_sum.add(-zy)
         wealth = self.wealth + zy
-        if self.batch is None:
-            if wealth > WEALTH_CAP:
-                wealth = WEALTH_CAP
-                self.capped_rounds += 1
-        elif wealth.max() > WEALTH_CAP:
+        if wealth.max() > WEALTH_CAP:
             self.capped_rounds += wealth > WEALTH_CAP
             wealth = np.minimum(wealth, WEALTH_CAP)
         self.wealth = wealth
         self.signed_sum += z
         self.round += 1
+
+    def _settle(self, zs) -> list:
+        """The scalar KT recursion over the rewards ``zs`` (floats), returning the bets: observe()
+        runs it on one reward, a replay scan on a segment's. The first bet is predict()'s, if kept."""
+        w, s, r, bet, bets = self.wealth, self.signed_sum, self.round, self._bet, []
+        add = self._loss_sum.add
+        for z in zs:
+            if bet is None:
+                bet = s / (r + 1) * w
+            bets.append(bet)
+            zy = z * bet
+            add(-zy)
+            w += zy
+            if w > WEALTH_CAP:
+                w = WEALTH_CAP
+                self.capped_rounds += 1
+            s += z
+            r += 1
+            bet = None
+        self.wealth = w
+        self.signed_sum = s
+        self.round = r
+        self._bet = None
+        return bets
 
     def regret_at(self, u: float) -> float:
         """Measured regret sum_t ell_t (y_t - u) with ell_t = -z_t."""
@@ -167,13 +190,24 @@ class PNormBallDescent:
             return
         gq = norm(g)
         self.dual_sq_sum += gq * gq
-        if self.dual_sq_sum <= 0.0:
-            return
-        u = self.point - self.sqrt_lam / math.sqrt(self.dual_sq_sum) * g
-        np_u = norm(u)
-        if np_u > 1.0:
-            u /= np_u
-        self.point = u
+        if self.dual_sq_sum > 0.0:  # else no evidence yet: the point stays
+            self.point = ball_step(self.point, self.sqrt_lam / math.sqrt(self.dual_sq_sum) * g)
+
+    def _path(self, G: np.ndarray) -> np.ndarray:
+        """The p = 2 points before each row of (n, d) G, stepped past them all. The sums and
+        steps are vectorized, bitwise as observe() builds them (cumsum adds in order)."""
+        S = np.sqrt(row_dot(G, G))
+        S *= S
+        S[0] += self.dual_sq_sum
+        np.cumsum(S, out=S)
+        first = int(np.searchsorted(S, 0.0, side="right"))  # S grows: no evidence before
+        P, point = np.empty_like(G), self.point
+        P[:first] = point
+        np.multiply((self.sqrt_lam / np.sqrt(S[first:]))[:, None], G[first:], out=P[first:])
+        for t in range(first, len(G)):  # row t holds the step until its point overwrites it
+            P[t], point = point, ball_step(point, P[t])
+        self.point, self.dual_sq_sum = point, float(S[-1])
+        return P
 
     def _observe_grid(self, g: np.ndarray) -> None:
         # per-row scalars (eta, powers of S) stay Python floats: NumPy's power rounds otherwise
@@ -245,6 +279,16 @@ class DimFreeLearner(Learner):
     def _update(self, g):
         self.magnitude.observe(-row_dot(g, self.direction.point), checked=True)
         self.direction.observe(g)
+
+    def _scan(self, G, H):
+        # the p = 2 direction path, then the magnitude bets on -<g_t, point_t>
+        if (type(self) is not DimFreeLearner or H is not None or self.direction.theta is not None
+                or type(self.magnitude) is not CoinBettor):
+            return None
+        W = self.direction._path(G)
+        W *= np.array(self.magnitude._settle((-row_dot(G, W)).tolist()))[:, None]
+        self.round_index, self._awaiting_predict = self.round_index + len(G), True
+        return W
 
 
 class PerCoordinateLearner(Learner):

@@ -4,8 +4,8 @@
 ``wallclock_ms``) that ``regretforge run --config configs/<name>`` and
 ``regretforge sweep --config configs/sweep.json`` wrote before the stream
 check moved ahead of the round loop. A fresh row must equal its golden row
-bitwise, or within 1e-12 relative (magnitudes below 1 compared as 1), the
-rule the benchmark applies to its own outputs.
+bitwise: each float by its repr, which round-trips exactly and keeps the
+sign of a zero.
 
 ``tests/golden/bernstein_learner.txt`` holds the standard output of
 ``regretforge bernstein --via-learner --delta 0.05 --T 256 --trials 40
@@ -24,7 +24,6 @@ from regretforge.cli import cli_main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "config_rows.json")
                    .read_text(encoding="utf-8"))
-REL_TOL = 1e-12
 
 
 def _rows(path):
@@ -48,10 +47,7 @@ def _assert_matches(got, ref):
     assert len(got["rows"]) == len(ref["rows"])
     for i, (a_row, b_row) in enumerate(zip(got["rows"], ref["rows"])):
         for col, a, b in zip(got["columns"], a_row, b_row):
-            if a == b:
-                continue
-            assert not isinstance(a, str) and not isinstance(b, str), (i, col, a, b)
-            assert abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b)), (i, col, a, b)
+            assert repr(a) == repr(b), (i, col, a, b)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "configs").glob("*.json")))

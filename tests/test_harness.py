@@ -985,6 +985,37 @@ def test_bad_seed_env_exits_2_for_bernstein(monkeypatch):
     assert cli_main(["bernstein", "--delta", "0.1", "--T", "8", "--trials", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--T", "8", "--trials", "100000000000000"], "2 * trials = 200000000000000 must not"),
+    (["--T", "1000000000000000", "--trials", "2", "--via-learner"],
+     "T * dim = 4000000000000000 and"),
+    (["--T", "1000000000000000", "--trials", "2"], "must not exceed the stream size limit"),
+])
+def test_oversized_bernstein_run_exits_2_before_any_trial(monkeypatch, capsys, argv, message):
+    from regretforge import concentration
+
+    def no_trials(cfg):
+        raise AssertionError("a trial ran before the run's size was checked")
+
+    monkeypatch.setattr(concentration, "coverage_experiment", no_trials)
+    assert cli_main(["bernstein", "--delta", "0.1"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and message in json.loads(lines[0])["error"]
+
+
+def test_bernstein_size_limits_admit_the_largest_run():
+    from regretforge.concentration import BernsteinConfig
+    from regretforge.core import MAX_STREAM_ENTRIES
+
+    BernsteinConfig(0.1, T=MAX_STREAM_ENTRIES // 4, trials=MAX_STREAM_ENTRIES // 2)
+    with pytest.raises(ValueError, match="stream size limit"):
+        BernsteinConfig(0.1, T=MAX_STREAM_ENTRIES // 4 + 1, trials=1)
+    with pytest.raises(ValueError, match="trials"):
+        BernsteinConfig(0.1, T=1, trials=MAX_STREAM_ENTRIES // 2 + 1)
+
+
 def test_config_error_in_a_pool_worker_exits_2(tmp_path, capsys):
     # the error is raised in a worker process and must cross back intact
     config = {"learner": {"kind": "dimfree"}, "stream": dict(_IID, kind="levy"),
