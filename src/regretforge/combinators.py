@@ -159,8 +159,9 @@ class OptimisticLearner(HintedLearner):
 def tilde_hint(domain: ConvexDomain, x, y: float, h):
     """Corrected hint for the constrained reduction.
 
-    Evaluates the distance subgradient z at x - y*h/2, shrinks z when the
-    hinted move y*||h||/2 would overshoot the distance there, and returns
+    Evaluates the distance subgradient z and the distance at x - y*h/2, in one
+    call (ConvexDomain.subgradient_and_distance), shrinks z when the hinted
+    move y*||h||/2 would overshoot that distance, and returns
     (h_tilde, z) with h_tilde = h/2 + ||h|| z/2. The returned z is a
     subgradient of the distance function at x - y*h_tilde. A nonpositive
     y*||h|| skips the rescale (the move then points away from or along the
@@ -168,11 +169,10 @@ def tilde_hint(domain: ConvexDomain, x, y: float, h):
     """
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    anchor = x - 0.5 * y * h
-    z = domain.distance_subgradient(anchor)
+    z, dist = domain.subgradient_and_distance(x - 0.5 * y * h)
     h_norm = norm(h)
     yh = y * h_norm
-    if yh > 1e-12 and 0.5 * yh > (dist := domain.distance(anchor)):
+    if yh > 1e-12 and 0.5 * yh > dist:
         z = (2.0 * dist / yh) * z
     return 0.5 * h + 0.5 * h_norm * z, z
 

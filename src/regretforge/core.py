@@ -385,20 +385,26 @@ def _draw_hints(hints, G, learner: Learner, first_round: int) -> np.ndarray:
 
     Each source gives its hint for a row and is then fed the row, as in a
     round-by-round replay, so a hint depends only on the rows before its own.
+    A source whose own class defines HintSource._draw writes them at once, except in a
+    (T, B, d) block, a list naming it twice, or where its dim is not the learner's.
     """
     multi = isinstance(hints, list)
     sources = hints if multi else [hints]
     H = np.empty((len(G), len(sources)) + G.shape[1:])
-    for t, g in enumerate(G):
+    loop = list(enumerate(sources))
+    if len(G) and G.ndim == 2 and len(set(map(id, sources))) == len(sources):
+        loop = [(i, src) for i, src in loop if not ("_draw" in vars(type(src))
+                and src.dim == learner.dim and src._draw(G, H[:, i]))]
+    for t, g in enumerate(G if loop else ()):
         try:
-            for i, src in enumerate(sources):
+            for i, src in loop:
                 h = src.next_hint()
                 if type(h) is not np.ndarray or h.shape != g.shape:
                     h = as_vector(h, learner.dim, "hint", learner.batch)
                 H[t, i] = h
-            for src in sources:
+            for _, src in loop:
                 src._feed(g)
-        except (ContractViolation, ValueError) as exc:
+        except (ContractViolation, ValueError, IndexError) as exc:  # IndexError: exhausted rows
             raise ReplayError(f"round {first_round + t}: {exc}") from exc
     rows = getattr(learner, "k", learner.batch)  # the learner's hint slots, or its trials
     try:

@@ -140,8 +140,7 @@ class ConvexDomain:
         raise NotImplementedError
 
     def distance(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        return norm(x - self.project(x))
+        return self._subgradient_and_distance(x)[1]
 
     def distance_subgradient(self, x) -> np.ndarray:
         """Unit outward normal (x - proj)/||x - proj|| outside, zero inside.
@@ -149,12 +148,21 @@ class ConvexDomain:
         Zero is always a valid subgradient on the domain itself, and picking
         it keeps the constrained reduction's surrogate gradients smallest.
         """
+        return self._subgradient_and_distance(x)[0]
+
+    def subgradient_and_distance(self, x) -> tuple:
+        """(distance_subgradient(x), distance(x)) bitwise, from one projection; overrides hold."""
+        cls = type(self)
+        if (cls.distance is ConvexDomain.distance
+                and cls.distance_subgradient is ConvexDomain.distance_subgradient):
+            return self._subgradient_and_distance(x)
+        return self.distance_subgradient(x), self.distance(x)
+
+    def _subgradient_and_distance(self, x) -> tuple:
         x = np.asarray(x, dtype=np.float64)
         gap = x - self.project(x)
         n = norm(gap)
-        if n == 0.0:
-            return np.zeros_like(x)
-        return gap / n
+        return (gap / n if n else np.zeros_like(x)), n
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.distance(x) <= tol
@@ -167,16 +175,11 @@ class ConvexDomain:
 class WholeSpace(ConvexDomain):
     """The entire space: projection is the identity, distance is zero."""
 
-    bounded = False
-
     def project(self, x):
         return np.asarray(x, dtype=np.float64).copy()
 
-    def distance(self, x):
-        return 0.0
-
-    def distance_subgradient(self, x):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
+    def _subgradient_and_distance(self, x):
+        return np.zeros_like(np.asarray(x, dtype=np.float64)), 0.0
 
     @property
     def diameter(self):
@@ -202,9 +205,15 @@ class Ball(ConvexDomain):
             return x.copy()
         return self.center + gap * (self.radius / n)
 
-    def distance(self, x):
+    def _subgradient_and_distance(self, x):  # one gap from the centre serves both
         x = np.asarray(x, dtype=np.float64)
-        return max(0.0, norm(x - self.center) - self.radius)
+        gap = x - self.center
+        n = norm(gap)
+        if n <= self.radius:
+            return np.zeros_like(x), 0.0
+        out = x - (self.center + gap * (self.radius / n))  # x minus project(x)
+        m = norm(out)
+        return (out / m if m else np.zeros_like(x)), max(0.0, n - self.radius)
 
     @property
     def diameter(self):
@@ -226,7 +235,7 @@ class Box(ConvexDomain):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.lo.shape:
             raise DimensionMismatch(f"x has shape {x.shape}, box is {self.lo.shape}")
-        return np.clip(x, self.lo, self.hi)
+        return x.clip(self.lo, self.hi)  # np.clip's ufunc without its wrapper
 
     @property
     def diameter(self):

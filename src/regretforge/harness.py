@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -146,7 +145,7 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
         G = sigma * rng.standard_normal((T, d)) / math.sqrt(d)
         return _clip_rows_to_unit(G)
     if spec.kind == "slowly_varying":
-        step = float(spec.params.get("step_size", 1.0 / math.sqrt(T)))
+        step = float(spec.params.get("step_size", 1.0 / math.sqrt(max(T, 1))))  # T = 0: no steps
         v = rng.standard_normal(d)
         v /= norm(v)
         S = rng.standard_normal((T, d))  # T draws of size d, in order
@@ -706,6 +705,7 @@ def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
     cells = sorted(((config, T, s) for T in Ts for s in seeds), key=lambda c: -c[1])
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:

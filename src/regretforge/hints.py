@@ -23,6 +23,7 @@ class HintSource:
     of rounds before they run, calling _feed() directly, so a hint may depend
     only on the gradients fed so far, and an override of feed() is never
     reached: a subclass that defines feed() without _feed() is a TypeError.
+    A class with a closed form defines _draw(), which replaces that row loop.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -46,6 +47,11 @@ class HintSource:
     def _feed(self, g: np.ndarray) -> None:
         """Take one round's gradient, already validated by the caller."""
 
+    def _draw(self, G: np.ndarray, out: np.ndarray) -> bool:
+        """Write the hints for n >= 1 checked (n, dim) rows G into ``out``, leaving the source as
+        next_hint() then _feed() on each row would; or return False, changing nothing."""
+        return False
+
 
 class ZeroHint(HintSource):
     def next_hint(self):
@@ -65,19 +71,22 @@ class LastGradient(HintSource):
     def _feed(self, g):
         self._prev = g.copy()
 
+    def _draw(self, G, out):  # the rows shifted down one
+        out[0], out[1:] = self._prev, G[:-1]
+        self._prev = G[-1].copy()
+        return True
 
-class AdversarialNegate(HintSource):
+
+class AdversarialNegate(LastGradient):
     """Emits minus the previous gradient: a deliberately harmful hint."""
-
-    def __init__(self, dim):
-        super().__init__(dim)
-        self._prev = np.zeros(dim)
 
     def next_hint(self):
         return -self._prev
 
-    def _feed(self, g):
-        self._prev = g.copy()
+    def _draw(self, G, out):
+        super()._draw(G, out)
+        np.negative(out, out=out)
+        return True
 
 
 class RunningAverage(HintSource):
@@ -168,6 +177,12 @@ class ExternalHints(HintSource):
         h = self.rows[self._next].copy()
         self._next += 1
         return h
+
+    def _draw(self, G, out):
+        stop = self._next + len(G)
+        if stop <= len(self.rows):  # else the row loop fails at the exhausted round
+            out[...], self._next = self.rows[self._next:stop], stop
+        return stop <= len(self.rows)
 
 
 def best_fixed_hint(gradients) -> np.ndarray:

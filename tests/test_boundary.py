@@ -568,9 +568,9 @@ def test_bad_hint_fails_before_its_segment_runs():
     with pytest.raises(ReplayError, match=r"^round 70: hint of trial 2 has norm 2 > 1"):
         core.drive(learner, X, _LongAt(3, 70, batch=B, trial=2))
     assert learner.round_index == core.HINT_SEGMENT
-    # an exhausted external sequence raises before the rounds it cannot serve
+    # an exhausted external sequence fails, naming its round, before the rounds it cannot serve
     learner = _optimistic(3)
-    with pytest.raises(IndexError, match="exhausted after 5 rounds"):
+    with pytest.raises(ReplayError, match="^round 5: hint sequence exhausted after 5 rounds"):
         core.drive(learner, G, hints.ExternalHints(G[:5]))
     assert learner.round_index == 0
 

@@ -14,6 +14,7 @@ from regretforge import (
     grid_cover,
     p_norm,
     pnorm_grid,
+    tilde_hint,
 )
 from regretforge.geometry import COMPACT_SHARE, row_powers
 
@@ -206,3 +207,55 @@ def test_box_validation():
         Box([1.0], [0.0])
     with pytest.raises(ValueError):
         Ball(np.zeros(2), 0.0)
+
+
+def _old_pair(dom, x):
+    """distance_subgradient and distance written out: the unit gap to project(x), zeros for no
+    gap, and its norm; a ball's distance is max(0, ||x - center|| - radius)."""
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(dom, WholeSpace):
+        return np.zeros_like(x), 0.0
+    gap = x - dom.project(x)
+    n = float(np.linalg.norm(gap))
+    z = np.zeros_like(x) if n == 0.0 else gap / n
+    if isinstance(dom, Ball):
+        n = max(0.0, float(np.linalg.norm(x - dom.center)) - dom.radius)
+    return z, n
+
+
+_C = np.array([0.2, -0.3, 0.1])
+
+
+@pytest.mark.parametrize("dom, points", [
+    (Ball(_C, 0.5), [_C, _C + [0.1, 0.2, -0.1], _C + [0.5, 0.0, 0.0], _C + [0.0, -0.5, 0.0],
+                     _C + [np.nextafter(0.5, 1.0), 0.0, 0.0], _C + [3.0, -4.0, 1.0]]),
+    (Box([-1.0, -0.5, -2.0], [1.0, 0.5, 0.0]),
+     [[0.0, 0.0, -1.0], [1.0, 0.5, 0.0], [-1.0, 0.2, -2.0], [np.nextafter(1.0, 2.0), 0.0, 0.0],
+      [2.0, -3.0, 4.0], [0.5, 0.0, 0.1]]),
+    (WholeSpace(), [[0.0, 0.0, 0.0], [5.0, -5.0, 1.0]]),
+], ids=["ball", "box", "whole_space"])
+def test_subgradient_and_distance_is_the_two_calls_bitwise(dom, points, rng):
+    # the centre, inside, on the boundary, one ulp outside and far outside, then random points
+    points = list(points) + list(rng.standard_normal((200, 3)) * 2.0)
+    for x in points:
+        z_ref, d_ref = _old_pair(dom, x)
+        z, d = dom.subgradient_and_distance(x)
+        assert (z.tobytes(), d) == (z_ref.tobytes(), d_ref)
+        assert dom.distance_subgradient(x).tobytes() == z.tobytes() and dom.distance(x) == d
+
+
+def test_subgradient_and_distance_honours_an_override():
+    class Halved(Ball):
+        def distance_subgradient(self, x):
+            return 0.5 * super().distance_subgradient(x)
+
+    class Farther(Box):
+        def distance(self, x):
+            return 1.0 + super().distance(x)
+
+    x = np.array([3.0, 4.0])
+    z, d = Halved(np.zeros(2), 1.0).subgradient_and_distance(x)
+    assert np.array_equal(z, [0.3, 0.4]) and d == 4.0
+    assert np.array_equal(tilde_hint(Halved(np.zeros(2), 1.0), x, 0.0, np.zeros(2))[1], z)
+    z, d = Farther([-1.0, -1.0], [1.0, 1.0]).subgradient_and_distance(x)
+    assert np.allclose(z, np.array([2.0, 3.0]) / math.sqrt(13.0)) and d == 1.0 + math.sqrt(13.0)

@@ -1,8 +1,11 @@
 """Streams, composition building, the experiment runner, CSV, and the CLI."""
 
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -56,6 +59,15 @@ def test_streams_unit_bounded_and_deterministic(kind, params):
     c = generate_stream(spec(kind, seed=1, **params))
     if kind != "zero":
         assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("step_size", [None, 0.1])
+def test_every_stream_kind_is_empty_at_T_0(step_size):
+    from regretforge.harness import TABLE
+
+    for kind in TABLE["stream"]:
+        params = {} if step_size is None or kind != "slowly_varying" else {"step_size": step_size}
+        assert generate_stream(spec(kind, T=0, **params)).shape == (0, 4)
 
 
 def test_slowly_varying_steps_are_small():
@@ -303,6 +315,16 @@ def test_sweep_merges_cells(tmp_path):
     }
 
 
+def test_import_loads_no_process_pool():
+    # only a sweep with more than one worker starts a pool; harness imports it then
+    code = "import sys, regretforge; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["False"]
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -329,7 +351,7 @@ class _RecordingPool:
 def test_sweep_workers_clamped(monkeypatch, workers, cpus, expected):
     from regretforge import harness
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     _RecordingPool.seen = []
     config = json.load(open("configs/sweep.json", encoding="utf-8"))
@@ -342,7 +364,7 @@ def test_sweep_workers_clamped(monkeypatch, workers, cpus, expected):
 def test_sweep_one_usable_worker_runs_in_process(monkeypatch):
     from regretforge import harness
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
     _RecordingPool.seen = []
     config = json.load(open("configs/sweep.json", encoding="utf-8"))
@@ -809,7 +831,7 @@ def test_sweep_hands_longest_cells_first_and_keeps_row_order(monkeypatch):
                   sweep={"T": [300, 700, 500], "seeds": [1, 0]})
     serial_capped = {}
     serial = run_sweep(config, workers=1, capped=serial_capped)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _OrderPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _OrderPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     _OrderPool.cells = []
     pooled_capped = {}

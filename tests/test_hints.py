@@ -7,16 +7,23 @@ import pytest
 
 from regretforge import (
     AdversarialNegate,
+    Ball,
+    Box,
     ConstantHint,
     ExternalHints,
     LastGradient,
+    ReplayError,
     RunningAverage,
     UnitBallDescent,
     ZeroHint,
     best_fixed_hint,
+    constrained_optimistic,
     ftl_regret_check,
     hint_learner_regret,
+    multi_hint,
+    optimistic,
 )
+from regretforge.core import drive
 from conftest import rademacher_stream, unit_stream
 
 
@@ -203,3 +210,125 @@ def test_running_average_matches_constant_oracle_on_biased_streams():
     s_avg = slope_with(RunningAverage(d))
     s_oracle = slope_with(ConstantHint(oracle_hint))
     assert abs(s_avg - s_oracle) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# segment draws (HintSource._draw) against the row loop they replace
+# ---------------------------------------------------------------------------
+
+_D, _T = 3, 33
+_CLOSED = {
+    "last_gradient": lambda G: LastGradient(_D),
+    "adversarial_negate": lambda G: AdversarialNegate(_D),
+    "perfect": lambda G: ExternalHints(G),
+    "external": lambda G: ExternalHints(unit_stream(np.random.default_rng(5), 2 * _T, _D)),
+}
+_ROOTS = {
+    "optimistic": lambda: optimistic(_D),
+    "multi_hint": lambda: multi_hint(_D, 3),
+    "constrained_ball": lambda: constrained_optimistic(_D, Ball(np.zeros(_D), 0.5)),
+    "constrained_box": lambda: constrained_optimistic(_D, Box([-0.3] * _D, [0.3] * _D)),
+}
+
+
+def _hand_hints(sources, G):
+    """Each source's next_hint(), then feed(g) to each, row by row: (n, k, d) hints and
+    (round, message) of the IndexError that ended them, or None."""
+    H = []
+    for t, g in enumerate(G):
+        try:
+            H.append([np.asarray(s.next_hint()) for s in sources])
+        except IndexError as exc:
+            return np.array(H).reshape(-1, len(sources), G.shape[1]), (t, str(exc))
+        for s in sources:
+            s.feed(g)
+    return np.array(H).reshape(len(G), len(sources), G.shape[1]), None
+
+
+def _after(src):
+    """What next_hint() gives now: the hint's bytes, or an exhausted sequence's message."""
+    try:
+        return src.next_hint().tobytes()
+    except IndexError as exc:
+        return str(exc)
+
+
+def _sources(root, kind, G):
+    make = _CLOSED[kind]
+    # a multi-hint root mixes two closed-form sources with one the row loop runs
+    return [make(G), RunningAverage(_D), make(G)] if root == "multi_hint" else [make(G)]
+
+
+@pytest.mark.parametrize("root", sorted(_ROOTS))
+@pytest.mark.parametrize("kind", sorted(_CLOSED))
+@pytest.mark.parametrize("bounds", [(0, _T), (0, 1, 7, 7, 20, _T)], ids=["whole", "segments"])
+def test_closed_form_hints_match_the_row_loop(root, kind, bounds):
+    G = unit_stream(np.random.default_rng(4), _T, _D)
+    learner, sources = _ROOTS[root](), _sources(root, kind, G)
+    hints = sources if root == "multi_hint" else sources[0]
+    # drive called once per segment, as the checkpoints split it; (7, 7) is empty
+    runs = [drive(learner, G[a:b], hints) for a, b in zip(bounds, bounds[1:])]
+    oracle = _sources(root, kind, G)
+    ref, err = _hand_hints(oracle, G)
+    assert err is None
+    ref = ref if root == "multi_hint" else ref[:, 0]
+    assert np.concatenate([H for _, _, H in runs]).tobytes() == ref.tobytes()
+    # each source is left as the rows leave it: next_hint() continues the sequence
+    for src, twin in zip(sources, oracle):
+        assert _after(src) == _after(twin)
+    # the plays are those of the public per-round API fed the hand-drawn hints
+    twin = _ROOTS[root]()
+    W = []
+    for h, g in zip(ref, G):
+        W.append(twin.predict(h))
+        twin.observe(g)
+    assert np.concatenate([W for _, W, _ in runs]).tobytes() == np.array(W).tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda G: LastGradient(_D), lambda G: AdversarialNegate(_D),
+                                  lambda G: ExternalHints(np.vstack([G, G[::-1]]))],
+                         ids=["last_gradient", "adversarial_negate", "external"])
+def test_a_source_named_twice_is_fed_once_per_slot(make):
+    # the row loop asks the one object for two hints and feeds it twice a round
+    G = unit_stream(np.random.default_rng(6), _T, _D)
+    src, twin = make(G), make(G)
+    _, _, H = drive(multi_hint(_D, 2), G, [src] * 2)
+    ref, err = _hand_hints([twin] * 2, G)
+    assert err is None and H.tobytes() == ref.tobytes()
+    assert _after(src) == _after(twin)
+
+
+def test_exhausted_external_hints_fail_at_the_round_the_loop_does():
+    G = unit_stream(np.random.default_rng(7), 10, _D)
+    # one source, a source named twice, and a second slot: the loop's round and message
+    for make in [lambda: ExternalHints(G[:5]), lambda: [ExternalHints(G)] * 2,
+                 lambda: [LastGradient(_D), ExternalHints(G[:7])]]:
+        hints, twin = make(), make()
+        _, (t, message) = _hand_hints(twin if isinstance(twin, list) else [twin], G)
+        learner = multi_hint(_D, 2) if isinstance(hints, list) else optimistic(_D)
+        with pytest.raises(ReplayError, match=f"^round {t}: {message}$"):
+            drive(learner, G, hints)
+        assert learner.round_index == 0
+    # split at a checkpoint, the round counts from the learner's first
+    learner, src = optimistic(_D), ExternalHints(G[:5])
+    drive(learner, G[:3], src)
+    with pytest.raises(ReplayError, match="^round 5: hint sequence exhausted after 5 rounds$"):
+        drive(learner, G[3:], src)
+    assert learner.round_index == 3
+    # a short sequence leaves the segment draw unwritten and itself unchanged
+    out = np.zeros((6, _D))
+    assert src._draw(G[:6], out) is False and not out.any() and src._next == 5
+
+
+def test_closed_form_sources_that_do_not_fit_keep_the_loop_and_its_errors():
+    G = unit_stream(np.random.default_rng(8), 6, _D)
+    for src in [LastGradient(_D + 1), AdversarialNegate(_D + 1), ExternalHints(np.zeros((6, 4)))]:
+        with pytest.raises(ReplayError, match=f"^round 0: hint has dim 4, expected {_D}"):
+            drive(optimistic(_D), G, src)
+
+    class Halved(LastGradient):  # a subclass loops: its own _feed holds
+        def _feed(self, g):
+            self._prev = 0.5 * g
+
+    _, _, H = drive(optimistic(_D), G, Halved(_D))
+    assert np.array_equal(H[1:], 0.5 * G[:-1]) and not H[0].any()
