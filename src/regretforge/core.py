@@ -163,27 +163,53 @@ def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True,
 class Accumulator:
     """Compensated running sum (branch-free TwoSum, so it also runs on arrays).
 
-    With ``batch`` = B it keeps B sums, one per trial, in (B,) arrays; each
-    entry takes the same operations as a scalar Accumulator fed that trial's
-    values.
+    A scalar sum runs TwoSum at each add. With ``batch`` = B it keeps B sums, one per trial, in
+    (B,) arrays, and keeps the rows it is given until FOLD_ROWS are pending or ``total`` is read;
+    ``extend`` adds a sequence of terms in one fold. A fold's add.accumulate passes run TwoSum's
+    operations in its order, so each entry is bitwise its terms added one by one.
     """
 
-    __slots__ = ("_s", "_c")
+    __slots__ = ("_s", "_c", "_rows")
+    FOLD_ROWS = 64
 
     def __init__(self, batch: Optional[int] = None):
         self._s = 0.0 if batch is None else np.zeros(batch)
         self._c = 0.0 if batch is None else np.zeros(batch)
+        self._rows = None if batch is None else []  # an array sum's pending rows
 
     def add(self, x) -> None:
+        if self._rows is not None:
+            self._rows.append(x)
+            if len(self._rows) == self.FOLD_ROWS:
+                self._fold()
+            return
         s = self._s
         t = s + x
         bp = t - s
         self._c += (s - (t - bp)) + (x - bp)
         self._s = t
 
+    def _fold(self, xs=()) -> tuple:
+        """Add the pending rows, then the terms of xs, in order; return the folded (s, c)."""
+        if self._rows:
+            xs, self._rows = self._rows + list(xs), []
+        if len(xs):
+            X = np.array(xs, dtype=np.float64)
+            S = np.concatenate(([self._s], X))
+            np.add.accumulate(S, axis=0, out=S)  # S[k]: the sum of the first k terms
+            s, t = S[:-1], S[1:]
+            bp = t - s
+            E = np.concatenate(([self._c], (s - (t - bp)) + (X - bp)))
+            np.add.accumulate(E, axis=0, out=E)
+            last = float if self._rows is None else np.copy
+            self._s, self._c = last(S[-1]), last(E[-1])
+        return self._s, self._c
+    extend = _fold
+
     @property
-    def total(self) -> float:
-        return self._s + self._c
+    def total(self):
+        s, c = self._fold()
+        return s + c
 
 
 class RegretLedger:
@@ -456,7 +482,8 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     losses = np.empty(G.shape[:-1])
     W = np.empty_like(G) if keep_iterates and not block else None
     predict, step = learner.predict if hints is None else learner._hinted_prediction, learner._step
-    finite = (lambda x: np.isfinite(x).all()) if block else math.isfinite
+    # a non-finite entry makes the sum of squares non-finite; an overflow only runs the full check
+    finite = (lambda x: math.isfinite(x.dot(x))) if block else math.isfinite
     for start in range(0, T, seg):
         stop = min(T, start + seg)
         if start and hints is not None:  # the first segment's hints are drawn above

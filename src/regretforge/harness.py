@@ -155,7 +155,7 @@ def generate_stream(spec: StreamSpec) -> np.ndarray:
         G[:1] = v
         for prev, s, row in zip(G, S, G[1:]):  # row t: row t - 1 plus step t - 1, normalized
             np.add(prev, s, row)
-            row /= norm(row)
+            row /= math.sqrt(row.dot(row))  # norm(row): a C-contiguous row ravels to itself
         return G
     if spec.kind == "sparse":
         k = int(spec.params.get("k_active", max(1, d // 8)))

@@ -35,6 +35,7 @@ from .geometry import Ball, ConvexDomain, NormSpec, p_norm, row_powers
 # ever reduces wealth, so nonnegativity and the epsilon-at-origin guarantee
 # survive (the measured loss sum is tracked separately and exactly).
 WEALTH_CAP = 1e80
+NARROW = 4  # a CoinBettor axis this short steps entry by entry: array calls cost more
 
 
 def _budget(epsilon) -> float:
@@ -53,7 +54,8 @@ class CoinBettor:
     bettor runs B independent copies, one per trial or per grid row of a
     DimFreeLearner: outcomes, bets, wealth and regrets are (B,) arrays, and
     the wealth cap applies to each copy on its own. ``capped_rounds`` counts
-    the rounds where the cap clipped wealth (one count per copy).
+    the rounds where the cap clipped wealth (one count per copy). A bettor of
+    at most NARROW copies steps each in Python floats, as a scalar one does.
     """
 
     def __init__(self, epsilon: float = 1.0, batch: int | None = None):
@@ -62,14 +64,9 @@ class CoinBettor:
         self.round = 0
         self._loss_sum = Accumulator(batch)  # sum_t (-z_t) * y_t, measured exactly
         self._bet = None  # this round's bet, kept by predict() for observe()
-        if batch is None:
-            self.wealth = self.epsilon
-            self.signed_sum = 0.0
-            self.capped_rounds = 0
-        else:
-            self.wealth = np.full(batch, self.epsilon)
-            self.signed_sum = np.zeros(batch)
-            self.capped_rounds = np.zeros(batch, dtype=np.int64)
+        self.wealth = self.epsilon if batch is None else np.full(batch, self.epsilon)
+        self.signed_sum = 0.0 if batch is None else np.zeros(batch)
+        self.capped_rounds = 0 if batch is None else np.zeros(batch, dtype=np.int64)
 
     def predict(self):
         self._bet = self.signed_sum / (self.round + 1) * self.wealth
@@ -90,48 +87,54 @@ class CoinBettor:
             z = float(z)
             if not checked and (not math.isfinite(z) or abs(z) > 1.0 + GRAD_TOL):
                 raise ValueError(f"bettor outcome {z!r} outside [-1, 1]")
-            self._settle((z,))
-            return
-        if not checked:
+        elif not checked:
             z = np.asarray(z, dtype=np.float64)
             worst = np.abs(z).max() if z.shape == (self.batch,) else math.nan
             if not worst <= 1.0 + GRAD_TOL:  # as_vector rejects a bad shape or NaN first
                 as_vector(z, self.batch, "bettor outcome")
                 raise ValueError(f"bettor outcome of size {float(worst)!r} outside [-1, 1]")
         bet = self.predict() if self._bet is None else self._bet
-        self._bet = None
+        self._bet, self.round = None, self.round + 1
+        if self.batch is not None and self.batch <= NARROW:  # Python floats beat array calls
+            w, s, losses = self.wealth.tolist(), self.signed_sum.tolist(), []
+            for i, (zi, yi) in enumerate(zip(z.tolist(), bet.tolist())):
+                losses.append(-zi * yi)  # -(z * y), as negation rounds symmetrically
+                w[i] -= losses[i]
+                if w[i] > WEALTH_CAP:
+                    w[i] = WEALTH_CAP
+                    self.capped_rounds[i] += 1
+                s[i] += zi
+            self._loss_sum.add(losses)
+            self.wealth, self.signed_sum = np.array(w), np.array(s)
+            return
         zy = z * bet
         self._loss_sum.add(-zy)
         wealth = self.wealth + zy
-        if wealth.max() > WEALTH_CAP:
+        if self.batch is None:  # the step _settle takes
+            if wealth > WEALTH_CAP:
+                wealth = WEALTH_CAP
+                self.capped_rounds += 1
+        elif np.maximum.reduce(wealth) > WEALTH_CAP:
             self.capped_rounds += wealth > WEALTH_CAP
             wealth = np.minimum(wealth, WEALTH_CAP)
         self.wealth = wealth
         self.signed_sum += z
-        self.round += 1
 
     def _settle(self, zs) -> list:
-        """The scalar KT recursion over the rewards ``zs`` (floats), returning the bets: observe()
-        runs it on one reward, a replay scan on a segment's. The first bet is predict()'s, if kept."""
+        """observe()'s scalar KT step over the rewards ``zs`` (floats) of a scan segment, whose
+        loss terms fold at once; returns the bets. The first bet is predict()'s, if kept."""
         w, s, r, bet, bets = self.wealth, self.signed_sum, self.round, self._bet, []
-        add = self._loss_sum.add
         for z in zs:
             if bet is None:
                 bet = s / (r + 1) * w
             bets.append(bet)
-            zy = z * bet
-            add(-zy)
-            w += zy
+            w += z * bet
             if w > WEALTH_CAP:
                 w = WEALTH_CAP
                 self.capped_rounds += 1
-            s += z
-            r += 1
-            bet = None
-        self.wealth = w
-        self.signed_sum = s
-        self.round = r
-        self._bet = None
+            s, r, bet = s + z, r + 1, None
+        self._loss_sum.extend(-np.multiply(zs, bets))
+        self.wealth, self.signed_sum, self.round, self._bet = w, s, r, None
         return bets
 
     def regret_at(self, u: float) -> float:
@@ -205,7 +208,9 @@ class PNormBallDescent:
         P[:first] = point
         np.multiply((self.sqrt_lam / np.sqrt(S[first:]))[:, None], G[first:], out=P[first:])
         for t in range(first, len(G)):  # row t holds the step until its point overwrites it
-            P[t], point = point, ball_step(point, P[t])
+            u = point - P[t]
+            n = math.sqrt(u.dot(u))  # ball_step's norm: a contiguous row ravels to itself
+            P[t], point = point, u / n if n > 1.0 else u
         self.point, self.dual_sq_sum = point, float(S[-1])
         return P
 
@@ -240,16 +245,14 @@ class PNormBallDescent:
         self.point = u
 
     def _observe_trials(self, g: np.ndarray) -> None:
-        # p = 2, one row per trial. A trial whose squared-gradient sum is
-        # still 0 has seen only zero gradients, so its point is the origin;
-        # a zero step keeps it there, as the scalar early return does.
+        # p = 2, one row per trial. A trial whose squared-gradient sum is still 0 has seen only zero
+        # gradients: a zero step keeps it at the origin, as the scalar early return does.
         gq = row_norm(g)
         self.dual_sq_sum = self.dual_sq_sum + gq * gq
         eta = np.sqrt(self.dual_sq_sum)
         np.divide(self.sqrt_lam, eta, out=eta, where=eta > 0.0)
-        u = self.point - eta[:, None] * g
-        np_u = row_norm(u)[:, None]
-        self.point = np.divide(u, np_u, out=u, where=np_u > 1.0)
+        np.subtract(self.point, eta[:, None] * g, out=self.point)
+        self.point /= np.maximum(row_norm(self.point), 1.0)[:, None]  # / 1.0 changes no bit
 
 
 class DimFreeLearner(Learner):

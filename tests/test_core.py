@@ -212,7 +212,7 @@ def test_accumulator_matches_neumaier_bitwise(terms):
     acc = Accumulator()
     for x in terms:
         acc.add(x)
-    assert _bits(acc._s, acc._c) == _bits(*_neumaier(terms))
+    assert _bits(*acc._fold()) == _bits(*_neumaier(terms))
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,5 +225,39 @@ def test_batch_accumulator_entries_match_scalar_runs(rows):
         scalar = Accumulator()
         for row in rows:
             scalar.add(row[i])
-        assert _bits(batch._s[i], batch._c[i]) == _bits(scalar._s, scalar._c)
-        assert _bits(batch._s[i], batch._c[i]) == _bits(*_neumaier([r[i] for r in rows]))
+        s, c = batch._fold()
+        assert _bits(s[i], c[i]) == _bits(*scalar._fold())
+        assert _bits(s[i], c[i]) == _bits(*_neumaier([r[i] for r in rows]))
+
+
+def _wide_terms(rng, shape):
+    """Terms over forty decades, with zeros of both signs: their sums need the compensation."""
+    X = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    X.flat[::7] = -0.0
+    X.flat[3::11] = 0.0
+    return X
+
+
+@pytest.mark.parametrize("width", [None, 3, 60], ids=["scalar", "3", "60"])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+def test_fold_is_the_per_term_twosum_bitwise(width, n):
+    # an array sum keeps its rows and folds them after 64 and at each total read;
+    # extend folds a whole segment. Each entry must be the one-term-at-a-time sum.
+    rng = np.random.default_rng(n)
+    shape = (n,) if width is None else (n, width)
+    X, tail = _wide_terms(rng, shape), _wide_terms(rng, (9,) + shape[1:])
+    acc = Accumulator(width)
+    for k, x in enumerate(X):
+        acc.add(x if width else float(x))
+        if k % 50 == 17:
+            total = acc.total  # folds what is pending mid-way
+            assert _bits(*np.ravel(total)) == _bits(*np.ravel(np.add(*acc._fold())))
+    acc.extend(list(tail) if width else tail.tolist())
+    s, c = acc._fold()
+    terms = np.concatenate([X, tail]).reshape(n + 9, -1)
+    for i in range(terms.shape[1]):
+        ref = _neumaier(terms[:, i].tolist())
+        assert _bits(np.ravel(s)[i], np.ravel(c)[i]) == _bits(*ref)
+        assert _bits(np.ravel(acc.total)[i]) == _bits(ref[0] + ref[1])
+    if width is None:
+        assert type(s) is float and type(c) is float

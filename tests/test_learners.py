@@ -21,6 +21,7 @@ from regretforge import (
     replay,
 )
 from regretforge.harness import capped_bettors
+from regretforge.core import row_norm
 from regretforge.learners import WEALTH_CAP
 from conftest import rademacher_stream, unit_stream
 
@@ -468,3 +469,62 @@ def test_percoordinate_counts_capped_rounds():
     quiet = PerCoordinateLearner(3, 1.0)
     replay(quiet, unit_stream(np.random.default_rng(3), 400, 3))
     assert quiet.capped_rounds == 0
+
+
+@pytest.mark.parametrize("B", [3, 60], ids=["float-steps", "array"])
+def test_batched_bettor_capped_mid_fold_is_its_scalar_bettors_bitwise(B):
+    # trial i turns steady at round 20 + i % 50 and its cap binds rounds later, inside
+    # a 64-row fold of the loss sum; every copy must stay its own scalar bettor
+    T, rng = 200, np.random.default_rng(B)
+    Z = rng.uniform(-1.0, 1.0, (T, B))
+    for i in range(B):
+        Z[20 + i % 50:, i] = 1.0
+    batched, singles = CoinBettor(1e78, B), [CoinBettor(1e78) for _ in range(B)]
+    for t, z in enumerate(Z):
+        if t % 3:
+            batched.predict()
+        batched.observe(z, checked=t % 2 == 0)
+        for b, zi in zip(singles, z.tolist()):
+            b.predict()
+            b.observe(zi)
+    first = [T - b.capped_rounds for b in singles]  # steady to the end, so capped from there
+    assert all(0 < b.capped_rounds < T - 20 for b in singles)
+    assert any(r % 64 for r in first) and len(set(first)) > 1
+    assert batched.capped_rounds.tolist() == [b.capped_rounds for b in singles]
+    for attr in ("wealth", "signed_sum"):
+        assert _bits(*getattr(batched, attr)) == _bits(*[getattr(b, attr) for b in singles])
+    assert _bits(*batched.regret_at_zero()) == _bits(*[b.regret_at_zero() for b in singles])
+    assert _bits(*batched.regret_at(0.3)) == _bits(*[b.regret_at(0.3) for b in singles])
+
+
+def _masked_trial_step(point, dual_sq_sum, g, sqrt_lam):
+    """The p = 2 trial step as written with masked divides."""
+    gq = row_norm(g)
+    dual_sq_sum = dual_sq_sum + gq * gq
+    eta = np.sqrt(dual_sq_sum)
+    np.divide(sqrt_lam, eta, out=eta, where=eta > 0.0)
+    u = point - eta[:, None] * g
+    np_u = row_norm(u)[:, None]
+    return np.divide(u, np_u, out=u, where=np_u > 1.0), dual_sq_sum
+
+
+def test_trial_step_is_the_masked_divide_bitwise():
+    up, down = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+    rng = np.random.default_rng(8)
+    point, dual, g = rng.uniform(-0.5, 0.5, (3, 9, 4))
+    dual = np.abs(dual[:, 0])
+    point[0], dual[0], g[0] = 0.0, 0.0, 0.0           # zero gradients so far: stays at 0
+    point[1], dual[1], g[1] = 0.0, 0.0, [0.5, 0, 0, 0]  # u = (-1, 0, 0, 0): norm exactly 1.0
+    point[2], dual[2], g[2] = [up, 0, 0, 0], 1.0, 0.0   # u = point: norm one ulp above 1
+    point[3], dual[3], g[3] = [down, 0, 0, 0], 1.0, 0.0  # and one ulp below
+    g[4] = 0.0                                          # a zero gradient after evidence
+    direction = PNormBallDescent(4, batch=9)
+    direction.point, direction.dual_sq_sum = point.copy(), dual.copy()
+    direction.observe(g)
+    expected, expected_dual = _masked_trial_step(point, dual, g, direction.sqrt_lam)
+    assert direction.point.tobytes() == expected.tobytes()
+    assert direction.dual_sq_sum.tobytes() == expected_dual.tobytes()
+    u = point[:4] - np.array([0.0, 2.0, 0.0, 0.0])[:, None] * g[:4]  # the edge rows' u
+    assert row_norm(u[1:4]).tolist() == [1.0, up, down]
+    assert direction.point[0].tolist() == [0.0] * 4 and direction.point[1].tolist() == [-1, 0, 0, 0]
+    assert direction.point[2, 0] == 1.0 and direction.point[3, 0] == down

@@ -88,8 +88,8 @@ def _state(learner):
            base.direction.point.tobytes(), repr(base.direction.dual_sq_sum)]
     for b in bettors:
         if b is not None:
-            out += [repr(b.wealth), repr(b.signed_sum), repr(b._loss_sum._s),
-                    repr(b._loss_sum._c), b.capped_rounds, b.round, b._bet]
+            out += [repr(b.wealth), repr(b.signed_sum), *map(repr, b._loss_sum._fold()),
+                    b.capped_rounds, b.round, b._bet]
     return out
 
 

@@ -338,3 +338,26 @@ def test_hint_of_wrong_shape_is_rejected_as_before():
             _optimistic(d, B).predict(np.zeros(shape))
         with pytest.raises(DimensionMismatch, match="hints"):
             multi_hint(d, B).predict(np.zeros(shape))
+
+
+def test_sixty_trial_block_is_each_trials_own_replay_bitwise():
+    # the bernstein_mc block width, over a ragged number of 64-row folds, with zero,
+    # steady (capped) and shipped-sampler trials side by side
+    T, d = 450, 4
+    trials = [make_sampler(SAMPLER_PRESETS[i % 3]).draw(np.random.default_rng(70 + i), T)
+              for i in range(57)]
+    trials += [np.zeros((T, d)), np.tile([0.6, 0.0, 0.8, 0.0], (T, 1)),
+               np.tile([0.0, -1.0, 0.0, 0.0], (T, 1))]
+    singles, batched, ledger = _run_both(trials)
+    _assert_trials_equal(singles, batched, ledger)
+    for name in ("bettor", "base.magnitude"):
+        block = batched.bettor if name == "bettor" else batched.base.magnitude
+        alone = [l.bettor if name == "bettor" else l.base.magnitude for l, _ in singles]
+        assert block.capped_rounds.tolist() == [b.capped_rounds for b in alone]
+        assert block.signed_sum.tolist() == [b.signed_sum for b in alone]
+        assert block.regret_at(-0.7).tolist() == [b.regret_at(-0.7) for b in alone]
+    assert batched.bettor.capped_rounds[-2:].min() > 0 == batched.bettor.capped_rounds[:-2].max()
+    assert batched.base.direction.dual_sq_sum.tolist() == [
+        l.base.direction.dual_sq_sum for l, _ in singles]
+    radii = learner_radius(np.stack(trials, axis=1), 0.05)
+    assert np.array_equal(radii, [learner_radius(X, 0.05) for X in trials])
