@@ -59,14 +59,10 @@ from .hints import (
     RunningAverage,
     UnitBallDescent,
     ZeroHint,
-    best_fixed_hint,
-    ftl_regret_check,
-    hint_learner_regret,
 )
 from .concentration import (
     BernsteinConfig,
     CoverageResult,
-    balanced_log_bound,
     bernstein_radius,
     coverage_experiment,
     learner_radius,

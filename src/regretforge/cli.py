@@ -29,14 +29,17 @@ def _fail(code: int, message: str, **extra) -> int:
     return code
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return value
+def _int_from(low: int, kind: str):
+    """An argparse type: an integer of at least ``low``, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+    return parse
 
 
 def _warn_capped(capped: dict) -> None:
@@ -152,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid over T and/or seeds")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--output", help="CSV path (overrides config 'output')")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_int_from(1, "positive"), default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_b = sub.add_parser("bernstein", help="Monte Carlo coverage of the bound")
@@ -161,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--trials", type=int, required=True)
     p_b.add_argument("--via-learner", action="store_true")
     p_b.add_argument("--sampler", choices=concentration.SAMPLER_PRESETS)
-    p_b.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_b.add_argument("--seed", type=_int_from(0, "nonnegative"), default=0)
     p_b.set_defaults(func=_cmd_bernstein)
     return parser
 

@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,17 +121,14 @@ class OptimisticLearner(HintedLearner):
     bettor must carry the same one.
     """
 
-    def __init__(self, base: Learner, bettor: Optional[CoinBettor] = None,
-                 bettor_epsilon: float = 1.0):
-        self.base = base
-        if bettor is None:
-            bettor = CoinBettor(bettor_epsilon, base.batch)
-        elif bettor.batch != base.batch:
+    def __init__(self, base: Learner, bettor: CoinBettor):
+        if bettor.batch != base.batch:
             raise DimensionMismatch(
                 f"bettor has batch {bettor.batch}, base learner has batch {base.batch}"
             )
+        self.base = base
         self.bettor = bettor
-        eps = None if base.epsilon is None else base.epsilon + self.bettor.epsilon
+        eps = None if base.epsilon is None else base.epsilon + bettor.epsilon
         super().__init__(base.dim, epsilon=eps, batch=base.batch)
         self.last_hint = None
 
@@ -187,12 +184,11 @@ class ConstrainedOptimisticLearner(HintedLearner):
     the reduction.
     """
 
-    def __init__(self, base: Learner, domain: ConvexDomain,
-                 bettor: Optional[CoinBettor] = None, bettor_epsilon: float = 1.0):
+    def __init__(self, base: Learner, domain: ConvexDomain, bettor: CoinBettor):
         self.base = base
         self.domain = domain
-        self.bettor = bettor if bettor is not None else CoinBettor(bettor_epsilon)
-        eps = None if base.epsilon is None else 2.0 * (base.epsilon + self.bettor.epsilon)
+        self.bettor = bettor
+        eps = None if base.epsilon is None else 2.0 * (base.epsilon + bettor.epsilon)
         super().__init__(base.dim, epsilon=eps)
         self.last_tilde_hint = None
         self.last_z = None

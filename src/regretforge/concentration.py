@@ -50,19 +50,6 @@ def trial_block(T: int, dim: int) -> int:
     return max(1, TRIAL_BLOCK_BYTES // (8 * T * dim))
 
 
-def balanced_log_bound(A: float, B: float, C: float, D: float, E: float) -> float:
-    """Upper bound on inf_{y>=0} y(A + B log(e + Cy)) + D^2/y + E sqrt(log(e + Cy)).
-
-    Evaluates the infimand at the balancing guess y = D / sqrt(max(A + B
-    log(e + CD), 1)); every argument must be nonnegative.
-    """
-    for name, v in (("A", A), ("B", B), ("C", C), ("D", D), ("E", E)):
-        if v < 0:
-            raise ValueError(f"{name} must be nonnegative")
-    inner = max(A + B * math.log(math.e + C * D), 1.0)
-    return 2.0 * D * math.sqrt(inner) + E * math.sqrt(math.log(math.e + C * D))
-
-
 def empirical_variance(samples: np.ndarray) -> float:
     """sum_t ||X_t - Xbar||^2 around the sample mean."""
     X = np.asarray(samples, dtype=np.float64)

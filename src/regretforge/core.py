@@ -99,21 +99,20 @@ def ball_step(point: np.ndarray, step: np.ndarray) -> np.ndarray:
     return u
 
 
-def check_unit_norm(v: np.ndarray, name: str, tol: float = GRAD_TOL,
-                    row: str = "trial") -> None:
-    """Reject a vector, or any row of a (B, d) array, longer than 1 + tol.
+def check_unit_norm(v: np.ndarray, name: str, row: str = "trial") -> None:
+    """Reject a vector, or any row of a (B, d) array, longer than 1 + GRAD_TOL.
 
     ``row`` names what a row of a 2-D array is in the error message.
     """
     if v.ndim == 2:
         norms = row_norm(v)
         i = int(norms.argmax())
-        if norms[i] > 1.0 + tol:
-            raise ValueError(f"{name} of {row} {i} has norm {norms[i]:.12g} > 1 + {tol}")
+        if norms[i] > 1.0 + GRAD_TOL:
+            raise ValueError(f"{name} of {row} {i} has norm {norms[i]:.12g} > 1 + {GRAD_TOL}")
         return
     n = norm(v)
-    if n > 1.0 + tol:
-        raise ValueError(f"{name} has norm {n:.12g} > 1 + {tol}")
+    if n > 1.0 + GRAD_TOL:
+        raise ValueError(f"{name} has norm {n:.12g} > 1 + {GRAD_TOL}")
 
 
 #: a squared norm at or below this passes the unit-norm check by a wide margin
@@ -127,13 +126,13 @@ def check_hints(h, dim: int, batch: Optional[int] = None, row="trial", name="hin
     return v
 
 
-def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True,
-                 first_round: int = 0, name: str = "gradient", row: str = "trial") -> np.ndarray:
+def check_stream(G, dim: int, batch: Optional[int] = None, first_round: int = 0,
+                 name: str = "gradient", row: str = "trial") -> np.ndarray:
     """Validate a whole (T, dim) stream, or a (T, batch, dim) block, before round 0.
 
     Applies to every round the checks ``Learner.observe`` applies to one:
-    shape, finite entries and, with ``unit``, norm <= 1 + GRAD_TOL (every
-    trial's row in a block). One vectorized pass over the squared row norms
+    shape, finite entries and norm <= 1 + GRAD_TOL (every trial's row in a
+    block). One vectorized pass over the squared row norms
     clears the rows that pass with a margin; any other row is checked again
     on its own with ``as_vector``/``check_unit_norm``, which decide. The
     error message is theirs, prefixed with the first bad round, counted from
@@ -145,16 +144,13 @@ def check_stream(G, dim: int, batch: Optional[int] = None, unit: bool = True,
     if G.shape[1:] != shape:
         raise DimensionMismatch(
             f"round {first_round}: {name} has shape {G.shape[1:]}, expected {shape}")
-    sq = row_dot(G, G)
     # a non-finite entry makes its row's squared norm non-finite
-    clear = sq <= _CLEAR_SQ if unit else np.isfinite(sq)
+    clear = row_dot(G, G) <= _CLEAR_SQ
     if batch is not None:
         clear = clear.all(axis=1)
     for t in np.flatnonzero(~clear):
         try:
-            v = as_vector(G[t], dim, name, batch)
-            if unit:
-                check_unit_norm(v, name, row=row)
+            check_unit_norm(as_vector(G[t], dim, name, batch), name, row=row)
         except ValueError as exc:
             raise type(exc)(f"round {first_round + t}: {exc}") from None
     return G
@@ -294,9 +290,6 @@ class Learner:
     every per-trial scalar is a (B,) array.
     """
 
-    #: learners declaring this reject gradients with ||g||_2 > 1 + GRAD_TOL
-    unit_gradient_bound = True
-
     def __init__(self, dim: int, epsilon: Optional[float] = None,
                  batch: Optional[int] = None):
         if dim < 1:
@@ -317,8 +310,7 @@ class Learner:
     def observe(self, g) -> None:
         self._check_turn()
         g = as_vector(g, self.dim, "gradient", self.batch)
-        if self.unit_gradient_bound:
-            check_unit_norm(g, "gradient")
+        check_unit_norm(g, "gradient")
         self._step(g)
 
     def _step(self, g: np.ndarray) -> None:
@@ -434,7 +426,7 @@ def _draw_hints(hints, G, learner: Learner, first_round: int) -> np.ndarray:
             raise ReplayError(f"round {first_round + t}: {exc}") from exc
     rows = getattr(learner, "k", learner.batch)  # the learner's hint slots, or its trials
     try:
-        return check_stream(H if multi else H[:, 0], learner.dim, rows, True, first_round,
+        return check_stream(H if multi else H[:, 0], learner.dim, rows, first_round,
                             "hint", "slot" if multi else "trial")
     except ValueError as exc:
         raise ReplayError(str(exc)) from exc
@@ -463,7 +455,7 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     """
     t0 = learner.round_index
     try:
-        G = check_stream(G, learner.dim, learner.batch, learner.unit_gradient_bound, t0)
+        G = check_stream(G, learner.dim, learner.batch, t0)
     except ValueError as exc:
         raise ReplayError(str(exc)) from exc
     T, shape, block = len(G), G.shape[1:], G.ndim == 3

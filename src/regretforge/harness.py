@@ -532,7 +532,7 @@ def _drive(composed: ComposedLearner, G: np.ndarray,
     # ValueError with no round run; core.drive then runs one checkpoint
     # segment at a time, and the bettors are read at checkpoints only
     learner = composed.learner
-    G = check_stream(G, learner.dim, unit=learner.unit_gradient_bound)
+    G = check_stream(G, learner.dim)
     bettors = composed.bettors
     parts, bettor_regrets, start = [], [], 0
     for stop in checkpoints(len(G)):

@@ -184,53 +184,3 @@ class ExternalHints(HintSource):
             out[...], self._next = self.rows[self._next:stop], stop
         return stop <= len(self.rows)
 
-
-def best_fixed_hint(gradients) -> np.ndarray:
-    """Minimizer over the unit ball of sum_t <g_t, g_t - 2h>: the normalized
-    gradient sum (zero if the sum vanishes)."""
-    G = np.asarray(gradients, dtype=np.float64)
-    s = G.sum(axis=0)
-    n = float(np.linalg.norm(s))
-    if n == 0.0:
-        return np.zeros(G.shape[1])
-    return s / n
-
-
-def hint_learner_regret(gradients) -> float:
-    """Regret of the unit-ball descent source against the best fixed hint.
-
-    Losses are ell_t(h) = <g_t, g_t - 2h>; the best fixed hint has the
-    closed form above, so the regret is 2(||sum g|| - sum <g_t, h_t>).
-    """
-    G = np.asarray(gradients, dtype=np.float64)
-    src = UnitBallDescent(G.shape[1])
-    terms = []
-    for t in range(G.shape[0]):
-        h = src.next_hint()
-        terms.append(float(np.dot(G[t], h)))
-        src.feed(G[t])
-    played = math.fsum(terms)
-    return 2.0 * (float(np.linalg.norm(G.sum(axis=0))) - played)
-
-
-def ftl_regret_check(gradients) -> float:
-    """Gap of the running-average source under squared-distance losses.
-
-    Replays the source over the stream and returns
-    sum ||g_t - h_t||^2 - sum ||g_t - gbar||^2 with gbar the empirical mean.
-    Nonnegative by optimality of the mean; grows only logarithmically in T.
-    """
-    G = np.asarray(gradients, dtype=np.float64)
-    T = G.shape[0]
-    if T == 0:
-        return 0.0
-    src = RunningAverage(G.shape[1])
-    terms = []
-    for t in range(T):
-        h = src.next_hint()
-        diff = G[t] - h
-        terms.append(float(np.dot(diff, diff)))
-        src.feed(G[t])
-    gbar = G.sum(axis=0) / T
-    centred = G - gbar
-    return math.fsum(terms) - math.fsum(np.einsum("td,td->t", centred, centred))

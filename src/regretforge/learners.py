@@ -35,7 +35,6 @@ from .geometry import Ball, ConvexDomain, NormSpec, p_norm, row_powers
 # ever reduces wealth, so nonnegativity and the epsilon-at-origin guarantee
 # survive (the measured loss sum is tracked separately and exactly).
 WEALTH_CAP = 1e80
-NARROW = 4  # a CoinBettor axis this short steps entry by entry: array calls cost more
 
 
 def _budget(epsilon) -> float:
@@ -54,8 +53,7 @@ class CoinBettor:
     bettor runs B independent copies, one per trial or per grid row of a
     DimFreeLearner: outcomes, bets, wealth and regrets are (B,) arrays, and
     the wealth cap applies to each copy on its own. ``capped_rounds`` counts
-    the rounds where the cap clipped wealth (one count per copy). A bettor of
-    at most NARROW copies steps each in Python floats, as a scalar one does.
+    the rounds where the cap clipped wealth (one count per copy).
     """
 
     def __init__(self, epsilon: float = 1.0, batch: int | None = None):
@@ -95,18 +93,6 @@ class CoinBettor:
                 raise ValueError(f"bettor outcome of size {float(worst)!r} outside [-1, 1]")
         bet = self.predict() if self._bet is None else self._bet
         self._bet, self.round = None, self.round + 1
-        if self.batch is not None and self.batch <= NARROW:  # Python floats beat array calls
-            w, s, losses = self.wealth.tolist(), self.signed_sum.tolist(), []
-            for i, (zi, yi) in enumerate(zip(z.tolist(), bet.tolist())):
-                losses.append(-zi * yi)  # -(z * y), as negation rounds symmetrically
-                w[i] -= losses[i]
-                if w[i] > WEALTH_CAP:
-                    w[i] = WEALTH_CAP
-                    self.capped_rounds[i] += 1
-                s[i] += zi
-            self._loss_sum.add(losses)
-            self.wealth, self.signed_sum = np.array(w), np.array(s)
-            return
         zy = z * bet
         self._loss_sum.add(-zy)
         wealth = self.wealth + zy
@@ -332,10 +318,11 @@ class AdaptiveProjectedDescent(Learner):
 
     Needs a bounded domain (B is its diameter). The first round with zero
     accumulated gradient performs no move, so an all-zero stream leaves the
-    iterate at the initial point forever. No origin-budget guarantee.
+    iterate at its start, the origin's projection, forever. No origin-budget
+    guarantee.
     """
 
-    def __init__(self, domain: ConvexDomain, x0=None):
+    def __init__(self, domain: ConvexDomain):
         if not domain.bounded:
             raise ValueError("adaptive projected descent needs a bounded domain")
         if isinstance(domain, Ball):
@@ -345,8 +332,7 @@ class AdaptiveProjectedDescent(Learner):
         super().__init__(dim, epsilon=None)
         self.domain = domain
         self.B = domain.diameter
-        start = np.zeros(dim) if x0 is None else as_vector(x0, dim, "x0")
-        self.point = domain.project(start)
+        self.point = domain.project(np.zeros(dim))
         self.grad_sq_sum = 0.0
 
     def _prediction(self):

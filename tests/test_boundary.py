@@ -173,44 +173,6 @@ def test_replays_reject_stream_before_any_round(driver, kind):
     assert learner.round_index == 0
 
 
-class _UnboundedSum(core.Learner):
-    """A learner that takes gradients of any length; it plays the origin."""
-
-    unit_gradient_bound = False
-
-    def __init__(self, dim):
-        super().__init__(dim)
-        self.total = np.zeros(dim)
-
-    def _prediction(self):
-        return np.zeros(self.dim)
-
-    def _update(self, g):
-        self.total = self.total + g
-
-
-def test_unbounded_learner_stream_is_checked_for_finiteness_only():
-    G = np.zeros((6, 2))
-    G[1] = [3.0, 4.0]
-    G[3] = [0.0, -2.0]
-    assert check_stream(G, 2, unit=False) is G
-    learner = _UnboundedSum(2)
-    replay(learner, G)
-    assert learner.round_index == 6
-    np.testing.assert_array_equal(learner.total, [3.0, 2.0])
-    record = harness._drive(harness.ComposedLearner(_UnboundedSum(2)), G, keep_iterates=False)
-    np.testing.assert_array_equal(record.gh_sq, [0.0, 25.0, 0.0, 4.0, 0.0, 0.0])
-    G[4, 1] = np.nan
-    learner = _UnboundedSum(2)
-    with pytest.raises(ReplayError, match="round 4: gradient contains non-finite"):
-        replay(learner, G)
-    assert learner.round_index == 0
-    composed = harness.ComposedLearner(_UnboundedSum(2))
-    with pytest.raises(ValueError, match="round 4: gradient contains non-finite"):
-        harness._drive(composed, G, keep_iterates=False)
-    assert composed.learner.round_index == 0
-
-
 # ---------------------------------------------------------------------------
 # custom hint sources
 # ---------------------------------------------------------------------------

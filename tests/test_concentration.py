@@ -1,4 +1,4 @@
-"""Concentration radius, Monte Carlo coverage, and the log-balancing bound."""
+"""Concentration radius and Monte Carlo coverage."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from regretforge import (
     BernsteinConfig,
-    balanced_log_bound,
     bernstein_radius,
     coverage_experiment,
     learner_radius,
@@ -46,21 +45,6 @@ def test_empirical_variance_matches_oracle(rng):
     mean = X.mean(axis=0)
     oracle = math.fsum(float(np.dot(x - mean, x - mean)) for x in X)
     assert empirical_variance(X) == pytest.approx(oracle, rel=1e-12)
-
-
-def test_balanced_log_bound_dominates_numeric_infimum(rng):
-    # oracle: dense grid search over y >= 0
-    for _ in range(50):
-        A, B, C, D, E = rng.uniform(0.0, 5.0, size=5)
-        def objective(y):
-            return y * (A + B * math.log(math.e + C * y)) + (D * D) / y + E * math.sqrt(
-                math.log(math.e + C * y)
-            )
-        ys = np.geomspace(1e-6, 1e4, 4000)
-        inf_val = min(objective(float(y)) for y in ys)
-        assert inf_val <= balanced_log_bound(A, B, C, D, E) + 1e-9
-    with pytest.raises(ValueError):
-        balanced_log_bound(-1.0, 0.0, 0.0, 1.0, 0.0)
 
 
 def test_sampler_outputs_are_centered_and_bounded():

@@ -693,7 +693,10 @@ def test_cli_bernstein_via_learner(capsys):
     ["bernstein", "--delta", "0.1", "--T", "8", "--trials", "2", "--sampler", "nope"],
     ["run"],
     ["selftest"],
-], ids=["bad-seed", "bad-sampler", "run-without-config", "selftest"])
+    ["sweep", "--config", "configs/sweep.json", "--workers", "0"],
+    ["sweep", "--config", "configs/sweep.json", "--workers", "-2"],
+], ids=["bad-seed", "bad-sampler", "run-without-config", "selftest", "zero-workers",
+        "negative-workers"])
 def test_usage_error_is_one_json_line(capsys, argv):
     assert cli_main(argv) == 2
     captured = capsys.readouterr()

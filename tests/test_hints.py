@@ -16,15 +16,20 @@ from regretforge import (
     RunningAverage,
     UnitBallDescent,
     ZeroHint,
-    best_fixed_hint,
     constrained_optimistic,
-    ftl_regret_check,
-    hint_learner_regret,
     multi_hint,
     optimistic,
 )
 from regretforge.core import drive
-from conftest import rademacher_stream, unit_stream
+from regretforge.harness import StreamSpec, generate_stream
+from conftest import (
+    descent_regret,
+    drawn_hints,
+    ftl_gap,
+    rademacher_stream,
+    running_average_hints,
+    unit_stream,
+)
 
 
 def ftl_gap_oracle(G):
@@ -121,34 +126,23 @@ def test_unit_ball_descent_tracks_constant_gradient():
     assert np.linalg.norm(src.next_hint() - target) <= 0.1
 
 
-def test_best_fixed_hint_closed_form_is_optimal(rng):
-    # brute-force check: no sampled point of the ball beats the closed form
-    G = unit_stream(rng, 64, 3)
-    h_star = best_fixed_hint(G)
-    def total_loss(h):
-        return math.fsum(float(np.dot(g, g - 2 * h)) for g in G)
-    best = total_loss(h_star)
-    for _ in range(500):
-        h = rng.standard_normal(3)
-        n = np.linalg.norm(h)
-        if n > 1:
-            h = h / n
-        assert total_loss(h) >= best - 1e-9
-    assert np.array_equal(best_fixed_hint(np.zeros((4, 2))), np.zeros(2))
-
-
 def test_hint_learner_regret_bound(rng):
     for _ in range(5):
         G = rademacher_stream(rng, 2048, 8)
-        reg = hint_learner_regret(G)
+        reg = descent_regret(G)
         assert reg <= 4.0 * math.sqrt(float(np.sum(G * G)))
+
+
+def running_average_gap(G):
+    """The FTL gap of the running-average source's hints as core.drive draws them."""
+    return ftl_gap(G, drawn_hints(G, RunningAverage(G.shape[1])))
 
 
 def test_ftl_gap_constant_stream():
     g = np.array([0.6, 0.0])
     G = np.tile(g, (9, 1))
     # only round 1 contributes: ||g - 0||^2, and the mean equals g
-    assert ftl_regret_check(G) == pytest.approx(float(np.dot(g, g)), abs=1e-12)
+    assert running_average_gap(G) == pytest.approx(float(np.dot(g, g)), abs=1e-12)
 
 
 def test_ftl_gap_two_round_oracle():
@@ -157,26 +151,50 @@ def test_ftl_gap_two_round_oracle():
     oracle = ftl_gap_oracle(G)
     # hand enumeration: ||g||^2 + ||-g - g||^2 - 2||g||^2 = 3 ||g||^2
     assert oracle == pytest.approx(3 * float(np.dot(g, g)), abs=1e-12)
-    assert ftl_regret_check(G) == pytest.approx(oracle, abs=1e-12)
+    assert running_average_gap(G) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_ftl_gap_matches_oracle_random(rng):
     G = unit_stream(rng, 200, 3)
-    assert ftl_regret_check(G) == pytest.approx(ftl_gap_oracle(G), abs=1e-9)
+    assert running_average_gap(G) == pytest.approx(ftl_gap_oracle(G), abs=1e-9)
 
 
 def test_ftl_gap_nonnegative_and_logarithmic(rng):
     for _ in range(5):
         G = rademacher_stream(rng, 4096, 4)
         gaps = []
+        H = drawn_hints(G, RunningAverage(4))  # a prefix's hints are the stream's first rows
         for T in (16, 64, 256, 1024, 4096):
-            gap = ftl_regret_check(G[:T])
+            gap = ftl_gap(G[:T], H[:T])
             assert gap >= -1e-12
             assert gap <= 8.0 * math.log(T)
             gaps.append(gap)
         # fitted slope of gap against ln T stays in [0, 8]
         slope = np.polyfit(np.log([16, 64, 256, 1024, 4096]), gaps, 1)[0]
         assert -0.05 <= slope <= 8.0
+
+
+@pytest.mark.parametrize("kind", ["zero", "rademacher_iid", "gaussian_clipped",
+                                  "slowly_varying", "sparse", "biased"])
+def test_running_average_drawn_hints_are_the_closed_form_bitwise(kind):
+    # the closed form adds the rows from a +0.0 start, as the source does: a stream whose
+    # first rows are -0.0 would give -0.0 hints from a cumsum that starts at row 0
+    G = generate_stream(StreamSpec(kind, 5, 300, 7))
+    G[:2] = -0.0
+    G[40, :3] = -0.0
+    H = drawn_hints(G, RunningAverage(5))
+    assert H.tobytes() == running_average_hints(G).tobytes()
+
+
+def test_running_average_block_hints_are_the_closed_form_bitwise():
+    G = unit_stream(np.random.default_rng(19), 1024 * 60, 4).reshape(1024, 60, 4)
+    G[:3, 0] = -0.0
+    G[:, 1] = -0.0  # a trial of zero gradients
+    src, H = RunningAverage(4, 60), np.empty_like(G)
+    for t, g in enumerate(G):
+        H[t] = src.next_hint()
+        src.feed(g)
+    assert H.tobytes() == running_average_hints(G).tobytes()
 
 
 def test_running_average_matches_constant_oracle_on_biased_streams():
