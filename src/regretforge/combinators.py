@@ -67,6 +67,11 @@ class AddCombiner(Learner):
         for c in self.children:
             c._step(g)
 
+    def _plan(self, G, H):
+        if type(self) is AddCombiner:  # every child sees the same g
+            for c in self.children:
+                c._plan(G, None)
+
 
 def add_iterates(children: Sequence[Learner]) -> AddCombiner:
     """Combine learners by adding their iterates."""
@@ -110,6 +115,14 @@ def _scan_hinted(root, G, H):
     return W
 
 
+def _plan_hinted(root, G, H):
+    """Learner._plan of the hinted roots: the bettor outcomes <g_t, h_t> are one row_dot."""
+    if type(root) in (OptimisticLearner, MultiHintLearner):
+        root.base._plan(G, None)
+        Z = None if G is None or H is None else row_dot(H, G[:, None] if H.ndim > G.ndim else G)
+        root._planned = None if Z is None else (root.round_index, Z if root.batch else Z.tolist())
+
+
 class OptimisticLearner(HintedLearner):
     """Hint reduction on an unconstrained domain.
 
@@ -147,10 +160,12 @@ class OptimisticLearner(HintedLearner):
             )
         self.base._step(g)
         # loss -<g, h>; the bettor consumes the negated loss
-        self.bettor.observe(row_dot(g, self.last_hint), checked=True)
+        plan = self._planned
+        z = row_dot(g, self.last_hint) if plan is None else plan[1][self.round_index - plan[0]]
+        self.bettor.observe(z, checked=True)
         self.last_hint = None
 
-    _scan = _scan_hinted
+    _plan, _scan = _plan_hinted, _scan_hinted
 
 
 def tilde_hint(domain: ConvexDomain, x, y: float, h):
@@ -256,11 +271,14 @@ class MultiHintLearner(Learner):
                 f"observe at round {self.round_index} without hints this round"
             )
         self.base._step(g)
-        for b, z in zip(self.bettors, row_dot(self.last_hints, g).tolist()):
+        plan = self._planned
+        zs = (row_dot(self.last_hints, g).tolist() if plan is None
+              else plan[1][self.round_index - plan[0]])
+        for b, z in zip(self.bettors, zs):
             b.observe(z, checked=True)
         self.last_hints = None
 
-    _scan = _scan_hinted
+    _plan, _scan = _plan_hinted, _scan_hinted
 
 
 def optimistic(dim: int, epsilon: float = 1.0, spec=None) -> OptimisticLearner:

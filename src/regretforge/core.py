@@ -261,9 +261,9 @@ class RegretLedger:
         u = as_vector(u, self.dim, "comparator", batch)
         losses = self.per_round_losses()
         if batch is None:
-            # single pass: fsum over per-round <g_t, w_t - u>
-            return math.fsum(losses - self.gradients @ u)
-        return np.array([math.fsum(losses[:, i] - self.gradients[:, i] @ u[i])
+            # single pass: fsum over per-round <g_t, w_t - u>, as Python floats
+            return math.fsum((losses - self.gradients @ u).tolist())
+        return np.array([math.fsum((losses[:, i] - self.gradients[:, i] @ u[i]).tolist())
                          for i in range(batch)])
 
 
@@ -282,8 +282,8 @@ class Learner:
     stream once with check_stream before round 0 and then calls _step()
     directly. Composite learners pass the array they were given straight to
     their children's _step(), so a nested gradient is not checked again; a
-    child's own observe() still validates. drive() replays a (T, d) stream
-    with _scan() instead, when the learner's class defines one.
+    child's own observe() still validates. drive() runs a (T, d) stream through
+    _scan(), when the class defines one, and plans other segments with _plan().
 
     Learners that support it take ``batch`` = B to run B independent trials
     in lockstep: every vector then carries a leading trial axis, (B, d), and
@@ -331,6 +331,13 @@ class Learner:
 
     def _update(self, g: np.ndarray) -> None:
         raise NotImplementedError
+
+    _planned = None  # the segment plan a class's _plan keeps, if any
+
+    def _plan(self, G: Optional[np.ndarray], H) -> None:
+        """Take what the rounds of a C-contiguous segment G (hints H or None) fix alone, as whole
+        arrays that each _step reads a row of, with every call and bit kept; G = None drops it.
+        A class that plans matches its exact type: subclasses keep the round."""
 
     def _scan(self, G: np.ndarray, H) -> Optional[np.ndarray]:
         """The plays for n >= 1 checked rows G and hints H (None, (n, d) or (n, k, d)), in a
@@ -442,8 +449,9 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     Before each segment of rounds (the whole stream, or HINT_SEGMENT rounds
     of a block), _draw_hints runs the sources over its gradients and checks
     their hints. A (T, d) stream then runs through the learner's _scan(), if
-    its class has one. Otherwise each round plays its hints, uncopied, into the
-    trusted _hinted_prediction() (or calls predict()) and steps it with _step().
+    its class has one. Otherwise a C-contiguous segment goes to _plan() (dropped
+    in a finally), and each round plays its hints, uncopied, into the trusted
+    _hinted_prediction() (or calls predict()) and steps it with _step().
 
     Returns (losses, iterates, hints played). The losses are
     row_dot(g_t, w_t), (T,) or (T, B) for a block. The iterates are (T, d)
@@ -476,26 +484,31 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     predict, step = learner.predict if hints is None else learner._hinted_prediction, learner._step
     # a non-finite entry makes the sum of squares non-finite; an overflow only runs the full check
     finite = (lambda x: math.isfinite(x.dot(x))) if block else math.isfinite
-    for start in range(0, T, seg):
-        stop = min(T, start + seg)
-        if start and hints is not None:  # the first segment's hints are drawn above
-            H = _draw_hints(hints, G[start:stop], learner, t0 + start)
-        for t in range(start, stop):
-            g = G[t]
-            try:
-                w = predict() if H is None else predict(H[t - start])
-                learner._awaiting_predict = False  # the trusted hinted play leaves it to drive
-                if type(w) is not np.ndarray or w.shape != shape:
-                    w = _check_iterate(w, shape)
-                loss = row_dot(g, w)
-                if not finite(loss):  # a non-finite entry of w makes the loss non-finite
-                    _check_iterate(w, shape)
-                step(g)
-            except (ContractViolation, ValueError) as exc:
-                raise ReplayError(f"round {t0 + t}: {exc}") from exc
-            losses[t] = loss
-            if W is not None:
-                W[t] = w
+    plan = learner._plan if G.flags.c_contiguous else (lambda G, H: None)  # whole rows, as a scan
+    try:
+        for start in range(0, T, seg):
+            stop = min(T, start + seg)
+            if start and hints is not None:  # the first segment's hints are drawn above
+                H = _draw_hints(hints, G[start:stop], learner, t0 + start)
+            plan(G[start:stop], H)
+            for t in range(start, stop):
+                g = G[t]
+                try:
+                    w = predict() if H is None else predict(H[t - start])
+                    learner._awaiting_predict = False  # the trusted hinted play leaves it to drive
+                    if type(w) is not np.ndarray or w.shape != shape:
+                        w = _check_iterate(w, shape)
+                    loss = row_dot(g, w)
+                    if not finite(loss):  # a non-finite entry of w makes the loss non-finite
+                        _check_iterate(w, shape)
+                    step(g)
+                except (ContractViolation, ValueError) as exc:
+                    raise ReplayError(f"round {t0 + t}: {exc}") from exc
+                losses[t] = loss
+                if W is not None:
+                    W[t] = w
+    finally:
+        plan(None, None)
     return losses, W, None if block else H
 
 

@@ -173,32 +173,36 @@ class PNormBallDescent:
     def observe(self, g: np.ndarray) -> None:
         if self.theta is not None:
             self._observe_grid(g)
-            return
-        if self.batch is not None:
-            self._observe_trials(g)
-            return
-        gq = norm(g)
-        self.dual_sq_sum += gq * gq
-        if self.dual_sq_sum > 0.0:  # else no evidence yet: the point stays
-            self.point = ball_step(self.point, self.sqrt_lam / math.sqrt(self.dual_sq_sum) * g)
+        elif self.batch is not None:  # the trial path of one row: its (2, B, d) points, (1, B) sums
+            (_, self.point), (self.dual_sq_sum,) = self._path(g[None])
+        else:
+            gq = norm(g)
+            self.dual_sq_sum += gq * gq
+            if self.dual_sq_sum > 0.0:  # else no evidence yet: the point stays
+                self.point = ball_step(self.point, self.sqrt_lam / math.sqrt(self.dual_sq_sum) * g)
 
-    def _path(self, G: np.ndarray) -> np.ndarray:
-        """The p = 2 points before each row of (n, d) G, stepped past them all. The sums and
-        steps are vectorized, bitwise as observe() builds them (cumsum adds in order)."""
+    def _path(self, G: np.ndarray) -> tuple:
+        """The p = 2 points P before each of n rows G, (n, [B,] d), and after the last, and the sums
+        S of squared norms after each (floats for (n, d)), bitwise observe()'s (cumsum adds in
+        order); the state stays. A sum still at 0 (zero gradients only) takes a zero step."""
         S = np.sqrt(row_dot(G, G))
         S *= S
         S[0] += self.dual_sq_sum
-        np.cumsum(S, out=S)
-        first = int(np.searchsorted(S, 0.0, side="right"))  # S grows: no evidence before
-        P, point = np.empty_like(G), self.point
-        P[:first] = point
-        np.multiply((self.sqrt_lam / np.sqrt(S[first:]))[:, None], G[first:], out=P[first:])
-        for t in range(first, len(G)):  # row t holds the step until its point overwrites it
-            u = point - P[t]
+        np.cumsum(S, axis=0, out=S)
+        eta = np.sqrt(S)
+        np.divide(self.sqrt_lam, eta, out=eta, where=eta > 0.0)
+        P = np.empty((len(G) + 1,) + G.shape[1:])
+        P[0] = self.point
+        np.multiply(eta[..., None], G, out=P[1:])
+        for prev, u in zip(P, P[1:]):  # row t + 1 holds the step until its point overwrites it
+            np.subtract(prev, u, out=u)
+            if G.ndim == 3:
+                u /= np.maximum(row_norm(u), 1.0)[:, None]  # / 1.0 changes no bit
+                continue
             n = math.sqrt(u.dot(u))  # ball_step's norm: a contiguous row ravels to itself
-            P[t], point = point, u / n if n > 1.0 else u
-        self.point, self.dual_sq_sum = point, float(S[-1])
-        return P
+            if n > 1.0:
+                u /= n
+        return P, S if G.ndim == 3 else S.tolist()
 
     def _observe_grid(self, g: np.ndarray) -> None:
         # per-row scalars (eta, powers of S) stay Python floats: NumPy's power rounds otherwise
@@ -230,16 +234,6 @@ class PNormBallDescent:
         self.theta = theta
         self.point = u
 
-    def _observe_trials(self, g: np.ndarray) -> None:
-        # p = 2, one row per trial. A trial whose squared-gradient sum is still 0 has seen only zero
-        # gradients: a zero step keeps it at the origin, as the scalar early return does.
-        gq = row_norm(g)
-        self.dual_sq_sum = self.dual_sq_sum + gq * gq
-        eta = np.sqrt(self.dual_sq_sum)
-        np.divide(self.sqrt_lam, eta, out=eta, where=eta > 0.0)
-        np.subtract(self.point, eta[:, None] * g, out=self.point)
-        self.point /= np.maximum(row_norm(self.point), 1.0)[:, None]  # / 1.0 changes no bit
-
 
 class DimFreeLearner(Learner):
     """Magnitude times direction: a coin bettor scales a unit-ball direction.
@@ -266,16 +260,32 @@ class DimFreeLearner(Learner):
         return w if self.batch is not None else w.sum(axis=0)
 
     def _update(self, g):
-        self.magnitude.observe(-row_dot(g, self.direction.point), checked=True)
-        self.direction.observe(g)
+        plan = self._planned
+        if plan is None:
+            self.magnitude.observe(-row_dot(g, self.direction.point), checked=True)
+            return self.direction.observe(g)
+        i = self.round_index - plan[0]  # the planned round: the same bettor step, no direction one
+        self.magnitude.observe(plan[3][i], checked=True)
+        self.direction.point, self.direction.dual_sq_sum = plan[1][i + 1], plan[2][i]
+
+    def _plan(self, G, H):
+        # the p = 2 direction path, and the magnitude outcomes -<g_t, point_t> it fixes
+        if self._planned is not None:  # a plan ends: let its array go
+            self.direction.point = self.direction.point.copy()
+        self._planned = None
+        if G is not None and type(self) is DimFreeLearner and self.direction.theta is None:
+            P, S = self.direction._path(G)
+            Z = -row_dot(G, P[:-1])
+            self._planned = (self.round_index, P, S, Z if G.ndim == 3 else Z.tolist())
 
     def _scan(self, G, H):
-        # the p = 2 direction path, then the magnitude bets on -<g_t, point_t>
-        if (type(self) is not DimFreeLearner or H is not None or self.direction.theta is not None
-                or type(self.magnitude) is not CoinBettor):
+        if H is None and type(self.magnitude) is CoinBettor:
+            self._plan(G, None)
+        if self._planned is None:
             return None
-        W = self.direction._path(G)
-        W *= np.array(self.magnitude._settle((-row_dot(G, W)).tolist()))[:, None]
+        _, P, S, Z = self._planned
+        self._planned, self.direction.point, self.direction.dual_sq_sum = None, P[-1].copy(), S[-1]
+        W = np.multiply(P[:-1], np.array(self.magnitude._settle(Z))[:, None], out=P[:-1])
         self.round_index, self._awaiting_predict = self.round_index + len(G), True
         return W
 
