@@ -67,8 +67,8 @@ class AddCombiner(Learner):
         for c in self.children:
             c._step(g)
 
-    def _plan(self, G, H):
-        if type(self) is AddCombiner:  # every child sees the same g
+    def _plan(self, G, H, settle=False):
+        if type(self) is AddCombiner:  # every child sees the same g and steps its rounds
             for c in self.children:
                 c._plan(G, None)
 
@@ -93,34 +93,30 @@ def multi_norm(d: int, epsilon: float = 1.0) -> Learner:
     return AddCombiner([two, DimFreeLearner(d, epsilon=share, spec=grid[1:])])
 
 
-PLAY_ROWS = 1024  # rows of hint play a scan subtracts at a time: its temporary stays small
+PLAY_ROWS = 1024  # rows of hint play settled at a time: the temporary stays small
 
 
-def _scan_hinted(root, G, H):
-    """Learner._scan of an OptimisticLearner or MultiHintLearner: each bettor's KT recursion runs
-    on one row_dot's outcomes, and its bets times its hints leave the base's plays as rounds do."""
-    if type(root) not in (OptimisticLearner, MultiHintLearner) or H is None:
+def _plan_hinted(root, G, H, settle=False):
+    """Learner._plan of the hinted roots: the bettor outcomes <g_t, h_t> are one row_dot. The base
+    may settle only under exact CoinBettors (scalar ones, as a settling base has no trial axis);
+    each one's KT recursion then runs on its outcomes at once, and its bets times its hints
+    leave the base's plays as rounds do."""
+    if type(root) not in (OptimisticLearner, MultiHintLearner):
         return None
     bettors = root.bettors if type(root) is MultiHintLearner else [root.bettor]
-    if any(type(b) is not CoinBettor or b.batch is not None for b in bettors):
-        return None
-    W = root.base._scan(G, None)
+    exact = H is not None and all(type(b) is CoinBettor for b in bettors)
+    W = root.base._plan(G, None, settle and exact)
+    Z = None if G is None or H is None else row_dot(H, G[:, None] if H.ndim > G.ndim else G)
+    root._planned = None if Z is None or W is not None else (
+        root.round_index, Z if root.batch else Z.tolist())
     if W is not None:
-        H = H if H.ndim == 3 else H[:, None]
-        Y = [np.array(b._settle(z)) for b, z in zip(bettors, row_dot(H, G[:, None]).T.tolist())]
-        for s in range(0, len(W), PLAY_ROWS):
-            for y, h in zip(Y, H[s:s + PLAY_ROWS].transpose(1, 0, 2)):
-                W[s:s + PLAY_ROWS] -= y[s:s + PLAY_ROWS, None] * h
+        for b, z, h in zip(bettors, Z.reshape(len(G), -1).T.tolist(),
+                           H.reshape(len(G), len(bettors), -1).transpose(1, 0, 2)):
+            y = np.array(b._settle(z))
+            for s in range(0, len(W), PLAY_ROWS):
+                W[s:s + PLAY_ROWS] -= y[s:s + PLAY_ROWS, None] * h[s:s + PLAY_ROWS]
         root.round_index, root._awaiting_predict = root.round_index + len(G), True
     return W
-
-
-def _plan_hinted(root, G, H):
-    """Learner._plan of the hinted roots: the bettor outcomes <g_t, h_t> are one row_dot."""
-    if type(root) in (OptimisticLearner, MultiHintLearner):
-        root.base._plan(G, None)
-        Z = None if G is None or H is None else row_dot(H, G[:, None] if H.ndim > G.ndim else G)
-        root._planned = None if Z is None else (root.round_index, Z if root.batch else Z.tolist())
 
 
 class OptimisticLearner(HintedLearner):
@@ -165,7 +161,7 @@ class OptimisticLearner(HintedLearner):
         self.bettor.observe(z, checked=True)
         self.last_hint = None
 
-    _plan, _scan = _plan_hinted, _scan_hinted
+    _plan = _plan_hinted
 
 
 def tilde_hint(domain: ConvexDomain, x, y: float, h):
@@ -200,6 +196,8 @@ class ConstrainedOptimisticLearner(HintedLearner):
     """
 
     def __init__(self, base: Learner, domain: ConvexDomain, bettor: CoinBettor):
+        if base.batch is not None or bettor.batch is not None:
+            raise DimensionMismatch("a constrained learner takes no batched base or bettor")
         self.base = base
         self.domain = domain
         self.bettor = bettor
@@ -243,6 +241,8 @@ class MultiHintLearner(Learner):
         bettors = list(bettors)
         if not bettors:
             raise ValueError("multi-hint learner needs at least one bettor")
+        if any(part.batch is not None for part in (base, *bettors)):
+            raise DimensionMismatch("a multi-hint learner takes no batched base or bettor")
         eps = None
         if base.epsilon is not None:
             eps = base.epsilon + sum(b.epsilon for b in bettors)
@@ -278,7 +278,7 @@ class MultiHintLearner(Learner):
             b.observe(z, checked=True)
         self.last_hints = None
 
-    _plan, _scan = _plan_hinted, _scan_hinted
+    _plan = _plan_hinted
 
 
 def optimistic(dim: int, epsilon: float = 1.0, spec=None) -> OptimisticLearner:

@@ -282,8 +282,9 @@ class Learner:
     stream once with check_stream before round 0 and then calls _step()
     directly. Composite learners pass the array they were given straight to
     their children's _step(), so a nested gradient is not checked again; a
-    child's own observe() still validates. drive() runs a (T, d) stream through
-    _scan(), when the class defines one, and plans other segments with _plan().
+    child's own observe() still validates. drive() hands each segment to
+    _plan(), the one per-segment hook: a tree able to settle the segment runs
+    it at once, and any other tree's rounds read the plan.
 
     Learners that support it take ``batch`` = B to run B independent trials
     in lockstep: every vector then carries a leading trial axis, (B, d), and
@@ -334,16 +335,13 @@ class Learner:
 
     _planned = None  # the segment plan a class's _plan keeps, if any
 
-    def _plan(self, G: Optional[np.ndarray], H) -> None:
+    def _plan(self, G: Optional[np.ndarray], H, settle: bool = False) -> Optional[np.ndarray]:
         """Take what the rounds of a C-contiguous segment G (hints H or None) fix alone, as whole
         arrays that each _step reads a row of, with every call and bit kept; G = None drops it.
-        A class that plans matches its exact type: subclasses keep the round."""
-
-    def _scan(self, G: np.ndarray, H) -> Optional[np.ndarray]:
-        """The plays for n >= 1 checked rows G and hints H (None, (n, d) or (n, k, d)), in a
-        fresh array, every component stepped past the rows bitwise as the rounds would; or
-        None, changing nothing. A class that scans matches its exact type: subclasses loop."""
-        return None
+        With ``settle``, a tree able to run the rows at once does so instead: it returns their
+        plays in a fresh array, every component stepped past the rows bitwise as the rounds
+        would, and keeps no plan. A class that plans matches its exact type: subclasses keep
+        the round."""
 
 
 class HintedLearner(Learner):
@@ -440,18 +438,19 @@ def _draw_hints(hints, G, learner: Learner, first_round: int) -> np.ndarray:
 
 
 def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
-    """Replay ``learner`` over a gradient stream: one scan, or the one predict/step round loop.
+    """Replay ``learner`` over a gradient stream, one segment of rounds at a time.
 
     ``G`` is a (T, d) stream, or a (T, B, d) block for a learner built with
     batch = B, one trial per column. ``hints`` is None for a plain learner,
     one HintSource, or a list of k sources whose hints form a (k, d) array.
     The stream is checked once with check_stream before the first round.
-    Before each segment of rounds (the whole stream, or HINT_SEGMENT rounds
-    of a block), _draw_hints runs the sources over its gradients and checks
-    their hints. A (T, d) stream then runs through the learner's _scan(), if
-    its class has one. Otherwise a C-contiguous segment goes to _plan() (dropped
-    in a finally), and each round plays its hints, uncopied, into the trusted
-    _hinted_prediction() (or calls predict()) and steps it with _step().
+    A segment is the whole stream, or HINT_SEGMENT rounds of a block. Before
+    each, _draw_hints runs the sources over its gradients and checks their
+    hints. A C-contiguous segment then goes to the root's _plan(G, H, settle=True):
+    a tree that settles it returns its plays, checked as a round checks its
+    play. Otherwise each round plays its hints, uncopied, into the trusted
+    _hinted_prediction() (or calls predict()) and steps it with _step(),
+    reading the plan, which is dropped in a finally.
 
     Returns (losses, iterates, hints played). The losses are
     row_dot(g_t, w_t), (T,) or (T, B) for a block. The iterates are (T, d)
@@ -470,27 +469,29 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     seg = HINT_SEGMENT if block else max(T, 1)  # an empty stream still returns its (0, ...) hints
     # a fresh array: no hint row is written once played
     H = None if hints is None else _draw_hints(hints, G[:seg], learner, t0)
-    # a scan reads whole rows: a strided row's dot may add in another order than a round's
-    W = learner._scan(G, H) if T and not block and G.flags.c_contiguous else None
-    if W is not None:
-        # a round's 1-D dot of length 1 is the product, -0.0 included (see row_dot)
-        losses = row_dot(G, W) if shape[0] > 1 else G[:, 0] * W[:, 0]
-        for t in np.flatnonzero(~np.isfinite(losses)):  # as a round checks its play
-            if not np.isfinite(W[t]).all():
-                raise ReplayError(f"round {t0 + t}: iterate contains non-finite entries")
-        return losses, W if keep_iterates else None, H
     losses = np.empty(G.shape[:-1])
     W = np.empty_like(G) if keep_iterates and not block else None
     predict, step = learner.predict if hints is None else learner._hinted_prediction, learner._step
     # a non-finite entry makes the sum of squares non-finite; an overflow only runs the full check
     finite = (lambda x: math.isfinite(x.dot(x))) if block else math.isfinite
-    plan = learner._plan if G.flags.c_contiguous else (lambda G, H: None)  # whole rows, as a scan
+    # a plan reads whole rows: a strided row's dot may add in another order than a round's
+    plan = learner._plan if G.flags.c_contiguous else (lambda *args: None)
     try:
         for start in range(0, T, seg):
             stop = min(T, start + seg)
             if start and hints is not None:  # the first segment's hints are drawn above
                 H = _draw_hints(hints, G[start:stop], learner, t0 + start)
-            plan(G[start:stop], H)
+            played = plan(G[start:stop], H, True)
+            if played is not None:
+                g = G[start:stop]
+                # a round's 1-D dot of length 1 is the product, -0.0 included (see row_dot)
+                losses[start:stop] = row_dot(g, played) if shape[0] > 1 else g[:, 0] * played[:, 0]
+                for t in start + np.flatnonzero(~np.isfinite(losses[start:stop])):
+                    if not np.isfinite(played[t - start]).all():
+                        raise ReplayError(f"round {t0 + t}: iterate contains non-finite entries")
+                if W is not None:
+                    W[start:stop] = played
+                continue
             for t in range(start, stop):
                 g = G[t]
                 try:

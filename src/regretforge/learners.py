@@ -107,7 +107,7 @@ class CoinBettor:
         self.signed_sum += z
 
     def _settle(self, zs) -> list:
-        """observe()'s scalar KT step over the rewards ``zs`` (floats) of a scan segment, whose
+        """observe()'s scalar KT step over the rewards ``zs`` (floats) of a settled segment, whose
         loss terms fold at once; returns the bets. The first bet is predict()'s, if kept."""
         w, s, r, bet, bets = self.wealth, self.signed_sum, self.round, self._bet, []
         for z in zs:
@@ -268,7 +268,7 @@ class DimFreeLearner(Learner):
         self.magnitude.observe(plan[3][i], checked=True)
         self.direction.point, self.direction.dual_sq_sum = plan[1][i + 1], plan[2][i]
 
-    def _plan(self, G, H):
+    def _plan(self, G, H, settle=False):
         # the p = 2 direction path, and the magnitude outcomes -<g_t, point_t> it fixes
         if self._planned is not None:  # a plan ends: let its array go
             self.direction.point = self.direction.point.copy()
@@ -276,18 +276,12 @@ class DimFreeLearner(Learner):
         if G is not None and type(self) is DimFreeLearner and self.direction.theta is None:
             P, S = self.direction._path(G)
             Z = -row_dot(G, P[:-1])
+            if settle and G.ndim == 2 and type(self.magnitude) is CoinBettor:  # one KT recursion
+                self.direction.point, self.direction.dual_sq_sum = P[-1].copy(), S[-1]
+                self.round_index, self._awaiting_predict = self.round_index + len(G), True
+                Y = np.array(self.magnitude._settle(Z.tolist()))
+                return np.multiply(P[:-1], Y[:, None], out=P[:-1])
             self._planned = (self.round_index, P, S, Z if G.ndim == 3 else Z.tolist())
-
-    def _scan(self, G, H):
-        if H is None and type(self.magnitude) is CoinBettor:
-            self._plan(G, None)
-        if self._planned is None:
-            return None
-        _, P, S, Z = self._planned
-        self._planned, self.direction.point, self.direction.dual_sq_sum = None, P[-1].copy(), S[-1]
-        W = np.multiply(P[:-1], np.array(self.magnitude._settle(Z))[:, None], out=P[:-1])
-        self.round_index, self._awaiting_predict = self.round_index + len(G), True
-        return W
 
 
 class PerCoordinateLearner(Learner):

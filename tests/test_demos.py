@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -16,8 +18,12 @@ def run_demo(name):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_add_iterates_demo_runs():
-    proc = run_demo("01_add_iterates.py")
+# 02 reads OptimisticLearner.bettor, 03 the constrained learner's last_z and
+# last_tilde_iterate, 05 calls coverage_experiment
+@pytest.mark.parametrize("name", ["01_add_iterates.py", "02_optimistic_hints.py",
+                                  "03_constrained_domain.py", "05_bernstein_coverage.py"])
+def test_demo_runs(name):
+    proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,12 +1,19 @@
 """Segment plans: drive hands each C-contiguous segment of rows (and its hints) to the root's
-_plan before stepping its rounds. The planned rounds of add, multi_norm, optimistic and
-multi-hint trees, on (T, d) streams and (T, B, d) blocks, must give the bits of the
-round-by-round public API (predict, observe, next_hint, feed) and leave every component as
-it leaves them; subclasses, strided segments and constrained roots keep the round.
+_plan(G, H, settle=True), and steps the rounds of a tree that does not settle. The planned
+rounds of add, multi_norm, optimistic and multi-hint trees, on (T, d) streams and (T, B, d)
+blocks, must give the bits of the round-by-round public API (predict, observe, next_hint,
+feed) and leave every component as it leaves them; subclasses, strided segments and
+constrained roots keep the round. Over trees that harness.build_learner builds, settled or
+planned or neither, drive must be the public rounds bitwise.
 """
+
+import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 from regretforge import combinators, harness, learners
 from regretforge.combinators import (
@@ -95,29 +102,35 @@ def _make(tree, G, eps=0.5, hint="running_average", **sub):
         [_hints(hint, G), LastGradient(d)]
 
 
-#: trees whose (T, d) replay runs the planned round loop: a scan takes none of them, and
-#: "optimistic_dimfree" here has a subclass hint bettor (the scan's _settle wants a CoinBettor)
+#: trees whose (T, d) replay runs the planned round loop: none of them settles, and
+#: "optimistic_dimfree" here has a subclass hint bettor (settling wants exact CoinBettors)
 TREES = ["add", "multi_norm", "optimistic_add", "multi_add", "optimistic_grid", "multi_grid",
          "optimistic_dimfree"]
 BLOCK_TREES = ["dimfree_block", "optimistic_block"]
 
 
 def _rounds(learner, G, hints):
-    """The public round-by-round replay of rows G: (losses, iterates)."""
+    """The public round-by-round replay of rows G: (losses, iterates, hints played), the last two
+    None for a block, as drive returns them."""
     sources = [] if hints is None else hints if isinstance(hints, list) else [hints]
-    losses, W = [], []
+    losses, W, H = [], [], []
     for g in G:
         if hints is None:
             w = learner.predict()
         else:
             h = [s.next_hint() for s in sources]
-            w = learner.predict(np.array(h) if isinstance(hints, list) else h[0])
+            H.append(np.array(h) if isinstance(hints, list) else h[0])
+            w = learner.predict(H[-1])
         losses.append(row_dot(g, w))
         W.append(w)
         learner.observe(g)
         for s in sources:
             s.feed(g)
-    return np.array(losses), None if G.ndim == 3 else np.array(W)
+    if G.ndim == 3:
+        return np.array(losses), None, None
+    slots = (len(sources),) if isinstance(hints, list) else ()
+    return (np.array(losses), np.array(W).reshape(G.shape),
+            None if hints is None else np.array(H).reshape((len(G),) + slots + G.shape[1:]))
 
 
 def _state(obj):
@@ -129,7 +142,7 @@ def _state(obj):
         return [_state(x) for x in obj]
     if isinstance(obj, Accumulator):
         return _state(obj._fold())
-    if isinstance(obj, (Learner, CoinBettor, PNormBallDescent)):
+    if isinstance(obj, (Learner, CoinBettor, PNormBallDescent, HintSource)):
         assert getattr(obj, "_planned", None) is None
         return {k: _state(v) for k, v in vars(obj).items() if k not in ("_planned", "domain")}
     return repr(obj)
@@ -335,3 +348,100 @@ def test_a_non_finite_play_mid_segment_names_its_round(tree):
         sources = [] if ref_hints is None else [ref_hints]
         ref.predict(*[s.next_hint() for s in sources])  # the round that fails
     assert _state(learner) == _state(ref)
+
+
+class _HalfBettor(CoinBettor):
+    """A user bettor that bets half the KT bet: a subclass, so no tree settles over it."""
+
+    def predict(self):
+        self._bet = 0.5 * super().predict()
+        return self._bet
+
+
+BUDGETS = [0.25, 1.0]
+
+
+def _base(pick, dim, depth=0):
+    """A plain learner config drawn by ``pick`` (a random.Random): dimfree (p = 2 and p < 2),
+    percoord, zero, multi_norm, or add over them. Half the top-level ones are a p = 2 dimfree,
+    the one base that settles."""
+    kinds = ["dimfree", "dimfree_p", "percoord", "zero"] + ["multi_norm"] * (dim >= 3)
+    kind = pick.choice(kinds + ["add"] * (depth < 2))  # the grid needs d >= 3
+    if depth == 0 and pick.random() < 0.5:
+        kind = "dimfree"
+    if kind == "add":
+        return {"kind": kind, "children": [_base(pick, dim, depth + 1)
+                                           for _ in range(pick.randint(2, 3))]}
+    if kind == "zero":
+        return {"kind": kind}
+    cfg = {"kind": kind, "epsilon": pick.choice(BUDGETS)}
+    if kind == "dimfree_p":
+        cfg.update(kind="dimfree", p=pick.choice([2.0, 1.5, 1.25]))
+    return cfg
+
+
+def _hint(kind, G, rng, folder):
+    """A hint config of a kind of the hint table for the rows of G; "external" writes a file."""
+    if kind == "constant":
+        v = rng.standard_normal(G.shape[1])
+        return {"kind": kind, "vector": (rng.uniform() * v / np.linalg.norm(v)).tolist()}
+    if kind == "external":
+        path = folder / f"hints{rng.integers(2 ** 30)}.txt"
+        np.savetxt(path, _stream((max(len(G), 1), G.shape[1]), seed=rng.integers(2 ** 30)))
+        return {"kind": kind, "path": str(path)}
+    return {"kind": kind}
+
+
+def _built(cfg, G, sub, rich):
+    """(learner, hint sources) of a config; ``sub`` picks one CoinBettor to make a _HalfBettor,
+    and ``rich`` starts every bettor near the wealth cap, past the grammar's budget limit."""
+    built = harness.build_learner(cfg, G.shape[1], stream=G)
+    for b in _walk(built.learner) if rich else ():
+        b.wealth = b.wealth * 4e79  # bettors on good hints or steady rows cap within rounds
+    exact = [b for b in _walk(built.learner) if type(b) is CoinBettor]
+    if sub is not None and exact:
+        exact[sub % len(exact)].__class__ = _HalfBettor
+    return built.learner, built.hint_sources
+
+
+#: the paths of a split's two parts: drive (settled or planned) and the public rounds
+SPLITS = [(drive, _rounds), (_rounds, drive), (drive, drive)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from(range(1, 10)), T=st.sampled_from(range(49)),
+       seed=st.integers(0, 2 ** 16), stream=st.sampled_from(sorted(harness.TABLE["stream"])),
+       zero_rows=st.integers(0, 4), root=st.sampled_from(["plain", "optimistic", "multi_hint"]),
+       sub=st.sampled_from(range(8)), rich=st.booleans(), paths=st.sampled_from(SPLITS),
+       data=st.data())
+def test_drive_is_the_public_rounds_over_the_composition_grammar(dim, T, seed, stream, zero_rows,
+                                                                 root, sub, rich, paths, data):
+    """Trees from harness.build_learner, on every stream and hint kind, as built and with one
+    bettor a subclass: drive, and a split whose parts take two paths, give the public rounds'
+    losses, iterates and hints, and leave every component (hint sources included) and every
+    bettor's figures as the rounds leave them."""
+    G = harness.generate_stream(harness.StreamSpec(stream, dim, max(T, 1), seed))[:T]
+    G[:zero_rows] = 0.0  # the direction's no-evidence rounds
+    # the trees' shapes come from the seed: hypothesis's own draws cluster on a few shapes
+    pick, rng = random.Random(seed), np.random.default_rng(seed)
+    bases = [_base(pick, dim), {"kind": "add", "children": [_base(pick, dim, 1),
+                                                            {"kind": "dimfree"}]}]
+    cut = data.draw(st.integers(0, T))
+    with tempfile.TemporaryDirectory() as folder:
+        if root != "plain":
+            kinds = pick.choices(sorted(harness.TABLE["hint"]),
+                                 k=1 if root == "optimistic" else pick.randint(1, 3))
+            hints = [_hint(kind, G, rng, Path(folder)) for kind in kinds]
+            bases = [{"kind": root, "base": base, "bettor_epsilon": pick.choice(BUDGETS),
+                      "hints": hints if root == "multi_hint" else hints[0]} for base in bases]
+        note(bases)
+        trees = [[_built(cfg, G, s, rich) for _ in range(3)] for cfg in bases for s in (None, sub)]
+    for (whole, whole_hints), (split, split_hints), (ref, ref_hints) in trees:
+        expected = _rounds(ref, G, ref_hints)
+        _same(drive(whole, G, whole_hints), expected)
+        head, tail = paths[0](split, G[:cut], split_hints), paths[1](split, G[cut:], split_hints)
+        _same([None if x is None else np.concatenate([x, y]) for x, y in zip(head, tail)],
+              expected)
+        for learner, hints in ((whole, whole_hints), (split, split_hints)):
+            assert _state([learner, hints]) == _state([ref, ref_hints])
+            assert _bettors(learner) == _bettors(ref)

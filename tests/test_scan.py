@@ -1,6 +1,7 @@
-"""Replay scans: drive runs each component of a p = 2 dimfree, optimistic or
-multi-hint root once over the stream, and must give the bits of the
-round-by-round public API (predict, observe, next_hint, feed).
+"""Settled segments: on a (T, d) stream, drive's one per-segment hook,
+Learner._plan(G, H, settle=True), runs each component of a p = 2 dimfree,
+optimistic or multi-hint root once over the stream, and must give the bits of
+the round-by-round public API (predict, observe, next_hint, feed).
 """
 
 import json
@@ -106,7 +107,8 @@ def _same(a, b):
 def _check_scan(tree, G, hint_kinds, split=None):
     dim = G.shape[1]
     learner, hints = _tree(tree, dim, G, hint_kinds)
-    assert len(G) == 0 or learner._scan(G, None if hints is None else _peek(hints, G)) is not None
+    H = None if hints is None else _peek(hints, G)
+    assert len(G) == 0 or learner._plan(G, H, True) is not None
     learner, hints = _tree(tree, dim, G, hint_kinds)
     scanned = drive(learner, G, hints)
     ref_learner, ref_hints = _tree(tree, dim, G, hint_kinds)
@@ -124,7 +126,7 @@ def _check_scan(tree, G, hint_kinds, split=None):
 
 
 def _peek(hints, G):
-    """Hints of the right shape for a dry _scan call on fresh objects."""
+    """Hints of the right shape for a dry settling _plan call on fresh objects."""
     if isinstance(hints, list):
         return np.zeros((len(G), len(hints), G.shape[1]))
     return np.zeros(G.shape)
@@ -209,7 +211,7 @@ def test_a_subclass_takes_the_round_loop_with_the_same_bits(make, sub):
     G = _stream("slowly_varying", d, 200, seed=5, zero_rows=2)
     learner, hints = make(d, **sub)
     H = None if hints is None else _peek(hints, G)
-    assert learner._scan(G, H) is None and make(d)[0]._scan(G, H) is not None
+    assert learner._plan(G, H, True) is None and make(d)[0]._plan(G, H, True) is not None
     looped = drive(learner, G, hints)
     ref, ref_hints = make(d, **sub)
     _same(looped, _hand_rounds(ref, G, ref_hints))
@@ -223,7 +225,7 @@ def test_a_p_grid_base_takes_the_round_loop():
     G = _stream("sparse", d, 100, seed=3)
     grid = (harness.NormSpec.from_p(1.5),)
     learner, hints = _optimistic(d, spec=grid)
-    assert learner._scan(G, _peek(hints, G)) is None
+    assert learner._plan(G, _peek(hints, G), True) is None
     ref, ref_hints = _optimistic(d, spec=grid)
     _same(drive(learner, G, hints), _hand_rounds(ref, G, ref_hints))
 

@@ -19,7 +19,7 @@ from regretforge import (
     replay_hinted,
 )
 from regretforge import concentration
-from regretforge.combinators import multi_hint
+from regretforge.combinators import ConstrainedOptimisticLearner, MultiHintLearner, multi_hint
 from regretforge.concentration import SAMPLER_PRESETS, trial_block
 from regretforge.core import (
     GRAD_TOL,
@@ -30,7 +30,7 @@ from regretforge.core import (
     check_unit_norm,
     drive,
 )
-from regretforge.geometry import NormSpec
+from regretforge.geometry import Ball, NormSpec
 from regretforge.hints import HintSource, RunningAverage
 from regretforge.learners import WEALTH_CAP, PNormBallDescent
 
@@ -169,6 +169,20 @@ def test_wrong_shaped_rows_raise_dimension_mismatch():
         OptimisticLearner(DimFreeLearner(d, batch=B), CoinBettor(1.0, B + 1))
     with pytest.raises(ReplayError, match="round 0"):
         replay_hinted(_optimistic(d, B), np.zeros((8, B + 1, d)), RunningAverage(d, B))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MultiHintLearner(DimFreeLearner(3, 0.5), [CoinBettor(0.5, batch=3)]),
+    lambda: MultiHintLearner(DimFreeLearner(3, 0.5, batch=2), [CoinBettor(0.5)]),
+    lambda: ConstrainedOptimisticLearner(DimFreeLearner(3, 0.5), Ball(np.zeros(3), 1.0),
+                                         CoinBettor(0.5, batch=3)),
+    lambda: ConstrainedOptimisticLearner(DimFreeLearner(3, 0.5, batch=2), Ball(np.zeros(3), 1.0),
+                                         CoinBettor(0.5, batch=2)),
+], ids=["multi_hint_bettor", "multi_hint_base", "constrained_bettor", "constrained_base"])
+def test_roots_without_a_trial_axis_reject_a_batched_part(make):
+    # before: the (3,) bet multiplied the hint entry by entry, or a round failed inside NumPy
+    with pytest.raises(DimensionMismatch, match="takes no batched base or bettor"):
+        make()
 
 
 def test_out_of_contract_values_are_rejected():
