@@ -83,7 +83,8 @@ def multi_norm(d: int, epsilon: float = 1.0) -> Learner:
 
     Sums the p = 2 dimension-free learner and one grid DimFreeLearner whose
     rows are the p < 2 exponents, each with budget epsilon / grid_size.
-    Per-update work is proportional to d times the grid size, O(d log d).
+    Per-update work is O(d) per grid row, O(d log d) in all; the grid's powers
+    r^(q-1) follow the gradient's nonzero columns (see PNormBallDescent).
     """
     grid = pnorm_grid(d)
     share = epsilon / len(grid)

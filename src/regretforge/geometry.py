@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, as_vector, norm
+from .core import DimensionMismatch, as_vector, norm, row_norm
 
 
 def dual_exponent(p: float) -> float:
@@ -43,25 +43,70 @@ def row_powers(r: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
+#: rows of an (n, d) input that p_norm raises at once. At n = 256, d = 1024, 10 nonzeros a row
+#: and three exponents a row took 3.4-3.7 µs in blocks of 32, about 23 µs as a call of its own;
+#: blocks of 64 and 128 took 5.7 and 8.8 µs, their zero-filled temporaries page-faulting
+#: (2-CPU host, NumPy 2.4.6).
+NORM_ROWS = 32
+
+
 def p_norm(x, p):
     """(sum |x_i|^p)^(1/p); max |x_i| for p = inf.
 
-    A 1-D array ``p`` gives one norm per exponent, each bitwise ``p_norm(x, p_i)``:
-    |x| / max |x_i| is raised to all at once and each row summed at full length.
+    A 1-D array ``p`` gives one norm per exponent, each bitwise ``p_norm(x, p_i)``. An (n, d)
+    ``x`` gives the norms of its rows, (n,) or (n, len(p)), each bitwise the row's own call;
+    a 3-D or higher ``x`` raises ValueError. A row is divided by its max |x_i|, which keeps
+    the powers in range (p = inf: max * S**0), and only its nonzero entries are raised while
+    at most COMPACT_SHARE of a block's entries are nonzero; each row is summed at full
+    length, zeros included, so its pairwise sum keeps its bits.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.ndim(p) and p in (1.0, 2.0):
+    if x.ndim > 2:
+        raise ValueError(f"p_norm takes a vector or (n, d) rows, got shape {x.shape}")
+    if not np.ndim(p) and p in (1.0, 2.0) and x.ndim < 2:
         return norm(x) if p == 2.0 else float(np.sum(np.abs(x)))
     ps = np.asarray(p, dtype=np.float64).reshape(-1)
     exps = ps.tolist()
     if min(exps) < 1.0:
         raise ValueError("p must be >= 1")
-    a = np.abs(x)
-    m = float(a.max()) if a.size else 0.0
-    # factor out the max to avoid overflow/underflow in the powers (p = inf: m * S**0)
-    sums = row_powers(a / m, ps).sum(axis=1).tolist() if m else [0.0] * len(exps)
-    norms = [p_norm(x, e) if e in (1.0, 2.0) else m * s ** (1.0 / e) for s, e in zip(sums, exps)]
-    return np.array(norms) if np.ndim(p) else norms[0]
+    cols = _row_norms(np.ascontiguousarray(np.atleast_2d(x)), exps)
+    if x.ndim < 2:  # one row: its norms, or its norm as a float
+        return np.array([c[0] for c in cols]) if np.ndim(p) else cols[0][0]
+    return np.array(cols).T.copy() if np.ndim(p) else np.array(cols[0])
+
+
+def _row_norms(X: np.ndarray, exps: list) -> list:
+    """The norms of the rows of a C-contiguous (n, d) X: a list of n floats per exponent."""
+    n, d = X.shape
+    cols = {}  # the exponents with closed forms, then the raised ones
+    if 2.0 in exps:
+        cols[2.0] = row_norm(X).tolist()
+    if 1.0 in exps:
+        cols[1.0] = np.abs(X).sum(axis=1).tolist()
+    raised = [e for e in exps if e not in cols]
+    ms, sums = [], [[] for _ in raised]  # each row's max |x_i|, each exponent's row sums
+    R = np.zeros(min(n, NORM_ROWS) * d if raised else 0)  # a sparse block's powers, zero elsewhere
+    for s in range(0, n if raised and d else 0, NORM_ROWS):
+        a = np.abs(X[s:s + NORM_ROWS])
+        m = a.max(axis=1)
+        ms += m.tolist()
+        if 0.0 in ms[s:]:
+            m[m == 0.0] = 1.0  # a zero row raises 0 / 1: its sums and norms are 0
+        nz = np.flatnonzero(a != 0.0)
+        if nz.size > COMPACT_SHARE * a.size:
+            r = a / m[:, None]
+            t = [(r ** x).sum(axis=1) for x in raised]
+        else:
+            r, rows, t = a.take(nz) / m[nz // d], R[:a.size].reshape(a.shape), []
+            for x in raised:
+                R[nz] = r ** x
+                t.append(rows.sum(axis=1))
+            R[nz] = 0.0
+        for col, row in zip(sums, t):
+            col += row.tolist()
+    for x, col in zip(raised, sums):  # p = inf: m * S**0
+        cols[x] = [m_i * t ** (1.0 / x) for m_i, t in zip(ms, col)] if d else [0.0] * n
+    return [cols[x] for x in exps]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     GRAD_TOL,
+    HINT_SEGMENT,
     Accumulator,
     Learner,
     as_vector,
@@ -28,13 +29,19 @@ from .core import (
     row_dot,
     row_norm,
 )
-from .geometry import Ball, ConvexDomain, NormSpec, p_norm, row_powers
+from .geometry import COMPACT_SHARE, Ball, ConvexDomain, NormSpec, p_norm, row_powers
 
 # On a perfectly predictable stream the bettor's wealth grows exponentially
 # and would overflow float64; the cap keeps iterates finite. Capping only
 # ever reduces wealth, so nonnegativity and the epsilon-at-origin guarantee
 # survive (the measured loss sum is tracked separately and exactly).
 WEALTH_CAP = 1e80
+
+
+#: exponents for which NumPy's power loop may take a shortcut (x * x for 2.0) instead of its
+#: SIMD pow, by whether the call's shape broadcasts them: a grid with such an r^(q-1) exponent
+#: (p = 1.5 gives 2.0) raises whole rows every round, as one call, to keep its bits
+POWER_SHORTCUTS = {-1.0, 0.0, 0.5, 1.0, 2.0}
 
 
 def _budget(epsilon) -> float:
@@ -149,7 +156,9 @@ class PNormBallDescent:
     eta*g), rescaled to ||.||_p <= 1" in exact arithmetic: the two maps are
     inverse to each other and 1-homogeneous, and ||grad psi_q(theta)||_p =
     ||theta||_q, so dividing theta by n keeps theta = grad psi_p(point).
-    The point's own map and p-norm are therefore never recomputed.
+    The point's own map and p-norm are therefore never recomputed. The grid also keeps
+    r = |theta| / max |theta| and r^(q-1) by row: a row that did not rescale last round and
+    whose max is bitwise unchanged raises only g's nonzero columns again (see _powers).
     """
 
     def __init__(self, dim: int, spec=None, batch: int | None = None):
@@ -167,12 +176,22 @@ class PNormBallDescent:
         if batch is not None:
             raise ValueError("a trial axis needs the p = 2 direction learner")
         self.q = np.array([s.q for s in specs])
-        self.theta, self.point = np.zeros((2, len(specs), dim))
+        self._e = self.q - 1.0  # the exponent of r^(q-1)
+        self._offsets = np.arange(0, len(specs) * dim, dim)[:, None]  # each row's flat start
+        self._moved_only = not set(self._e.tolist()) & POWER_SHORTCUTS
+        self.sqrt_lam = np.sqrt([s.lam for s in specs])
+        self.theta, self.point, self._r, self._rq1 = np.zeros((4, len(specs), dim))
         self.dual_sq_sum = np.zeros(len(specs))
+        self._m = [0.0] * len(specs)  # each row's max |theta| in its last step, before rescaling
+        self._rescaled = [False] * len(specs)
 
-    def observe(self, g: np.ndarray) -> None:
+    def observe(self, g: np.ndarray, planned=None) -> None:
+        """Step on g; a grid reads ``planned``, g's (sums, steps) row of _steps, if given."""
         if self.theta is not None:
-            self._observe_grid(g)
+            if planned is None:  # the one round's plan
+                S, eta = self._steps(p_norm(g, self.q)[None])
+                planned = S[0], eta[0]
+            self._observe_grid(g, *planned)
         elif self.batch is not None:  # the trial path of one row: its (2, B, d) points, (1, B) sums
             (_, self.point), (self.dual_sq_sum,) = self._path(g[None])
         else:
@@ -181,16 +200,22 @@ class PNormBallDescent:
             if self.dual_sq_sum > 0.0:  # else no evidence yet: the point stays
                 self.point = ball_step(self.point, self.sqrt_lam / math.sqrt(self.dual_sq_sum) * g)
 
-    def _path(self, G: np.ndarray) -> tuple:
-        """The p = 2 points P before each of n rows G, (n, [B,] d), and after the last, and the sums
-        S of squared norms after each (floats for (n, d)), bitwise observe()'s (cumsum adds in
-        order); the state stays. A sum still at 0 (zero gradients only) takes a zero step."""
-        S = np.sqrt(row_dot(G, G))
-        S *= S
+    def _steps(self, norms: np.ndarray) -> tuple:
+        """The sums S of squared dual norms after each of n rounds, (n, [B or k]), and the
+        steps sqrt(lam) / sqrt(S), 0 where S = 0, from the rounds' dual norms, bitwise the
+        rounds' own (cumsum adds in order; sqrt and divide round correctly); the state stays."""
+        S = norms * norms
         S[0] += self.dual_sq_sum
         np.cumsum(S, axis=0, out=S)
         eta = np.sqrt(S)
         np.divide(self.sqrt_lam, eta, out=eta, where=eta > 0.0)
+        return S, eta
+
+    def _path(self, G: np.ndarray) -> tuple:
+        """The p = 2 points P before each of n rows G, (n, [B,] d), and after the last, and the sums
+        S of squared norms after each (floats for (n, d)), bitwise observe()'s; the state stays.
+        A sum still at 0 (zero gradients only) takes a zero step."""
+        S, eta = self._steps(row_norm(G))
         P = np.empty((len(G) + 1,) + G.shape[1:])
         P[0] = self.point
         np.multiply(eta[..., None], G, out=P[1:])
@@ -204,16 +229,13 @@ class PNormBallDescent:
                 u /= n
         return P, S if G.ndim == 3 else S.tolist()
 
-    def _observe_grid(self, g: np.ndarray) -> None:
-        # per-row scalars (eta, powers of S) stay Python floats: NumPy's power rounds otherwise
-        gq = p_norm(g, self.q)
-        self.dual_sq_sum = self.dual_sq_sum + gq * gq
-        sums = self.dual_sq_sum.tolist()
-        if max(sums) <= 0.0:
+    def _observe_grid(self, g: np.ndarray, sums: np.ndarray, eta: np.ndarray) -> None:
+        # per-row scalars (powers of S) stay Python floats: NumPy's power rounds otherwise
+        self.dual_sq_sum = sums
+        if max(sums.tolist()) <= 0.0:
             return  # no evidence yet: theta and the point stay at the origin
         # a row whose sum is still 0 takes a zero step and keeps theta = 0
-        eta = [math.sqrt(s.lam) / math.sqrt(t) if t else 0.0 for s, t in zip(self.specs, sums)]
-        theta = self.theta - np.array(eta)[:, None] * g
+        theta = self.theta - np.asarray(eta)[:, None] * g
         a = np.abs(theta)
         m = a.max(axis=1)
         ms = m.tolist()
@@ -222,17 +244,48 @@ class PNormBallDescent:
         # r = |theta|/m keeps the powers in range; r^(q-1) gives both
         # grad psi_q(theta) = m * S^(2/q - 1) * sign(theta) * r^(q-1) and
         # ||theta||_q = m * S^(1/q), where S = sum r^(q-1) * r.
-        r = a / m[:, None]
-        rq1 = row_powers(r, self.q - 1.0)
+        r, rq1 = self._powers(g, a, m, ms)
         rows = list(zip(ms, row_dot(rq1, r).tolist(), self.q.tolist()))
         scale = [m_i * S ** (2.0 / q - 1.0) if m_i else 0.0 for m_i, S, q in rows]
         n = [max(m_i * S ** (1.0 / q), 1.0) if m_i else 1.0 for m_i, S, q in rows]
-        u = np.copysign(rq1, theta) * np.array(scale)[:, None]
+        u = np.copysign(rq1, theta)
+        u *= np.array(scale)[:, None]
+        self._m, self._rescaled = ms, [n_i > 1.0 for n_i in n]
         if max(n) > 1.0:  # rows with n <= 1 divide by 1.0, which changes no bit
             n = np.array(n)[:, None]
-            u, theta = u / n, theta / n
+            u /= n
+            theta /= n
         self.theta = theta
         self.point = u
+
+    def _powers(self, g, a, m, ms) -> tuple:
+        """r = a / m and r^(q - 1) by row, kept for the next round. theta - eta * 0 is theta in
+        absolute value, so a row that did not rescale last round and whose max m is bitwise
+        unchanged has new r and r^(q-1) only in g's nonzero columns: unless g is dense, only
+        those are computed (an element's power does not depend on its SIMD lane; see
+        POWER_SHORTCUTS for the exponents where the call's shape matters)."""
+        kept = []
+        if self._moved_only and np.count_nonzero(g) <= COMPACT_SHARE * g.size:
+            kept = [m_i == m0 and not resc for m_i, m0, resc in zip(ms, self._m, self._rescaled)]
+        if not any(kept):
+            self._r = a / m[:, None]
+            self._rq1 = row_powers(self._r, self._e)
+            return self._r, self._rq1
+        r, rq1, e = self._r, self._rq1, self._e
+        for i, keep in enumerate(kept):  # in full; its moved columns take the same bits below
+            if not keep:
+                np.divide(a[i], m[i], out=r[i])
+                rq1[i] = row_powers(r[i], e[i:i + 1])[0]
+        at = self._offsets + (g != 0.0).nonzero()[0]  # the moved columns' flat indices, by row
+        moved = a.take(at) / m[:, None]
+        r.put(at, moved)
+        rq1.put(at, moved ** e[:, None])
+        return r, rq1
+
+
+#: rows of a segment whose p = 2 direction path a plan holds at once, a block's segment; a
+#: spent chunk plans the next from the state it left, so a plan's memory does not grow with T
+PLAN_ROWS = HINT_SEGMENT
 
 
 class DimFreeLearner(Learner):
@@ -260,28 +313,45 @@ class DimFreeLearner(Learner):
         return w if self.batch is not None else w.sum(axis=0)
 
     def _update(self, g):
-        plan = self._planned
-        if plan is None:
-            self.magnitude.observe(-row_dot(g, self.direction.point), checked=True)
-            return self.direction.observe(g)
+        plan, direction = self._planned, self.direction
+        if plan is None or direction.theta is not None:  # a grid reads its planned steps
+            self.magnitude.observe(-row_dot(g, direction.point), checked=True)
+            steps = None if plan is None else plan[1][self.round_index - plan[0]]
+            return direction.observe(g, steps)
         i = self.round_index - plan[0]  # the planned round: the same bettor step, no direction one
+        if i == len(plan[3]):  # the chunk is spent: plan the next from the state it left
+            plan, i = self._chunk(plan[4]), 0
         self.magnitude.observe(plan[3][i], checked=True)
-        self.direction.point, self.direction.dual_sq_sum = plan[1][i + 1], plan[2][i]
+        direction.point, direction.dual_sq_sum = plan[1][i + 1], plan[2][i]
+
+    def _chunk(self, G):
+        """Plan the p = 2 direction path of G's first PLAN_ROWS rows from this round on, and the
+        magnitude outcomes -<g_t, point_t> it fixes; the rest of G waits for the next chunk."""
+        P, S = self.direction._path(G[:PLAN_ROWS])
+        Z = -row_dot(G[:PLAN_ROWS], P[:-1])
+        self._planned = (self.round_index, P, S, Z if G.ndim == 3 else Z.tolist(), G[PLAN_ROWS:])
+        return self._planned
 
     def _plan(self, G, H, settle=False):
-        # the p = 2 direction path, and the magnitude outcomes -<g_t, point_t> it fixes
-        if self._planned is not None:  # a plan ends: let its array go
-            self.direction.point = self.direction.point.copy()
+        direction = self.direction
+        if self._planned is not None:  # a plan ends: let its arrays go
+            direction.point = direction.point.copy()
+            if type(direction.dual_sq_sum) is np.ndarray:
+                direction.dual_sq_sum = direction.dual_sq_sum.copy()
         self._planned = None
-        if G is not None and type(self) is DimFreeLearner and self.direction.theta is None:
-            P, S = self.direction._path(G)
-            Z = -row_dot(G, P[:-1])
-            if settle and G.ndim == 2 and type(self.magnitude) is CoinBettor:  # one KT recursion
-                self.direction.point, self.direction.dual_sq_sum = P[-1].copy(), S[-1]
-                self.round_index, self._awaiting_predict = self.round_index + len(G), True
-                Y = np.array(self.magnitude._settle(Z.tolist()))
-                return np.multiply(P[:-1], Y[:, None], out=P[:-1])
-            self._planned = (self.round_index, P, S, Z if G.ndim == 3 else Z.tolist())
+        if G is None or type(self) is not DimFreeLearner:
+            return None
+        if direction.theta is not None:  # a grid's dual norms, their sums and its steps
+            S, eta = direction._steps(p_norm(G, direction.q))
+            self._planned = (self.round_index, list(zip(S, eta)))
+        elif settle and G.ndim == 2 and type(self.magnitude) is CoinBettor:  # one KT recursion
+            P, S = direction._path(G)
+            direction.point, direction.dual_sq_sum = P[-1].copy(), S[-1]
+            self.round_index, self._awaiting_predict = self.round_index + len(G), True
+            Y = np.array(self.magnitude._settle((-row_dot(G, P[:-1])).tolist()))
+            return np.multiply(P[:-1], Y[:, None], out=P[:-1])
+        else:
+            self._chunk(G)
 
 
 class PerCoordinateLearner(Learner):

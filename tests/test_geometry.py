@@ -16,7 +16,7 @@ from regretforge import (
     pnorm_grid,
     tilde_hint,
 )
-from regretforge.geometry import COMPACT_SHARE, row_powers
+from regretforge.geometry import COMPACT_SHARE, NORM_ROWS, row_powers
 
 
 def grid_oracle(d):
@@ -69,6 +69,47 @@ def test_p_norm_of_many_exponents_is_each_one_bitwise(d):
             assert got.shape == (len(exps),)
             for p, norm_p in zip(exps, got.tolist()):
                 assert norm_p == p_norm(x, p) == p_norm_oracle(x, p), (nnz, scale, p)
+
+
+def test_p_norm_of_a_matrix_is_its_row_norms():
+    X = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        got = p_norm(X, p)
+        assert got.shape == (2,)
+        assert got.tolist() == [p_norm(X[0], p), p_norm(X[1], p)]
+    assert p_norm(X, 1.5)[1] == pytest.approx(3.0 ** (2.0 / 3.0), rel=1e-15)
+    both = p_norm(X, [1.5, 3.0])
+    assert both.shape == (2, 2)
+    assert both.tolist() == [[p_norm(x, 1.5), p_norm(x, 3.0)] for x in X]
+    with pytest.raises(ValueError, match="rows"):
+        p_norm(X[None], 1.5)
+
+
+@pytest.mark.parametrize("d", [8, 1024])
+def test_p_norm_of_rows_is_each_row_bitwise(d):
+    # a block of NORM_ROWS rows is raised compacted unless more than COMPACT_SHARE of its
+    # entries are nonzero; rows of every block must keep the bits of their own 1-D call
+    rng = np.random.default_rng(d + 1)
+    exps = [1.0, 1.5, 2.0, 2.6, 7.3, 52.0, math.inf]
+    edge = math.floor(COMPACT_SHARE * d)  # nonzeros per row at the compaction rule
+    for n in (1, NORM_ROWS - 1, NORM_ROWS, 2 * NORM_ROWS + 1):
+        for nnz in sorted({0, 1, edge, edge + 1, d}):
+            for scale in (1e-150, 1.0, 1e150):
+                X = np.zeros((n, d))
+                for row in X:
+                    row[rng.choice(d, nnz, replace=False)] = rng.standard_normal(nnz) * scale
+                if n > NORM_ROWS:
+                    X[-1] = -0.0  # a zero row, signed, alone in the last block
+                got = p_norm(X, np.array(exps))
+                assert got.shape == (n, len(exps))
+                for j, p in enumerate(exps):
+                    alone = p_norm(X, p)
+                    for i, x in enumerate(X):
+                        want = p_norm_oracle(x, p)
+                        assert p_norm(x, p) == want, (n, nnz, scale, p, i)
+                        assert math.copysign(1.0, want) == 1.0
+                        assert got[i, j] == alone[i] == want, (n, nnz, scale, p, i)
+                        assert math.copysign(1.0, got[i, j]) == 1.0
 
 
 @pytest.mark.parametrize("d", [8, 64, 1024])

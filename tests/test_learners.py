@@ -7,6 +7,7 @@ import pytest
 
 from regretforge import (
     AdaptiveProjectedDescent,
+    NormSpec,
     AddCombiner,
     Ball,
     Box,
@@ -250,6 +251,127 @@ def test_multi_norm_grid_rows_match_one_learner_per_norm(d):
             learner.observe(g)
             apart.observe(g)
     assert all(rescaled), f"rows that never took the rescale branch: {rescaled}"
+
+
+def dense_grid_step(theta, point, sums, g, specs):
+    """The grid step with every row raised at full length, as one learner per round took it
+    before the step kept r and r^(q-1): (theta, point, sums, per-row max |theta|, rescaled)."""
+    q = np.array([s.q for s in specs])
+    a = np.abs(g)
+    top = float(a.max())
+    gq = np.array([top * float(np.sum((a / top) ** x)) ** (1.0 / x) if top else 0.0 for x in q])
+    sums = sums + gq * gq
+    if max(sums.tolist()) <= 0.0:
+        return theta, point, sums, None, [False] * len(specs)
+    eta = [math.sqrt(s.lam) / math.sqrt(t) if t else 0.0 for s, t in zip(specs, sums.tolist())]
+    theta = theta - np.array(eta)[:, None] * g
+    a = np.abs(theta)
+    m = a.max(axis=1)
+    ms = m.tolist()
+    m[m == 0.0] = 1.0
+    r = a / m[:, None]
+    rq1 = r ** (q - 1.0)[:, None]
+    rows = [(m_i, float(np.dot(x, y)), q_i) for m_i, x, y, q_i in zip(ms, rq1, r, q.tolist())]
+    scale = [m_i * S ** (2.0 / q_i - 1.0) if m_i else 0.0 for m_i, S, q_i in rows]
+    n = [max(m_i * S ** (1.0 / q_i), 1.0) if m_i else 1.0 for m_i, S, q_i in rows]
+    u = np.copysign(rq1, theta) * np.array(scale)[:, None]
+    if max(n) > 1.0:
+        u, theta = u / np.array(n)[:, None], theta / np.array(n)[:, None]
+    return theta, u, sums, ms, [n_i > 1.0 for n_i in n]
+
+
+GRID_SPECS = tuple(NormSpec.from_p(p) for p in (1.9, 1.6, 1.25, 1.1))
+
+
+def _grid_stream(d, T=400, seed=0):
+    """Sparse rows of 1 to 4 entries, with zero rows, dense rows and -0.0 entries."""
+    rng = np.random.default_rng(seed)
+    G = np.zeros((T, d))
+    for t in range(T):
+        k = rng.integers(1, 5)
+        G[t, rng.choice(d, k, replace=False)] = rng.standard_normal(k) / (2.0 * math.sqrt(k))
+    G[:3] = 0.0  # before any evidence
+    G[40::37] = 0.0  # after it
+    G[25::29] = rng.standard_normal((len(G[25::29]), d)) / (2.0 * math.sqrt(d))  # dense
+    G[G == 0.0] = -0.0
+    G[::2][G[::2] == 0.0] = 0.0  # every other row's zeros unsigned
+    return G
+
+
+@pytest.mark.parametrize("specs", [GRID_SPECS, GRID_SPECS[1:] + (NormSpec.from_p(1.5),)],
+                         ids=["grid", "shortcut-exponent"])
+@pytest.mark.parametrize("d", [8, 64, 300])
+def test_grid_step_is_the_dense_step_bitwise(d, specs):
+    # One learner steps round by round, one reads segment plans of its dual norms and steps;
+    # both must take the dense step's bits every round. The rows' rounds cover every branch
+    # of the kept r and r^(q-1): rescales, the round after one, a max that moves under a
+    # sparse g, a max that stays, dense and zero gradients. p = 1.5 raises r to the power 2.0,
+    # which NumPy may compute as r * r (see learners.POWER_SHORTCUTS).
+    G = _grid_stream(d, seed=d)
+    rounds, planned = PNormBallDescent(d, specs), PNormBallDescent(d, specs)
+    k = len(specs)
+    theta, point, sums = np.zeros((k, d)), np.zeros((k, d)), np.zeros(k)
+    prev_m, prev_resc = [0.0] * k, [False] * k
+    seen = {"rescale": 0, "after_rescale": 0, "max_moved": 0, "kept": 0, "dense": 0}
+    cuts = [0, 1, 50, 64, 200, 333, len(G)]
+    ends = dict(zip(cuts, cuts[1:]))
+    for t, g in enumerate(G):
+        if t in ends:  # a new segment's plan
+            steps = zip(*planned._steps(p_norm(G[t:ends[t]], planned.q)))
+        theta, point, sums, ms, resc = dense_grid_step(theta, point, sums, g, specs)
+        rounds.observe(g)
+        planned.observe(g, next(steps))
+        for learner in (rounds, planned):
+            assert learner.theta.tobytes() == theta.tobytes(), t
+            assert learner.point.tobytes() == point.tobytes(), t
+            assert learner.dual_sq_sum.tobytes() == sums.tobytes(), t
+        if ms is None:
+            continue
+        sparse = np.count_nonzero(g) <= 0.5 * d
+        seen["dense"] += not sparse
+        for i in range(k):
+            seen["rescale"] += resc[i]
+            seen["after_rescale"] += prev_resc[i] and sparse
+            seen["max_moved"] += ms[i] != prev_m[i] and sparse and not prev_resc[i]
+            seen["kept"] += ms[i] == prev_m[i] and sparse and not prev_resc[i]
+        prev_m, prev_resc = ms, resc
+    assert all(seen.values()), seen
+
+
+def test_grid_row_whose_max_returns_after_a_rescale_is_raised_in_full():
+    # After a rescale every |theta| shrinks, so a row's max is bitwise its last one only when
+    # a gradient puts it back exactly: build that round and check its bits against the dense
+    # step. The row's other columns moved with the rescale and must be raised again.
+    d, spec = 16, NormSpec.from_p(1.4)
+    learner = PNormBallDescent(d, [spec])
+    state = np.zeros((1, d)), np.zeros((1, d)), np.zeros(1)
+    rng = np.random.default_rng(3)
+    G = [rng.standard_normal(d) * 0.05] + [np.eye(d)[0] * 0.9] * 40
+    for g in G:
+        *state, ms, resc = dense_grid_step(*state, g, [spec])
+        learner.observe(g)
+        if resc[0]:
+            break
+    assert resc[0]
+    target, theta = ms[0], learner.theta[0]
+    j = int(np.abs(theta).argmax())
+
+    def eta(gamma):  # the step a round of gradient gamma * e_j takes
+        return float(learner._steps(p_norm(np.eye(d)[j][None] * gamma, learner.q))[1][0, 0])
+    gamma = (theta[j] - math.copysign(target, theta[j])) / eta(0.5)
+    for _ in range(10):  # the step size depends on gamma itself: iterate, then walk ulps
+        gamma = (theta[j] - math.copysign(target, theta[j])) / eta(gamma)
+    near = gamma
+    for k in sorted(range(-2000, 2001), key=abs):
+        gamma = near + k * math.ulp(near)
+        if abs(theta[j] - eta(gamma) * gamma) == target:
+            break
+    g = np.eye(d)[j] * gamma
+    *want, ms, resc = dense_grid_step(*state, g, [spec])
+    assert ms[0] == target
+    learner.observe(g)
+    assert learner.theta.tobytes() == want[0].tobytes()
+    assert learner.point.tobytes() == want[1].tobytes()
 
 
 def test_multi_norm_grid_cap_is_one_bettor_summed_over_rows():

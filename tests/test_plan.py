@@ -26,7 +26,13 @@ from regretforge.combinators import (
 from regretforge.core import Accumulator, Learner, ReplayError, drive, row_dot
 from regretforge.geometry import Ball, NormSpec
 from regretforge.hints import ExternalHints, HintSource, LastGradient, RunningAverage
-from regretforge.learners import CoinBettor, DimFreeLearner, PerCoordinateLearner, PNormBallDescent
+from regretforge.learners import (
+    PLAN_ROWS,
+    CoinBettor,
+    DimFreeLearner,
+    PerCoordinateLearner,
+    PNormBallDescent,
+)
 
 GRID = (NormSpec.from_p(1.5), NormSpec.from_p(1.25))
 
@@ -228,6 +234,53 @@ def test_planned_drive_with_wealth_caps_binding_mid_segment(tree):
     copies = [r for b in _walk(learner) for r in np.atleast_1d(b.capped_rounds).tolist()]
     # a copy steady to the end caps from its first capped round on: one inside a segment
     assert any(0 < r < 300 and (300 - r) % 64 and 300 - r not in (50, 171) for r in copies)
+
+
+def _path_rows(monkeypatch):
+    """The rows of every p = 2 direction path planned from here on."""
+    rows = []
+
+    def spy(self, G):
+        rows.append(len(G))
+        return path(self, G)
+    path = PNormBallDescent._path
+    monkeypatch.setattr(PNormBallDescent, "_path", spy)
+    return rows
+
+
+@pytest.mark.parametrize("tree", ["add", "optimistic_dimfree", "multi_norm"])
+def test_a_plan_holds_a_chunk_of_direction_points_at_a_time(monkeypatch, tree):
+    # a segment longer than PLAN_ROWS plans its p = 2 path a chunk at a time, from the state
+    # the last chunk left; cuts land a row before, on and after a chunk's edge
+    rows = _path_rows(monkeypatch)
+    T = 3 * PLAN_ROWS + 2
+    G = _stream((T, 8), seed=11)
+    cuts = [PLAN_ROWS - 1, 2 * PLAN_ROWS - 1, 2 * PLAN_ROWS + 1]
+    _check(lambda G: _make(tree, G), G, cuts)
+    assert rows == [PLAN_ROWS - 1, PLAN_ROWS, 2, PLAN_ROWS, 1]
+
+
+@pytest.mark.parametrize("B", [1, 5])
+def test_a_block_plan_holds_a_chunk_of_direction_points_at_a_time(monkeypatch, B):
+    # drive plans a block's HINT_SEGMENT rows at a time; a longer block plans in chunks
+    T, d = 2 * PLAN_ROWS + 3, 4
+    G = _stream((T, B, d), seed=B)
+    ref = DimFreeLearner(d, 0.5, batch=B)
+    plays = []
+    for g in G:
+        plays.append(ref.predict())
+        ref.observe(g)
+    rows = _path_rows(monkeypatch)
+    learner = DimFreeLearner(d, 0.5, batch=B)
+    learner._plan(G, None)
+    try:
+        for g, want in zip(G, plays):
+            assert learner.predict().tobytes() == want.tobytes()
+            learner._step(g)
+    finally:
+        learner._plan(None, None)
+    assert _state(learner) == _state(ref)
+    assert rows == [PLAN_ROWS, PLAN_ROWS, 3]
 
 
 def _counts(monkeypatch):
