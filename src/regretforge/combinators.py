@@ -98,10 +98,10 @@ PLAY_ROWS = 1024  # rows of hint play settled at a time: the temporary stays sma
 
 
 def _plan_hinted(root, G, H, settle=False):
-    """Learner._plan of the hinted roots: the bettor outcomes <g_t, h_t> are one row_dot. The base
-    may settle only under exact CoinBettors (scalar ones, as a settling base has no trial axis);
-    each one's KT recursion then runs on its outcomes at once, and its bets times its hints
-    leave the base's plays as rounds do."""
+    """Learner._plan of the hinted roots: the bettor outcomes <g_t, h_t> are one row_dot, which a
+    trial axis's bettor plans its rounds on. The base may settle only under exact CoinBettors
+    (scalar ones, as a settling base has no trial axis); each one's KT recursion then runs on
+    its outcomes at once, and its bets times its hints leave the base's plays as rounds do."""
     if type(root) not in (OptimisticLearner, MultiHintLearner):
         return None
     bettors = root.bettors if type(root) is MultiHintLearner else [root.bettor]
@@ -110,6 +110,8 @@ def _plan_hinted(root, G, H, settle=False):
     Z = None if G is None or H is None else row_dot(H, G[:, None] if H.ndim > G.ndim else G)
     root._planned = None if Z is None or W is not None else (
         root.round_index, Z if root.batch else Z.tolist())
+    if root.batch:  # a trial axis's hint bettor plans its KT rounds on Z (None drops the plan)
+        root.bettor._plan(Z)
     if W is not None:
         for b, z, h in zip(bettors, Z.reshape(len(G), -1).T.tolist(),
                            H.reshape(len(G), len(bettors), -1).transpose(1, 0, 2)):

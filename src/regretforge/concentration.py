@@ -16,10 +16,10 @@ holds for every shipped sampler and (b) both modes agree within 4x.
 Via-learner trials run in blocks of up to 8 MiB of gradients along a trial axis: one replay
 drives the same learner, hint source and validation for a whole (T, B, d) block, one row per
 trial. At T = 1024, d = 4 a block holds 256 trials, so a 60-trial job is one replay and 2000
-trials take eight. A block round takes about 25 us at B = 1, 30 us at B = 32 and 80 us at
-B = 256 (fastest of 25 runs, 2-CPU Xeon, NumPy 2.4), so fewer, larger blocks are faster; the
-budget caps the memory a large job holds. Each trial keeps its own draw (seed + trial index)
-and its radius is bitwise the one a replay of that trial alone gives, so results depend on
+trials take eight. A block round there takes about 36 us at B = 1, 43 us at B = 32 and 125 us
+at B = 256 (fastest of 25 runs, 2-CPU Xeon, NumPy 2.4.6), so fewer, larger blocks are faster;
+the budget caps the memory a large job holds. Each trial keeps its own draw (seed + trial
+index) and its radius is bitwise the one a replay of that trial alone gives, so results depend on
 neither the block size nor where block boundaries fall.
 """
 
@@ -169,7 +169,7 @@ def coverage_experiment(cfg: BernsteinConfig) -> CoverageResult:
         size = min(trial_block(cfg.T, cfg.dim), cfg.trials)
         for start in range(0, cfg.trials, size):
             stop = min(start + size, cfg.trials)
-            block = np.empty((cfg.T, stop - start, cfg.dim))  # C-contiguous: a planned replay
+            block = np.empty((cfg.T, stop - start, cfg.dim))  # C-contiguous: check_stream keeps it
             for i in range(start, stop):
                 block[:, i - start] = sampler.draw(np.random.default_rng(cfg.seed + i), cfg.T)
             deviations[start:stop] = row_norm(block.sum(axis=0))  # X.sum(axis=0)'s order

@@ -137,9 +137,11 @@ def check_stream(G, dim: int, batch: Optional[int] = None, first_round: int = 0,
     on its own with ``as_vector``/``check_unit_norm``, which decide. The
     error message is theirs, prefixed with the first bad round, counted from
     ``first_round`` (row 0 of G). ``name`` is what a row of G is and ``row``
-    what its rows are in a block. Returns the stream as a float64 array.
+    what its rows are in a block. Returns the stream as a C-contiguous float64 array (a copy
+    only of a non-contiguous one), so a replay's bits do not depend on its layout: a strided
+    row's dot may add in another order than a contiguous one's.
     """
-    G = np.asarray(G, dtype=np.float64)
+    G = np.ascontiguousarray(G, dtype=np.float64)
     shape = (dim,) if batch is None else (batch, dim)
     if G.shape[1:] != shape:
         raise DimensionMismatch(
@@ -336,7 +338,7 @@ class Learner:
     _planned = None  # the segment plan a class's _plan keeps, if any
 
     def _plan(self, G: Optional[np.ndarray], H, settle: bool = False) -> Optional[np.ndarray]:
-        """Take what the rounds of a C-contiguous segment G (hints H or None) fix alone, as whole
+        """Take what the rounds of a segment G (hints H or None) fix alone, as whole
         arrays that each _step reads a row of, with every call and bit kept; G = None drops it.
         With ``settle``, a tree able to run the rows at once does so instead: it returns their
         plays in a fresh array, every component stepped past the rows bitwise as the rounds
@@ -446,7 +448,7 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     The stream is checked once with check_stream before the first round.
     A segment is the whole stream, or HINT_SEGMENT rounds of a block. Before
     each, _draw_hints runs the sources over its gradients and checks their
-    hints. A C-contiguous segment then goes to the root's _plan(G, H, settle=True):
+    hints. The segment then goes to the root's _plan(G, H, settle=True):
     a tree that settles it returns its plays, checked as a round checks its
     play. Otherwise each round plays its hints, uncopied, into the trusted
     _hinted_prediction() (or calls predict()) and steps it with _step(),
@@ -474,14 +476,12 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     predict, step = learner.predict if hints is None else learner._hinted_prediction, learner._step
     # a non-finite entry makes the sum of squares non-finite; an overflow only runs the full check
     finite = (lambda x: math.isfinite(x.dot(x))) if block else math.isfinite
-    # a plan reads whole rows: a strided row's dot may add in another order than a round's
-    plan = learner._plan if G.flags.c_contiguous else (lambda *args: None)
     try:
         for start in range(0, T, seg):
             stop = min(T, start + seg)
             if start and hints is not None:  # the first segment's hints are drawn above
                 H = _draw_hints(hints, G[start:stop], learner, t0 + start)
-            played = plan(G[start:stop], H, True)
+            played = learner._plan(G[start:stop], H, True)
             if played is not None:
                 g = G[start:stop]
                 # a round's 1-D dot of length 1 is the product, -0.0 included (see row_dot)
@@ -509,7 +509,7 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
                 if W is not None:
                     W[t] = w
     finally:
-        plan(None, None)
+        learner._plan(None, None)
     return losses, W, None if block else H
 
 

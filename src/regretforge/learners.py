@@ -51,6 +51,34 @@ def _budget(epsilon) -> float:
     return float(epsilon)
 
 
+#: rows of a segment a plan holds at once, a block's segment; a spent chunk plans the next from
+#: the state it left, so a plan's memory does not grow with T
+PLAN_ROWS = HINT_SEGMENT
+
+
+def _kt(Z, wealth, signed_sum, first: int):
+    """The KT rounds on rewards Z, (n <= PLAN_ROWS, w), from wealth, signed_sum and round
+    ``first``: the bets (n, w), and the wealth and signed sums before each row and after the
+    last, each bitwise the rounds' own. None if a row could reach the wealth cap: |z| and the
+    fraction are at most (1 + GRAD_TOL)**2, so a row multiplies wealth by less than 4, and n
+    rows from a wealth at or below WEALTH_CAP / 4**n never do."""
+    n = len(Z)
+    if not n or np.maximum.reduce(wealth, axis=None) > WEALTH_CAP * 0.25 ** n:
+        return None
+    S = np.empty((n + 1,) + Z.shape[1:])
+    S[0] = signed_sum
+    S[1:] = Z
+    np.add.accumulate(S, axis=0, out=S)  # adds in row order
+    F = S[:-1] / (first + 1 + np.arange(n))[:, None]
+    W = np.empty_like(S)
+    W[0] = wealth
+    for f, z, w, w1 in zip(F, Z, W, W[1:]):
+        f *= w  # the bet
+        np.multiply(z, f, w1)
+        w1 += w
+    return F, W, S
+
+
 class CoinBettor:
     """Parameter-free scalar learner via coin betting with a KT-style fraction.
 
@@ -60,7 +88,9 @@ class CoinBettor:
     bettor runs B independent copies, one per trial or per grid row of a
     DimFreeLearner: outcomes, bets, wealth and regrets are (B,) arrays, and
     the wealth cap applies to each copy on its own. ``capped_rounds`` counts
-    the rounds where the cap clipped wealth (one count per copy).
+    the rounds where the cap clipped wealth (one count per copy). A tree that
+    knows a segment's (n, B) rewards plans them with ``_plan``: each round then
+    reads its bet, wealth and signed sum from _kt's rows, whatever z it is given.
     """
 
     def __init__(self, epsilon: float = 1.0, batch: int | None = None):
@@ -72,8 +102,13 @@ class CoinBettor:
         self.wealth = self.epsilon if batch is None else np.full(batch, self.epsilon)
         self.signed_sum = 0.0 if batch is None else np.zeros(batch)
         self.capped_rounds = 0 if batch is None else np.zeros(batch, dtype=np.int64)
+        self._planned = None  # (first round, Z, bets, wealth, signed sums, rewards after Z)
 
     def predict(self):
+        plan = self._planned
+        if plan is not None:
+            self._bet = plan[2][self.round - plan[0]]
+            return self._bet
         self._bet = self.signed_sum / (self.round + 1) * self.wealth
         return self._bet
 
@@ -92,12 +127,21 @@ class CoinBettor:
             z = float(z)
             if not checked and (not math.isfinite(z) or abs(z) > 1.0 + GRAD_TOL):
                 raise ValueError(f"bettor outcome {z!r} outside [-1, 1]")
-        elif not checked:
-            z = np.asarray(z, dtype=np.float64)
-            worst = np.abs(z).max() if z.shape == (self.batch,) else math.nan
-            if not worst <= 1.0 + GRAD_TOL:  # as_vector rejects a bad shape or NaN first
-                as_vector(z, self.batch, "bettor outcome")
-                raise ValueError(f"bettor outcome of size {float(worst)!r} outside [-1, 1]")
+        else:
+            if not checked:
+                z = np.asarray(z, dtype=np.float64)
+                worst = np.abs(z).max() if z.shape == (self.batch,) else math.nan
+                if not worst <= 1.0 + GRAD_TOL:  # as_vector rejects a bad shape or NaN first
+                    as_vector(z, self.batch, "bettor outcome")
+                    raise ValueError(f"bettor outcome of size {float(worst)!r} outside [-1, 1]")
+            plan = self._planned
+            if plan is not None:
+                i = self.round - plan[0] + 1
+                self.wealth, self.signed_sum = plan[3][i], plan[4][i]
+                self._bet, self.round = None, self.round + 1
+                if i == len(plan[1]):  # spent: plan the rest, if any, before the next predict
+                    self._plan(plan[5])
+                return
         bet = self.predict() if self._bet is None else self._bet
         self._bet, self.round = None, self.round + 1
         zy = z * bet
@@ -112,6 +156,21 @@ class CoinBettor:
             wealth = np.minimum(wealth, WEALTH_CAP)
         self.wealth = wealth
         self.signed_sum += z
+
+    def _plan(self, Z) -> None:
+        """Plan an exact array bettor's rounds on (n, B) rewards Z, PLAN_ROWS rows at a time; None
+        drops the plan. A chunk's end folds the loss terms of the rows run, bitwise their adds."""
+        plan = self._planned
+        if plan is not None:
+            k = self.round - plan[0]
+            self._loss_sum.extend(-(plan[1][:k] * plan[2][:k]))
+            self.wealth, self.signed_sum = self.wealth.copy(), self.signed_sum.copy()
+            self._bet = None if self._bet is None else self._bet.copy()
+        self._planned = None
+        if Z is not None and self.batch is not None and type(self) is CoinBettor:
+            kt = _kt(Z[:PLAN_ROWS], self.wealth, self.signed_sum, self.round)
+            if kt is not None:
+                self._planned = (self.round, Z[:PLAN_ROWS], *kt, Z[PLAN_ROWS:])
 
     def _settle(self, zs) -> list:
         """observe()'s scalar KT step over the rewards ``zs`` (floats) of a settled segment, whose
@@ -147,7 +206,8 @@ class PNormBallDescent:
     origin. ``spec`` is one NormSpec (p = 2 when None) or a sequence. One p = 2 spec is
     projected online gradient descent on a (d,) point, or (B, d) with a trial axis
     (``batch`` = B). Otherwise each norm is a grid row, point (k, d) and ``dual_sq_sum``
-    (k,): one set of array operations steps all rows, each bitwise as it would alone.
+    (k,): one set of array operations steps all rows, each bitwise as it would alone unless
+    its r^(q-1) exponent is in POWER_SHORTCUTS (p = 1.5), whose power may round by the grid.
 
     The grid keeps its state in the dual: theta = grad psi_p(point),
     starting at 0. A round sets theta <- theta - eta*g and
@@ -283,11 +343,6 @@ class PNormBallDescent:
         return r, rq1
 
 
-#: rows of a segment whose p = 2 direction path a plan holds at once, a block's segment; a
-#: spent chunk plans the next from the state it left, so a plan's memory does not grow with T
-PLAN_ROWS = HINT_SEGMENT
-
-
 class DimFreeLearner(Learner):
     """Magnitude times direction: a coin bettor scales a unit-ball direction.
 
@@ -319,18 +374,18 @@ class DimFreeLearner(Learner):
             steps = None if plan is None else plan[1][self.round_index - plan[0]]
             return direction.observe(g, steps)
         i = self.round_index - plan[0]  # the planned round: the same bettor step, no direction one
-        if i == len(plan[3]):  # the chunk is spent: plan the next from the state it left
-            plan, i = self._chunk(plan[4]), 0
         self.magnitude.observe(plan[3][i], checked=True)
         direction.point, direction.dual_sq_sum = plan[1][i + 1], plan[2][i]
+        if i + 1 == len(plan[3]) and len(plan[4]):  # spent: plan the next before the next predict
+            self._chunk(plan[4], self.round_index + 1)
 
-    def _chunk(self, G):
-        """Plan the p = 2 direction path of G's first PLAN_ROWS rows from this round on, and the
-        magnitude outcomes -<g_t, point_t> it fixes; the rest of G waits for the next chunk."""
+    def _chunk(self, G, first):
+        """Plan the p = 2 direction path of G's first PLAN_ROWS rows from round ``first`` on and the
+        magnitude outcomes -<g_t, point_t> it fixes (an array bettor's plan); the rest waits."""
         P, S = self.direction._path(G[:PLAN_ROWS])
         Z = -row_dot(G[:PLAN_ROWS], P[:-1])
-        self._planned = (self.round_index, P, S, Z if G.ndim == 3 else Z.tolist(), G[PLAN_ROWS:])
-        return self._planned
+        self.magnitude._plan(Z if G.ndim == 3 else None)
+        self._planned = (first, P, S, Z if G.ndim == 3 else Z.tolist(), G[PLAN_ROWS:])
 
     def _plan(self, G, H, settle=False):
         direction = self.direction
@@ -338,6 +393,7 @@ class DimFreeLearner(Learner):
             direction.point = direction.point.copy()
             if type(direction.dual_sq_sum) is np.ndarray:
                 direction.dual_sq_sum = direction.dual_sq_sum.copy()
+            self.magnitude._plan(None)
         self._planned = None
         if G is None or type(self) is not DimFreeLearner:
             return None
@@ -351,7 +407,7 @@ class DimFreeLearner(Learner):
             Y = np.array(self.magnitude._settle((-row_dot(G, P[:-1])).tolist()))
             return np.multiply(P[:-1], Y[:, None], out=P[:-1])
         else:
-            self._chunk(G)
+            self._chunk(G, self.round_index)
 
 
 class PerCoordinateLearner(Learner):
@@ -361,7 +417,8 @@ class PerCoordinateLearner(Learner):
     update is one vector operation and matches the d-instance semantics
     exactly (each coordinate sees only its own gradient entries).
     ``capped_rounds`` counts the rounds where the wealth cap clipped any
-    coordinate's wealth.
+    coordinate's wealth. A segment's rewards are its rows' -g, so _plan runs
+    _kt on them a chunk at a time, and the rounds read their rows.
     """
 
     def __init__(self, dim: int, epsilon: float = 1.0):
@@ -373,10 +430,21 @@ class PerCoordinateLearner(Learner):
         self._bet = np.zeros(dim)  # the last prediction, the bet _update settles
 
     def _prediction(self):
+        plan = self._planned
+        if plan is not None:
+            self._bet = plan[1][self.round - plan[0]]
+            return self._bet
         self._bet = self.signed_sum / (self.round + 1) * self.wealth
         return self._bet
 
     def _update(self, g):
+        plan = self._planned
+        if plan is not None:  # a planned round: its row of the wealth and signed sums
+            i = self.round - plan[0] + 1
+            self.wealth, self.signed_sum, self.round = plan[2][i], plan[3][i], self.round + 1
+            if i == len(plan[1]):  # spent: plan the rest, if any, before the next predict
+                self._plan(plan[4], None)
+            return
         # the reward is z = -g: wealth + bet * z and signed_sum + z, to the bit
         wealth = self.wealth - self._bet * g
         if wealth.max() > WEALTH_CAP:
@@ -385,6 +453,16 @@ class PerCoordinateLearner(Learner):
         self.wealth = wealth
         self.signed_sum = self.signed_sum - g
         self.round += 1
+
+    def _plan(self, G, H, settle=False):
+        """Plan the rounds of G's first PLAN_ROWS rows on their rewards -g, which step wealth and
+        signed_sum bitwise as _update does (w - bet * g = w + (-g) * bet); the rest waits."""
+        if self._planned is not None:  # a chunk ends: let its arrays go
+            self.wealth, self.signed_sum = self.wealth.copy(), self.signed_sum.copy()
+            self._bet = self._bet.copy()
+        kt = None if G is None or type(self) is not PerCoordinateLearner else \
+            _kt(-G[:PLAN_ROWS], self.wealth, self.signed_sum, self.round)
+        self._planned = None if kt is None else (self.round, *kt, G[PLAN_ROWS:])
 
 
 class AdaptiveProjectedDescent(Learner):

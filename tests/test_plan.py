@@ -2,8 +2,8 @@
 _plan(G, H, settle=True), and steps the rounds of a tree that does not settle. The planned
 rounds of add, multi_norm, optimistic and multi-hint trees, on (T, d) streams and (T, B, d)
 blocks, must give the bits of the round-by-round public API (predict, observe, next_hint,
-feed) and leave every component as it leaves them; subclasses, strided segments and
-constrained roots keep the round. Over trees that harness.build_learner builds, settled or
+feed) and leave every component as it leaves them; subclasses and constrained roots keep the
+round, and a strided stream replays as its C copy. Over trees that harness.build_learner builds, settled or
 planned or neither, drive must be the public rounds bitwise.
 """
 
@@ -28,6 +28,7 @@ from regretforge.geometry import Ball, NormSpec
 from regretforge.hints import ExternalHints, HintSource, LastGradient, RunningAverage
 from regretforge.learners import (
     PLAN_ROWS,
+    WEALTH_CAP,
     CoinBettor,
     DimFreeLearner,
     PerCoordinateLearner,
@@ -262,7 +263,8 @@ def test_a_plan_holds_a_chunk_of_direction_points_at_a_time(monkeypatch, tree):
 
 @pytest.mark.parametrize("B", [1, 5])
 def test_a_block_plan_holds_a_chunk_of_direction_points_at_a_time(monkeypatch, B):
-    # drive plans a block's HINT_SEGMENT rows at a time; a longer block plans in chunks
+    # drive plans a block's HINT_SEGMENT rows at a time; a longer block plans in chunks, the
+    # direction path and the magnitude's KT rounds alike
     T, d = 2 * PLAN_ROWS + 3, 4
     G = _stream((T, B, d), seed=B)
     ref = DimFreeLearner(d, 0.5, batch=B)
@@ -275,6 +277,7 @@ def test_a_block_plan_holds_a_chunk_of_direction_points_at_a_time(monkeypatch, B
     learner._plan(G, None)
     try:
         for g, want in zip(G, plays):
+            assert learner.magnitude._planned is not None  # a spent chunk plans the next
             assert learner.predict().tobytes() == want.tobytes()
             learner._step(g)
     finally:
@@ -331,19 +334,30 @@ def test_a_subclass_keeps_the_round(monkeypatch, name):
     assert in_drive["direction"] + in_drive["outcomes"] < by_hand["direction"] + by_hand["outcomes"]
 
 
+def _layouts(G):
+    """G's values in three layouts that are not C-contiguous: Fortran order, the transpose of a
+    C copy of its transpose, and every other column of a wider array (a view)."""
+    return {"fortran": np.asfortranarray(G), "transposed": np.ascontiguousarray(G.T).T,
+            "columns": np.repeat(G, 2, axis=-1)[..., ::2]}
+
+
 @pytest.mark.parametrize("tree, shape", [("add", (120, 6)), ("multi_add", (120, 6)),
                                          ("optimistic_block", (120, 4, 6))])
-@pytest.mark.parametrize("layout", ["fortran", "columns"])
-def test_a_strided_segment_keeps_the_round(monkeypatch, tree, shape, layout):
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "columns"])
+def test_a_strided_stream_replays_as_its_c_copy(monkeypatch, tree, shape, layout):
+    # check_stream hands drive a C-contiguous copy: a plain, a hinted and a block replay give
+    # the C copy's bits, leave the same state and are planned the same, whatever the layout
     G = _stream(shape, seed=6)
-    if layout == "fortran":
-        G = np.asfortranarray(G)
-    else:  # every other column of a wider array, as a view
-        G = np.concatenate([G, G], axis=-2)[..., ::2, :] if G.ndim == 3 else \
-            np.stack([G, G], axis=-1)[..., 0]
-    assert not G.flags.c_contiguous
-    in_drive, by_hand = _calls_and_bits(monkeypatch, lambda G: _make(tree, G), G)
-    assert in_drive == by_hand
+    strided = _layouts(G)[layout]
+    assert not strided.flags.c_contiguous and np.array_equal(strided, G)
+    counts, runs = _counts(monkeypatch), []
+    for rows in (G, strided):
+        learner, hints = _make(tree, rows)
+        runs.append((drive(learner, rows, hints), _state([learner, hints]), dict(counts)))
+        counts.update(direction=0, outcomes=0)
+    (c_out, c_state, c_calls), (out, state, calls) = runs
+    _same(out, c_out)
+    assert state == c_state and calls == c_calls
 
 
 def test_a_constrained_root_keeps_the_round(monkeypatch):
@@ -401,6 +415,128 @@ def test_a_non_finite_play_mid_segment_names_its_round(tree):
         sources = [] if ref_hints is None else [ref_hints]
         ref.predict(*[s.next_hint() for s in sources])  # the round that fails
     assert _state(learner) == _state(ref)
+
+
+def _kt_spy(monkeypatch):
+    """For each chunk of rows the array KT kernel is asked to plan from here on, whether it did."""
+    planned = []
+
+    def spy(Z, *args):
+        out = kt(Z, *args)
+        if len(Z):
+            planned.append(out is not None)
+        return out
+    kt = learners._kt
+    monkeypatch.setattr(learners, "_kt", spy)
+    return planned
+
+
+def _bettor_rounds(bettor, Z, planned=None):
+    """Each round's bet of a bettor on the rewards Z: public rounds, or, if ``planned`` says
+    whether _plan takes Z, the rounds after _plan(Z)."""
+    if planned is not None:
+        bettor._plan(Z)
+    bets = []
+    try:
+        for z in Z:
+            assert (bettor._planned is not None) == bool(planned)  # a spent chunk plans the next
+            bets.append(bettor.predict().tobytes())
+            bettor.observe(z, checked=planned is not None)
+    finally:
+        bettor._plan(None)
+    return bets
+
+
+@pytest.mark.parametrize("width", [1, 60, 16])
+@pytest.mark.parametrize("n", [1, PLAN_ROWS - 1, PLAN_ROWS, PLAN_ROWS + 1])
+def test_kt_plans_are_the_public_bettor_rounds(monkeypatch, width, n):
+    # a bettor with width copies, 5 public rounds in (pending loss rows, round > 0), plans n
+    # rewards a chunk at a time: each bet, its state and its figures are the rounds' own
+    rng = np.random.default_rng(width + n)
+    Z = rng.uniform(-1.0, 1.0, (5 + n, width))
+    Z[5] = 0.0
+    spy = _kt_spy(monkeypatch)
+    planned, ref = CoinBettor(0.5, width), CoinBettor(0.5, width)
+    assert _bettor_rounds(planned, Z[:5]) == _bettor_rounds(ref, Z[:5])
+    assert _bettor_rounds(planned, Z[5:], planned=True) == _bettor_rounds(ref, Z[5:])
+    assert spy == [True] * -(-n // PLAN_ROWS)
+    assert _state(planned) == _state(ref) and _bettors(planned) == _bettors(ref)
+
+
+@pytest.mark.parametrize("d", [1, 16])
+@pytest.mark.parametrize("n", [1, PLAN_ROWS - 1, PLAN_ROWS, PLAN_ROWS + 1])
+def test_a_percoord_plan_is_its_public_rounds(monkeypatch, d, n):
+    # drive plans a segment of n rows, then one of n + 3, a chunk at a time
+    spy = _kt_spy(monkeypatch)
+    _check(lambda G: (PerCoordinateLearner(d, 0.5), None), _stream((2 * n + 3, d), seed=n),
+           cuts=[n])
+    assert spy == [True] * (-(-n // PLAN_ROWS) - (-(n + 3) // PLAN_ROWS))
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_a_chunk_is_planned_only_where_no_row_can_reach_the_cap(monkeypatch, above):
+    # wealth at the headroom bound WEALTH_CAP / 4**n plans the chunk, an ulp above does not;
+    # one near the cap on steady rewards caps within rounds, so its chunks take the rounds
+    Z = np.full((PLAN_ROWS, 3), 0.9)
+    bound = WEALTH_CAP * 0.25 ** PLAN_ROWS
+    for wealth, capped in [(np.nextafter(bound, np.inf) if above else bound, False),
+                           (WEALTH_CAP / 16, True)]:
+        spy = _kt_spy(monkeypatch)
+        planned, ref = CoinBettor(0.5, 3), CoinBettor(0.5, 3)
+        planned.wealth = ref.wealth = np.array([1.0, wealth, 2.0])
+        assert _bettor_rounds(planned, Z, planned=not above and not capped) == \
+            _bettor_rounds(ref, Z)
+        assert _state(planned) == _state(ref) and _bettors(planned) == _bettors(ref)
+        assert bool(_bettors(ref)[0]) == capped
+        assert spy == [not above and not capped]
+
+
+class _NaNBlock(DimFreeLearner):
+    """A trial-axis base whose play turns NaN at one round: a subclass, so it keeps the round."""
+
+    bad = 37
+
+    def _prediction(self):
+        w = super()._prediction()
+        return w * np.nan if self.round_index == self.bad else w
+
+
+@pytest.mark.parametrize("tree", ["percoord", "optimistic_block"])
+def test_a_kt_plan_dropped_mid_chunk_leaves_the_rounds_state(monkeypatch, tree):
+    # round 37 of a 64-row chunk fails; the plan drops with 37 rows run, and the bettor's loss
+    # sum, cap counts, wealth, signed sum, round and kept bet are the 37 rounds' and a predict's
+    spy = _kt_spy(monkeypatch)
+    shape = (100, 3) if tree == "percoord" else (100, 4, 3)
+    G = _stream(shape, seed=12)
+
+    def make(G):
+        if tree == "percoord":
+            return AddCombiner([PerCoordinateLearner(3, 0.5), _NaNAt(3, 37)]), None
+        return _make(tree, G, dimfree=_NaNBlock)
+    learner, hints = make(G)
+    ref, ref_hints = make(G)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ReplayError, match="^round 37: iterate contains non-finite entries$"):
+            drive(learner, G, hints)
+        _rounds(ref, G[:37], ref_hints)
+        ref.predict(*[ref_hints.next_hint()] if ref_hints else [])  # the round that fails
+    assert spy == [True]
+    assert _state(learner) == _state(ref)  # drive fed the sources the segment's 64 rows
+    assert _bettors(learner) == _bettors(ref)
+
+
+@pytest.mark.parametrize("tree", ["percoord", "optimistic_block"])
+def test_kt_plans_hand_a_capping_run_to_the_rounds(monkeypatch, tree):
+    # a steady stream (perfect hints) grows wealth until a chunk may reach the cap: chunks
+    # are planned until then, the rest take the rounds, and the cap binds in them
+    spy = _kt_spy(monkeypatch)
+    if tree == "percoord":
+        make, G = (lambda G: (PerCoordinateLearner(2, 0.5), None)), _steady((900, 2), seed=3)
+    else:
+        make, G = (lambda G: _make(tree, G, hint="perfect")), _steady((400, 5, 4), seed=3)
+    learner = _check(make, G, cuts=[100, 250])
+    assert harness.capped_bettors(learner)
+    assert True in spy and spy[-1] is False
 
 
 class _HalfBettor(CoinBettor):
@@ -462,7 +598,7 @@ SPLITS = [(drive, _rounds), (_rounds, drive), (drive, drive)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(dim=st.sampled_from(range(1, 10)), T=st.sampled_from(range(49)),
+@given(dim=st.sampled_from(range(1, 10)), T=st.sampled_from([*range(49), 63, 64, 65, 130]),
        seed=st.integers(0, 2 ** 16), stream=st.sampled_from(sorted(harness.TABLE["stream"])),
        zero_rows=st.integers(0, 4), root=st.sampled_from(["plain", "optimistic", "multi_hint"]),
        sub=st.sampled_from(range(8)), rich=st.booleans(), paths=st.sampled_from(SPLITS),
