@@ -30,7 +30,7 @@ from .core import (
     row_dot,
 )
 from .geometry import ConvexDomain, pnorm_grid
-from .learners import CoinBettor, DimFreeLearner
+from .learners import PLAN_ROWS, CoinBettor, DimFreeLearner
 
 
 class AddCombiner(Learner):
@@ -104,14 +104,13 @@ def _plan_hinted(root, G, H, settle=False):
     its outcomes at once, and its bets times its hints leave the base's plays as rounds do."""
     if type(root) not in (OptimisticLearner, MultiHintLearner):
         return None
+    Z = None if G is None or H is None else row_dot(H, G[:, None] if H.ndim > G.ndim else G)
+    if root.batch:
+        return _plan_block(root, G, H, Z)
     bettors = root.bettors if type(root) is MultiHintLearner else [root.bettor]
     exact = H is not None and all(type(b) is CoinBettor for b in bettors)
     W = root.base._plan(G, None, settle and exact)
-    Z = None if G is None or H is None else row_dot(H, G[:, None] if H.ndim > G.ndim else G)
-    root._planned = None if Z is None or W is not None else (
-        root.round_index, Z if root.batch else Z.tolist())
-    if root.batch:  # a trial axis's hint bettor plans its KT rounds on Z (None drops the plan)
-        root.bettor._plan(Z)
+    root._planned = None if Z is None or W is not None else (root.round_index, Z.tolist())
     if W is not None:
         for b, z, h in zip(bettors, Z.reshape(len(G), -1).T.tolist(),
                            H.reshape(len(G), len(bettors), -1).transpose(1, 0, 2)):
@@ -120,6 +119,25 @@ def _plan_hinted(root, G, H, settle=False):
                 W[s:s + PLAY_ROWS] -= y[s:s + PLAY_ROWS, None] * h[s:s + PLAY_ROWS]
         root.round_index, root._awaiting_predict = root.round_index + len(G), True
     return W
+
+
+def _plan_block(root, G, H, Z) -> None:
+    """A trial-axis root's plan: the hint bettor plans its KT rounds on Z (None drops the plan),
+    in one _kt call with an exact DimFreeLearner base's magnitude where both can. When the base
+    has fixed its plays X for the whole segment and the hint bettor its bets y, the root fixes
+    its plays X - y * H, bitwise the rounds' multiply and subtraction."""
+    base = root.base
+    if type(base) is DimFreeLearner and G is not None:
+        base._plan(G, None, hint=(root.bettor, Z))
+    else:
+        base._plan(G, None)
+        root.bettor._plan(Z)
+    X = base._planned[5] if type(base) is DimFreeLearner and base._planned is not None else None
+    bets = root.bettor._planned
+    W = None
+    if X is not None and bets is not None and len(G) <= PLAN_ROWS:
+        W = X - bets[2][:, :, None] * H
+    root._planned = None if Z is None else (root.round_index, Z, W)
 
 
 class OptimisticLearner(HintedLearner):
@@ -150,6 +168,9 @@ class OptimisticLearner(HintedLearner):
         self.last_hint = h
         if self.batch is None:
             return x - y * h
+        plan = self._planned
+        if plan is not None and plan[2] is not None:  # the play _plan_block fixed
+            return plan[2][self.round_index - plan[0]]
         return x - y[:, None] * h
 
     def _update(self, g):

@@ -461,6 +461,9 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     gradients. Every failure (a bad gradient, hint or iterate, or a broken
     predict/step turn) is a ReplayError naming the absolute round,
     ``learner.round_index + t``; a bad hint fails before its segment runs.
+    After a ReplayError the learner is as the rounds leave it, but the hint
+    sources may be up to a segment ahead: they were fed every row of the
+    failing segment before its first round ran.
     """
     t0 = learner.round_index
     try:

@@ -157,9 +157,13 @@ class CoinBettor:
         self.wealth = wealth
         self.signed_sum += z
 
-    def _plan(self, Z) -> None:
+    def _plan(self, Z, other=None, Z_other=None) -> None:
         """Plan an exact array bettor's rounds on (n, B) rewards Z, PLAN_ROWS rows at a time; None
-        drops the plan. A chunk's end folds the loss terms of the rows run, bitwise their adds."""
+        drops the plan. A chunk's end folds the loss terms of the rows run, bitwise their adds.
+        ``other``, a bettor of the same width, plans on its rewards Z_other too: when both can plan
+        a first chunk of as many rows from the same round, one _kt call runs their rewards side
+        by side and each plan keeps views of its half (the kernel's arithmetic is by column);
+        otherwise each plans alone."""
         plan = self._planned
         if plan is not None:
             k = self.round - plan[0]
@@ -167,10 +171,29 @@ class CoinBettor:
             self.wealth, self.signed_sum = self.wealth.copy(), self.signed_sum.copy()
             self._bet = None if self._bet is None else self._bet.copy()
         self._planned = None
-        if Z is not None and self.batch is not None and type(self) is CoinBettor:
+        if other is not None:
+            other._plan(None)
+            if self._plans(Z) and other._plans(Z_other) and other.round == self.round and \
+                    len(Z[:PLAN_ROWS]) == len(Z_other[:PLAN_ROWS]):
+                kt = _kt(np.hstack((Z[:PLAN_ROWS], Z_other[:PLAN_ROWS])),
+                         np.hstack((self.wealth, other.wealth)),
+                         np.hstack((self.signed_sum, other.signed_sum)), self.round)
+                if kt is not None:
+                    for b, z, half in ((self, Z, np.s_[:, :self.batch]),
+                                       (other, Z_other, np.s_[:, self.batch:])):
+                        b._planned = (b.round, z[:PLAN_ROWS], *(a[half] for a in kt),
+                                      z[PLAN_ROWS:])
+                    return
+        if self._plans(Z):
             kt = _kt(Z[:PLAN_ROWS], self.wealth, self.signed_sum, self.round)
             if kt is not None:
                 self._planned = (self.round, Z[:PLAN_ROWS], *kt, Z[PLAN_ROWS:])
+        if other is not None:
+            other._plan(Z_other)
+
+    def _plans(self, Z) -> bool:
+        """Whether _plan may run _kt on rewards Z: an exact array bettor's."""
+        return Z is not None and self.batch is not None and type(self) is CoinBettor
 
     def _settle(self, zs) -> list:
         """observe()'s scalar KT step over the rewards ``zs`` (floats) of a settled segment, whose
@@ -364,8 +387,12 @@ class DimFreeLearner(Learner):
         y = self.magnitude.predict()
         if self.magnitude.batch is None:
             return y * self.direction.point
-        w = y[:, None] * self.direction.point
-        return w if self.batch is not None else w.sum(axis=0)
+        if self.batch is None:  # a grid plays its rows' sum
+            return (y[:, None] * self.direction.point).sum(axis=0)
+        plan = self._planned
+        if plan is not None and plan[5] is not None:  # the play _chunk fixed
+            return plan[5][self.round_index - plan[0]]
+        return y[:, None] * self.direction.point
 
     def _update(self, g):
         plan, direction = self._planned, self.direction
@@ -379,15 +406,22 @@ class DimFreeLearner(Learner):
         if i + 1 == len(plan[3]) and len(plan[4]):  # spent: plan the next before the next predict
             self._chunk(plan[4], self.round_index + 1)
 
-    def _chunk(self, G, first):
+    def _chunk(self, G, first, hint=()):
         """Plan the p = 2 direction path of G's first PLAN_ROWS rows from round ``first`` on and the
-        magnitude outcomes -<g_t, point_t> it fixes (an array bettor's plan); the rest waits."""
+        magnitude outcomes -<g_t, point_t> it fixes (an array bettor's plan, made with ``hint``'s
+        (bettor, rewards) where given); the rest waits. A planned trial-axis magnitude also fixes
+        the plays y_t * point_t, bitwise the rounds' multiply."""
         P, S = self.direction._path(G[:PLAN_ROWS])
         Z = -row_dot(G[:PLAN_ROWS], P[:-1])
-        self.magnitude._plan(Z if G.ndim == 3 else None)
-        self._planned = (first, P, S, Z if G.ndim == 3 else Z.tolist(), G[PLAN_ROWS:])
+        block = G.ndim == 3
+        self.magnitude._plan(Z if block else None, *hint)
+        bets = self.magnitude._planned
+        X = None if bets is None else bets[2][:, :, None] * P[:-1]
+        self._planned = (first, P, S, Z if block else Z.tolist(), G[PLAN_ROWS:], X)
 
-    def _plan(self, G, H, settle=False):
+    def _plan(self, G, H, settle=False, hint=()):
+        """Learner._plan; a hinted root's ``hint``, its (bettor, rewards), plans with a trial
+        axis's magnitude in one _kt call."""
         direction = self.direction
         if self._planned is not None:  # a plan ends: let its arrays go
             direction.point = direction.point.copy()
@@ -407,7 +441,7 @@ class DimFreeLearner(Learner):
             Y = np.array(self.magnitude._settle((-row_dot(G, P[:-1])).tolist()))
             return np.multiply(P[:-1], Y[:, None], out=P[:-1])
         else:
-            self._chunk(G, self.round_index)
+            self._chunk(G, self.round_index, hint)
 
 
 class PerCoordinateLearner(Learner):

@@ -68,17 +68,20 @@ def test_first_job_matches_reference(bench, name, tmp_path):
     assert bitwise or name == "multinorm_d1024"
 
 
-@pytest.mark.parametrize("name", ["hinted_small_d", "multinorm_d1024", "bernstein_mc"])
-def test_traced_first_cycle_leaves_no_large_layer_silent(bench, name, tmp_path):
+@pytest.mark.parametrize("name", ["hinted_small_d", "multinorm_d1024", "bernstein_mc",
+                                  "sweep_pool"])
+def test_traced_first_cycle_leaves_no_large_layer_silent(bench, name, tmp_path, monkeypatch):
     # A traced benchmark run fails when a layer it expects to be busy on a
     # workload records no calls; a learner change that routes around the
     # wrapped bindings fails here first. Like the benchmark, this runs whole
     # cycles of job shapes: hinted_small_d reaches its projection and
     # tilde_hint layers only in the cycle's constrained job. The sweep
-    # workload traces its cells in pool workers and is left to the
-    # benchmark's self-check.
+    # workload's cells run in pool workers; here its first config runs with
+    # one worker, so every cell runs in this process under the tracer.
     tracer, workloads, run = bench
     workload = workloads.WORKLOADS[name]
+    if name == "sweep_pool":
+        monkeypatch.setattr(workload, "workers", lambda: 1)
     jobs = workload.pool(0, tmp_path)[:workload.cycle]
     t = tracer.Tracer()
     try:

@@ -521,8 +521,14 @@ def test_a_kt_plan_dropped_mid_chunk_leaves_the_rounds_state(monkeypatch, tree):
         _rounds(ref, G[:37], ref_hints)
         ref.predict(*[ref_hints.next_hint()] if ref_hints else [])  # the round that fails
     assert spy == [True]
-    assert _state(learner) == _state(ref)  # drive fed the sources the segment's 64 rows
+    assert _state(learner) == _state(ref)
     assert _bettors(learner) == _bettors(ref)
+    if hints is not None:  # drive drew the segment's hints first: its sources fed all 64 rows
+        ahead = _hints("running_average", G)
+        for g in G[:PLAN_ROWS]:
+            ahead.next_hint()
+            ahead.feed(g)
+        assert _state(hints) == _state(ahead)
 
 
 @pytest.mark.parametrize("tree", ["percoord", "optimistic_block"])
@@ -537,6 +543,73 @@ def test_kt_plans_hand_a_capping_run_to_the_rounds(monkeypatch, tree):
     learner = _check(make, G, cuts=[100, 250])
     assert harness.capped_bettors(learner)
     assert True in spy and spy[-1] is False
+
+
+def _play_spy(monkeypatch):
+    """For each block segment a trial-axis hinted root plans from here on, whether it fixed
+    its plays."""
+    fixed = []
+
+    def spy(root, G, H, Z):
+        plan_block(root, G, H, Z)
+        if G is not None:
+            fixed.append(root._planned[2] is not None)
+    plan_block = combinators._plan_block
+    monkeypatch.setattr(combinators, "_plan_block", spy)
+    return fixed
+
+
+@pytest.mark.parametrize("B", [1, 60])
+@pytest.mark.parametrize("hint", ["running_average", "perfect"])
+def test_a_block_plans_both_bettors_in_one_kt_call_and_fixes_its_plays(monkeypatch, B, hint):
+    # T = 100: segments of 64 and 36 rows; each plans the magnitude and the hint bettor in one
+    # _kt call and fixes its plays, bitwise the public rounds'
+    kt, fixed = _kt_spy(monkeypatch), _play_spy(monkeypatch)
+    _check(lambda G: _make("optimistic_block", G, hint=hint), _stream((100, B, 4), seed=B), [])
+    assert kt == [True, True] and fixed == [True, True]
+
+
+@pytest.mark.parametrize("rich", ["magnitude", "hint"])
+def test_a_block_plans_its_plays_only_where_both_bettors_plan(monkeypatch, rich):
+    # one trial of one bettor starts above the 64-row headroom bound: the joint _kt call is
+    # refused, each bettor plans alone and only the other one plans, and the rounds compute
+    # their plays from it
+    kt, fixed = _kt_spy(monkeypatch), _play_spy(monkeypatch)
+
+    def make(G):
+        learner, hints = _make("optimistic_block", G)
+        bettor = learner.base.magnitude if rich == "magnitude" else learner.bettor
+        bettor.wealth[2] = WEALTH_CAP * 0.25 ** 40
+        return learner, hints
+    _check(make, _stream((100, 5, 4), seed=13), [])
+    assert kt[:3] == [False, rich == "hint", rich == "magnitude"] and not fixed[0]
+
+
+def test_a_replay_error_mid_segment_leaves_no_planned_play(monkeypatch):
+    # round 37 of a 64-row segment fails in the root's step with its plays and both bettors
+    # planned; the rounds after it, on another stream, compute their own plays
+    fixed = _play_spy(monkeypatch)
+    G, later = _stream((100, 4, 3), seed=14), _stream((80, 4, 3), seed=15)
+    learner, hints = _make("optimistic_block", G)
+    ref, ref_hints = _make("optimistic_block", G)
+    update, failed = OptimisticLearner._update, []
+
+    def fail_once(self, g):
+        if self is learner and self.round_index == 37 and not failed:
+            failed.append(True)
+            raise ValueError("a failing step")
+        update(self, g)
+    monkeypatch.setattr(OptimisticLearner, "_update", fail_once)
+    with pytest.raises(ReplayError, match="^round 37: a failing step$"):
+        drive(learner, G, hints)
+    assert fixed == [True]
+    _rounds(ref, G[:37], ref_hints)
+    ref.predict(ref_hints.next_hint())  # the round that fails
+    for root in (learner, ref):
+        root.observe(G[37])
+    _same(_rounds(learner, later, _hints("running_average", later)),
+          _rounds(ref, later, _hints("running_average", later)))
+    assert _state(learner) == _state(ref) and _bettors(learner) == _bettors(ref)
 
 
 class _HalfBettor(CoinBettor):
