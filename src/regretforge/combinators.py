@@ -38,7 +38,8 @@ class AddCombiner(Learner):
 
     Every child must declare an origin budget (epsilon); the combiner's own
     budget is the sum. Children share one dimension and all see the same
-    gradient.
+    gradient. The trial axis, if any, is the children's: all or none of them
+    take one, of the same B.
     """
 
     def __init__(self, children: Sequence[Learner]):
@@ -48,12 +49,16 @@ class AddCombiner(Learner):
         dims = {c.dim for c in children}
         if len(dims) != 1:
             raise DimensionMismatch(f"children disagree on dimension: {sorted(dims)}")
+        batches = [c.batch for c in children]
+        if len(set(batches)) != 1:
+            raise DimensionMismatch(f"an add combiner takes children of one trial axis, got "
+                                    f"batches {batches}")
         for i, c in enumerate(children):
             if c.epsilon is None:
                 raise ValueError(
                     f"child {i} declares no origin budget; add_iterates requires one"
                 )
-        super().__init__(dims.pop(), epsilon=sum(c.epsilon for c in children))
+        super().__init__(dims.pop(), epsilon=sum(c.epsilon for c in children), batch=batches[0])
         self.children = children
 
     def _prediction(self):

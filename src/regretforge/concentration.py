@@ -37,12 +37,13 @@ from .learners import CoinBettor, DimFreeLearner
 
 K1 = 0.58
 
-#: bytes of (T, B, d) float64 gradients per via-learner trial block
+#: bytes of (T, B, d) float64 gradients per trial block, of via-learner trials or sweep seeds
 TRIAL_BLOCK_BYTES = 8 << 20
 
 
 def trial_block(T: int, dim: int) -> int:
-    """Trials per via-learner block: as many as fit in TRIAL_BLOCK_BYTES, at least 1.
+    """Trials per block, via-learner trials or a sweep's seeds: as many as fit in
+    TRIAL_BLOCK_BYTES, at least 1.
 
     Only the (T, B, d) gradients count, 8 d bytes per trial-round; the (T, B)
     losses of the batched replay add another 1/d on top.

@@ -49,6 +49,10 @@ from .learners import (
     PerCoordinateLearner,
 )
 from . import combinators
+from .concentration import trial_block
+
+#: the learner kinds that consume hints: roots only, and without a trial axis
+HINTED_KINDS = ("optimistic", "constrained", "multi_hint")
 
 SEED_ENV_VAR = "REGRETFORGE_SEED"
 
@@ -245,7 +249,7 @@ def _node(what: str):
 
 def _plain(raw, path: str, node):
     """A learner that consumes no hints: those kinds may only be the root."""
-    if isinstance(raw, dict) and raw.get("kind") in ("optimistic", "constrained", "multi_hint"):
+    if isinstance(raw, dict) and raw.get("kind") in HINTED_KINDS:
         raise CompositionError(path, f"{raw['kind']} consumes hints and may only appear at "
                                      "the root")
     return _walk("learner", raw, path, node["dim"], node.get("stream"))
@@ -505,34 +509,50 @@ class RunRecord:
     capped: dict = field(default_factory=dict)   # bettor path -> rounds the wealth cap bound
 
 
-def capped_bettors(learner, path: str = "learner") -> dict:
+def capped_bettors(learner, path: str = "learner", trial: Optional[int] = None) -> dict:
     """{path: rounds} for every bettor in the tree whose wealth cap has bound.
 
     Paths follow the learner's attributes (``learner.base.magnitude``,
     ``learner.children[1]``, ``learner.bettors[0]``). Once the cap binds,
-    that bettor's regret figures are an artefact of the cap.
+    that bettor's regret figures are an artefact of the cap. In a tree with
+    a trial axis, ``trial`` picks one trial's counts.
     """
     out = {}
-    rounds = int(np.sum(getattr(learner, "capped_rounds", 0)))
+    counts = getattr(learner, "capped_rounds", None)
+    rounds = 0 if counts is None else int(np.sum(counts if trial is None else counts[trial]))
     if rounds:
         out[path] = rounds
     for attr in ("bettor", "magnitude", "base"):
         child = getattr(learner, attr, None)
         if child is not None:
-            out.update(capped_bettors(child, f"{path}.{attr}"))
+            out.update(capped_bettors(child, f"{path}.{attr}", trial))
     for attr in ("bettors", "children"):
         for i, child in enumerate(getattr(learner, attr, ())):
-            out.update(capped_bettors(child, f"{path}.{attr}[{i}]"))
+            out.update(capped_bettors(child, f"{path}.{attr}[{i}]", trial))
     return out
 
 
-def _drive(composed: ComposedLearner, G: np.ndarray,
-           keep_iterates: bool) -> RunRecord:
+def _with_trials(learner: Learner, batch: int) -> Optional[Learner]:
+    """A fresh copy of a built learner with a trial axis of ``batch`` trials, or None where its
+    tree takes none: only p = 2 DimFreeLearners, PerCoordinateLearners and sums of them do."""
+    kind = type(learner)
+    if kind is AddCombiner:
+        children = [_with_trials(c, batch) for c in learner.children]
+        return None if None in children else AddCombiner(children)
+    if kind is PerCoordinateLearner:
+        return PerCoordinateLearner(learner.dim, learner.epsilon, batch)
+    if kind is DimFreeLearner and learner.direction.theta is None:  # one p = 2 direction
+        return DimFreeLearner(learner.dim, learner.epsilon, learner.direction.specs[0], batch)
+    return None
+
+
+def _drive(composed: ComposedLearner, G: np.ndarray, keep_iterates: bool):
     # the whole stream is checked before round 0, so a bad one raises
     # ValueError with no round run; core.drive then runs one checkpoint
-    # segment at a time, and the bettors are read at checkpoints only
+    # segment at a time, and the bettors are read at checkpoints only.
+    # A (T, B, d) block of a trial-axis learner gives one record per trial.
     learner = composed.learner
-    G = check_stream(G, learner.dim)
+    G = check_stream(G, learner.dim, learner.batch)
     bettors = composed.bettors
     parts, bettor_regrets, start = [], [], 0
     for stop in checkpoints(len(G)):
@@ -549,6 +569,9 @@ def _drive(composed: ComposedLearner, G: np.ndarray,
         diff = G - H
         gh_sq = row_dot(diff, diff)
         gh_minus = gh_sq - row_dot(H, H)
+    if G.ndim == 3:  # a block: no hints and no bettor columns
+        return [RunRecord(losses[:, i], G[:, i], None, None, sq, sq,
+                          capped=capped_bettors(learner, trial=i)) for i, sq in enumerate(gh_sq.T)]
     return RunRecord(losses, G, iterates, hints, gh_sq, gh_minus,
                      np.array(bettor_regrets) if bettors else None, capped_bettors(learner))
 
@@ -581,23 +604,40 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
     spec = StreamSpec.from_config(stream_cfg)
     G = generate_stream(spec)
     composed = build_learner(config["learner"], spec.dim, stream=G)
-    cfgs = config.get("comparators", [{"kind": "origin"}])
-    comparators = _list(_node("comparator"), 1)(cfgs, "comparators", {"dim": spec.dim})
-    ids = [comparator_id(c, i) for i, c in enumerate(cfgs)]
+    comparators = _comparators(config, spec.dim)
 
     start = time.perf_counter()
     record = _drive(composed, G, keep_iterates=keep_record and keep_iterates)
-
-    experiment_id = config.get("experiment_id", "experiment")
-    rows = []
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    for j, T_prime in enumerate(checkpoints(spec.T)):
-        cum_loss = math.fsum(record.losses[:T_prime])
+    rows = _report(config.get("experiment_id", "experiment"), record, comparators, elapsed_ms)
+    if keep_record:
+        return rows, record
+    return rows
+
+
+def _comparators(config: dict, dim: int) -> list:
+    """(comparator_id, resolve) for each of a config's comparators, all checked."""
+    cfgs = config.get("comparators", [{"kind": "origin"}])
+    resolvers = _list(_node("comparator"), 1)(cfgs, "comparators", {"dim": dim})
+    return [(comparator_id(c, i), resolve) for i, (c, resolve) in enumerate(zip(cfgs, resolvers))]
+
+
+def _report(experiment_id: str, record: RunRecord, comparators: list, elapsed_ms: float) -> list:
+    """The checkpoint rows of one run's record, one per (checkpoint, comparator)."""
+    # fsum of a list slice: the same exact sums, at less cost than of NumPy slices
+    losses, gh_sq = record.losses.tolist(), record.gh_sq.tolist()
+    gh_minus = gh_sq if record.gh_sq_minus is record.gh_sq else record.gh_sq_minus.tolist()
+    # a block trial's (T, d) column, copied: its sums then add as its own stream's do
+    G = np.ascontiguousarray(record.gradients)
+    rows = []
+    for j, T_prime in enumerate(checkpoints(len(G))):
+        cum_loss = math.fsum(losses[:T_prime])
         # bitwise row T' - 1 of np.cumsum(G, axis=0): both add the rows in order
         gsum = G[:T_prime].sum(axis=0)
-        hint_sums = {"sum_gh_sq": math.fsum(record.gh_sq[:T_prime]),
-                     "sum_gh_sq_minus_h_sq": math.fsum(record.gh_sq_minus[:T_prime])}
-        for cid, resolve in zip(ids, comparators):
+        sum_gh_sq = math.fsum(gh_sq[:T_prime])
+        hint_sums = {"sum_gh_sq": sum_gh_sq, "sum_gh_sq_minus_h_sq":
+                     sum_gh_sq if gh_minus is gh_sq else math.fsum(gh_minus[:T_prime])}
+        for cid, resolve in comparators:
             regret = cum_loss - float(np.dot(gsum, resolve(gsum)))
             row = {
                 "experiment_id": experiment_id,
@@ -612,8 +652,6 @@ def run_experiment(config: dict, seed_override: Optional[int] = None,
                 for i in range(record.bettor_regrets.shape[1]):
                     row[f"bettor{i}_regret_at0"] = record.bettor_regrets[j, i]
             rows.append(row)
-    if keep_record:
-        return rows, record
     return rows
 
 
@@ -672,14 +710,45 @@ def fit_slope(rows, comparator_id_value: str) -> float:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_cell(args):
-    base_config, T, seed = args
-    cfg = json.loads(json.dumps(base_config))  # deep copy
+def _cell(config: dict, T: int, seed: int) -> dict:
+    """The config of one sweep cell: a deep copy with its T, seed and experiment_id."""
+    cfg = json.loads(json.dumps(config))
     cfg["stream"]["T"] = T
     cfg["stream"]["seed"] = seed
     cfg["experiment_id"] = f"{cfg.get('experiment_id', 'experiment')}_T{T}_s{seed}"
-    rows, record = run_experiment(cfg, keep_record=True, keep_iterates=False)
-    return (T, seed), rows, {cfg["experiment_id"]: record.capped} if record.capped else {}
+    return cfg
+
+
+def _run_block(cells: list) -> list:
+    """(rows, capped) of each of the same-T cell configs ``cells``, run as one (T, B, d)
+    block of a trial-axis learner: each seed's stream is drawn into its column, one drive
+    replays them all, and each trial is reported as run_experiment reports a run."""
+    specs = [StreamSpec.from_config(cfg["stream"]) for cfg in cells]
+    T, dim = specs[0].T, specs[0].dim
+    G = np.empty((T, len(cells), dim))  # C-contiguous: check_stream keeps it
+    for i, spec in enumerate(specs):
+        G[:, i] = generate_stream(spec)
+    learner = _with_trials(build_learner(cells[0]["learner"], dim).learner, len(cells))
+    comparators = _comparators(cells[0], dim)
+    start = time.perf_counter()
+    records = _drive(ComposedLearner(learner), G, keep_iterates=False)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return [(_report(cfg["experiment_id"], record, comparators, elapsed_ms), record.capped)
+            for cfg, record in zip(cells, records)]
+
+
+def _sweep_cell(args):
+    """One pool task, ``(config, T, seeds)``: a block of seeds, or one cell by run_experiment.
+    Returns ((T, seed), rows, {experiment_id: capped bettors} or {}) for each seed."""
+    config, T, seeds = args
+    cells = [_cell(config, T, seed) for seed in seeds]
+    if len(cells) > 1:
+        done = _run_block(cells)
+    else:
+        rows, record = run_experiment(cells[0], keep_record=True, keep_iterates=False)
+        done = [(rows, record.capped)]
+    return [((T, seed), rows, {cfg["experiment_id"]: capped} if capped else {})
+            for seed, cfg, (rows, capped) in zip(seeds, cells, done)]
 
 
 def _axis(sweep: dict, key: str, default, read) -> list:
@@ -690,29 +759,49 @@ def _axis(sweep: dict, key: str, default, read) -> list:
     return [read(v, f"sweep.{key}") for v in values]
 
 
+def _block_dim(config: dict, T: int, seed: int) -> Optional[int]:
+    """The stream dim of a sweep whose learner tree takes a trial axis, else None. The stream
+    and learner of its cell (T, seed) are checked first, as run_experiment checks them; a
+    hinted root takes no trial axis and is left to its cells to check."""
+    cfg = _cell(config, T, seed)
+    dim = StreamSpec.from_config(cfg["stream"]).dim
+    if config_object(cfg["learner"], "learner").get("kind") in HINTED_KINDS:
+        return None
+    return None if _with_trials(build_learner(cfg["learner"], dim).learner, 1) is None else dim
+
+
 def run_sweep(config: dict, workers: int = 1, capped: Optional[dict] = None):
     """Grid over T and/or seeds; cells are independent and merged by key.
 
-    Cells run longest T first, rows come out by (T, seed), and the pool gets
-    at most one worker per cell and per CPU. A ``capped`` dict
-    receives {cell experiment_id: {bettor path: rounds}} for every cell where
-    a wealth cap bound.
+    Where the learner tree takes a trial axis (only p = 2 dimfree, percoord
+    and add of those), the seeds of one T run as (T, B, d) blocks of at most
+    ``concentration.trial_block(T, dim)`` seeds, each one task; any other
+    sweep runs each cell as its own task, by run_experiment. Either way a
+    cell's rows and capped bettors are those of its run alone, bit for bit.
+    Tasks run longest T first, rows come out by (T, seed), and the pool gets
+    at most one worker per task and per CPU. A ``capped`` dict receives
+    {cell experiment_id: {bettor path: rounds}} for every cell where a
+    wealth cap bound.
     """
     _check_parts(config)
     sweep, stream = (config_object(config.get(key, {}), key) for key in ("sweep", "stream"))
-    Ts = _axis(sweep, "T", stream.get("T"), _COUNT)
+    Ts = sorted(_axis(sweep, "T", stream.get("T"), _COUNT), reverse=True)
     seeds = _axis(sweep, "seeds", stream.get("seed", 0), _SEED)
-    cells = sorted(((config, T, s) for T in Ts for s in seeds), key=lambda c: -c[1])
-    workers = min(workers, len(cells), os.cpu_count() or 1)
+    dim = _block_dim(config, Ts[0], seeds[0]) if len(seeds) > 1 else None
+    tasks = []
+    for T in Ts:
+        size = 1 if dim is None else trial_block(T, dim)
+        tasks += [(config, T, seeds[i:i + size]) for i in range(0, len(seeds), size)]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, cells))
+            results = list(pool.map(_sweep_cell, tasks))
     else:
-        results = [_sweep_cell(c) for c in cells]
-    results.sort(key=lambda kv: kv[0])
+        results = [_sweep_cell(task) for task in tasks]
+    cells = sorted((cell for task in results for cell in task), key=lambda kv: kv[0])
     rows = []
-    for _, cell_rows, cell_capped in results:
+    for _, cell_rows, cell_capped in cells:
         rows.extend(cell_rows)
         if capped is not None:
             capped.update(cell_capped)

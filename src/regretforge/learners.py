@@ -449,19 +449,22 @@ class PerCoordinateLearner(Learner):
 
     State is held in coordinate arrays rather than d bettor objects; the
     update is one vector operation and matches the d-instance semantics
-    exactly (each coordinate sees only its own gradient entries).
-    ``capped_rounds`` counts the rounds where the wealth cap clipped any
-    coordinate's wealth. A segment's rewards are its rows' -g, so _plan runs
-    _kt on them a chunk at a time, and the rounds read their rows.
+    exactly (each coordinate sees only its own gradient entries). With
+    ``batch`` = B the arrays are (B, d), one row per trial, and every entry
+    still steps on its own. ``capped_rounds`` counts the rounds where the
+    wealth cap clipped any coordinate's wealth, one count per trial with a
+    trial axis. A segment's rewards are its rows' -g, so _plan runs _kt on
+    them, (n, d) or (n, B * d), a chunk at a time, and the rounds read their rows.
     """
 
-    def __init__(self, dim: int, epsilon: float = 1.0):
-        super().__init__(dim, epsilon=_budget(epsilon))
-        self.wealth = np.full(dim, self.epsilon / dim)
-        self.signed_sum = np.zeros(dim)
+    def __init__(self, dim: int, epsilon: float = 1.0, batch: int | None = None):
+        super().__init__(dim, epsilon=_budget(epsilon), batch=batch)
+        shape = (dim,) if batch is None else (batch, dim)
+        self.wealth = np.full(shape, self.epsilon / dim)
+        self.signed_sum = np.zeros(shape)
         self.round = 0
-        self.capped_rounds = 0
-        self._bet = np.zeros(dim)  # the last prediction, the bet _update settles
+        self.capped_rounds = 0 if batch is None else np.zeros(batch, dtype=np.int64)
+        self._bet = np.zeros(shape)  # the last prediction, the bet _update settles
 
     def _prediction(self):
         plan = self._planned
@@ -482,7 +485,7 @@ class PerCoordinateLearner(Learner):
         # the reward is z = -g: wealth + bet * z and signed_sum + z, to the bit
         wealth = self.wealth - self._bet * g
         if wealth.max() > WEALTH_CAP:
-            self.capped_rounds += 1
+            self.capped_rounds += (wealth > WEALTH_CAP).any(axis=-1)
             wealth = np.minimum(wealth, WEALTH_CAP)
         self.wealth = wealth
         self.signed_sum = self.signed_sum - g
@@ -490,13 +493,17 @@ class PerCoordinateLearner(Learner):
 
     def _plan(self, G, H, settle=False):
         """Plan the rounds of G's first PLAN_ROWS rows on their rewards -g, which step wealth and
-        signed_sum bitwise as _update does (w - bet * g = w + (-g) * bet); the rest waits."""
+        signed_sum bitwise as _update does (w - bet * g = w + (-g) * bet); the rest waits. A
+        block's rows flatten to B * d columns, each stepped on its own by _kt."""
         if self._planned is not None:  # a chunk ends: let its arrays go
             self.wealth, self.signed_sum = self.wealth.copy(), self.signed_sum.copy()
             self._bet = self._bet.copy()
-        kt = None if G is None or type(self) is not PerCoordinateLearner else \
-            _kt(-G[:PLAN_ROWS], self.wealth, self.signed_sum, self.round)
-        self._planned = None if kt is None else (self.round, *kt, G[PLAN_ROWS:])
+        kt, shape = None, self.wealth.shape
+        if G is not None and type(self) is PerCoordinateLearner:
+            Z = -G[:PLAN_ROWS].reshape(-1, self.wealth.size)
+            kt = _kt(Z, self.wealth.reshape(-1), self.signed_sum.reshape(-1), self.round)
+        self._planned = None if kt is None else (
+            self.round, *(a.reshape(len(a), *shape) for a in kt), G[PLAN_ROWS:])
 
 
 class AdaptiveProjectedDescent(Learner):

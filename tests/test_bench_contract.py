@@ -91,3 +91,30 @@ def test_traced_first_cycle_leaves_no_large_layer_silent(bench, name, tmp_path, 
     finally:
         t.uninstall()
     assert run.silent_layers(name, {"layers": t.stats}) == []
+
+
+def test_traced_sweep_with_a_two_worker_pool(bench, tmp_path, monkeypatch):
+    # as perfbench/worker.py traces a sweep: pool workers run their tasks under the tracer
+    # and write layer totals to files, which collect_cells folds in
+    tracer, workloads, run = bench
+    workload = workloads.WORKLOADS["sweep_pool"]
+    monkeypatch.setattr(workload, "workers", lambda: 2)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a real pool on any host
+    jobs = workload.pool(0, tmp_path)[:workload.cycle]
+    untraced = [job.run()[0] for job in jobs]
+    cell_dir = tmp_path / "cells"
+    cell_dir.mkdir()
+    t = tracer.Tracer()
+    t.install()
+    tracer.activate(t, cell_dir)
+    try:
+        traced = [job.run()[0] for job in jobs]
+    finally:
+        tracer.deactivate()
+        t.uninstall()
+    assert list(cell_dir.glob("cell_*.json"))  # the pool's workers traced their tasks
+    tracer.collect_cells(t, cell_dir)
+    for got, expected in zip(traced, untraced):
+        assert workloads.compare(got, expected) == ([], True)
+    assert run.silent_layers("sweep_pool", {"layers": t.stats}) == []
+    assert list(cell_dir.iterdir()) == []

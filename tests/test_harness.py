@@ -344,7 +344,7 @@ class _RecordingPool:
 
 
 @pytest.mark.parametrize("workers, cpus, expected", [
-    (1000, 8, 4),   # capped by the 4 cells
+    (1000, 8, 4),   # capped by the 4 tasks, one block of seeds per T
     (1000, 3, 3),   # capped by the CPUs
     (2, 8, 2),      # as asked
 ])
@@ -355,10 +355,10 @@ def test_sweep_workers_clamped(monkeypatch, workers, cpus, expected):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     _RecordingPool.seen = []
     config = json.load(open("configs/sweep.json", encoding="utf-8"))
-    config["sweep"] = {"T": [16, 32], "seeds": [0, 1]}
+    config["sweep"] = {"T": [16, 32, 48, 64], "seeds": [0, 1]}
     rows = run_sweep(config, workers=workers)
     assert _RecordingPool.seen == [expected]
-    assert len({r["experiment_id"] for r in rows}) == 4
+    assert len({r["experiment_id"] for r in rows}) == 8
 
 
 def test_sweep_one_usable_worker_runs_in_process(monkeypatch):
@@ -817,13 +817,13 @@ def test_sparse_bad_k_active_raises_as_the_loop_does(k, error):
 
 
 class _OrderPool(_RecordingPool):
-    """Also records the order in which cells reach the pool."""
+    """Also records the order in which tasks, (T, seeds), reach the pool."""
 
     cells = []
 
     def map(self, fn, items):
         items = list(items)
-        self.cells.extend((T, seed) for _, T, seed in items)
+        self.cells.extend((T, seeds) for _, T, seeds in items)
         return super().map(fn, items)
 
 
@@ -839,7 +839,9 @@ def test_sweep_hands_longest_cells_first_and_keeps_row_order(monkeypatch):
     _OrderPool.cells = []
     pooled_capped = {}
     pooled = run_sweep(config, workers=2, capped=pooled_capped)
-    assert _OrderPool.cells == [(700, 1), (700, 0), (500, 1), (500, 0), (300, 1), (300, 0)]
+    # an optimistic root takes no trial axis: one task per cell
+    assert _OrderPool.cells == [(700, [1]), (700, [0]), (500, [1]), (500, [0]), (300, [1]),
+                                (300, [0])]
     strip = [{k: v for k, v in r.items() if k != "wallclock_ms"} for r in pooled]
     assert strip == [{k: v for k, v in r.items() if k != "wallclock_ms"} for r in serial]
     by_cell = [f"order_T{T}_s{s}" for T in (300, 500, 700) for s in (0, 1)]
@@ -1140,29 +1142,71 @@ def test_iterates_are_kept_only_where_they_are_read(monkeypatch, tmp_path):
     assert cli_main(["run", "--config", str(cfg_path), "--output", out,
                      "--dump-ledger", str(ledger)]) == 0
     assert cli_main(["sweep", "--config", str(cfg_path), "--output", out]) == 0
-    assert kept == [False, True, False, False]
+    # the sweep's two seeds run as one block: one drive
+    assert kept == [False, True, False]
     assert len(ledger.read_text().splitlines()) == 48
 
 
+# configs/sweep.json's add(dimfree, percoord) tree, and a percoord tree whose wealth cap
+# binds at T = 1024 for seed 4 only
+_SWEEP = {k: v for k, v in json.load(open("configs/sweep.json", encoding="utf-8")).items()
+          if k in ("experiment_id", "learner", "stream", "comparators")}
+_PERCOORD_CAPPED = {"experiment_id": "percoord_capped", "learner": {"kind": "percoord"},
+                    "stream": {"kind": "biased", "dim": 4, "T": 1024, "mu": [0.58, 0.0, 0.0, 0.0],
+                               "noise": 1.0}}
+
+
+def _bits(rows):
+    """Every column but wallclock_ms, each float by its repr (which keeps its bits)."""
+    return [{k: repr(v) for k, v in row.items() if k != "wallclock_ms"} for row in rows]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_rows_and_capped_match_each_cell_run_alone(workers):
-    # cells keep no iterates; their rows and capped bettors are those of a
-    # run that keeps them
-    config = dict(_CAPPED, sweep={"T": [512, 1024], "seeds": [0, 3]})
+@pytest.mark.parametrize("config, seeds, block, expect_capped", [
+    (_CAPPED, [0, 3], None, {f"perfect_slow_T{T}_s{s}": {"learner.bettor", "learner.base.magnitude"}
+                             for T in (512, 1024) for s in (0, 3)}),
+    (_SWEEP, [0, 3], None, {}),
+    (_PERCOORD_CAPPED, [0, 4], None, {"percoord_capped_T1024_s4": {"learner"}}),
+    # more seeds than a block holds: T = 1024 takes blocks of 2, 2 and 1 seeds
+    (_SWEEP, [0, 1, 2, 3, 4], 2, {}),
+], ids=["optimistic", "add", "percoord_capped", "split_blocks"])
+def test_sweep_rows_and_capped_match_each_cell_run_alone(monkeypatch, workers, config, seeds,
+                                                         block, expect_capped):
+    # cells keep no iterates and may run as blocks of seeds; their rows and capped bettors
+    # are those of a run that keeps them
+    from regretforge import concentration
+
+    dim = config["stream"]["dim"]
+    if block is not None:
+        monkeypatch.setattr(concentration, "TRIAL_BLOCK_BYTES", block * 8 * 1024 * dim)
     capped = {}
-    rows = run_sweep(config, workers=workers, capped=capped)
+    rows = run_sweep(dict(config, sweep={"T": [512, 1024], "seeds": seeds}), workers=workers,
+                     capped=capped)
     alone_rows, alone_capped = [], {}
     for T in (512, 1024):
-        for seed in (0, 3):
-            cell = dict(_CAPPED, experiment_id=f"perfect_slow_T{T}_s{seed}",
-                        stream=dict(_CAPPED["stream"], T=T, seed=seed))
+        for seed in seeds:
+            cell = dict(config, experiment_id=f"{config['experiment_id']}_T{T}_s{seed}",
+                        stream=dict(config["stream"], T=T, seed=seed))
             cell_rows, record = run_experiment(cell, keep_record=True)
-            assert record.iterates.shape == (T, 4)
+            assert record.iterates.shape == (T, dim)
             alone_rows += cell_rows
-            alone_capped[cell["experiment_id"]] = record.capped
-    assert _without_wallclock(rows) == _without_wallclock(alone_rows)
-    assert capped == alone_capped and len(capped) == 4
-    assert all(set(c) == {"learner.bettor", "learner.base.magnitude"} for c in capped.values())
+            if record.capped:
+                alone_capped[cell["experiment_id"]] = record.capped
+    assert _bits(rows) == _bits(alone_rows)
+    assert capped == alone_capped
+    assert {cell: set(c) for cell, c in capped.items()} == expect_capped
+
+
+def test_sweep_blocks_follow_the_byte_budget(monkeypatch):
+    from regretforge import concentration, harness
+
+    monkeypatch.setattr(concentration, "TRIAL_BLOCK_BYTES", 2 * 8 * 1024 * 16)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _OrderPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _OrderPool.cells = []
+    run_sweep(dict(_SWEEP, sweep={"T": [512, 1024], "seeds": [4, 3, 2, 1, 0]}), workers=2)
+    assert _OrderPool.cells == [(1024, [4, 3]), (1024, [2, 1]), (1024, [0]),
+                                (512, [4, 3, 2, 1]), (512, [0])]
 
 
 def test_edge_sweep_and_seed_values_still_run(tmp_path, monkeypatch):

@@ -19,7 +19,9 @@ from regretforge import (
     replay_hinted,
 )
 from regretforge import concentration
-from regretforge.combinators import ConstrainedOptimisticLearner, MultiHintLearner, multi_hint
+from regretforge import harness
+from regretforge.combinators import (AddCombiner, ConstrainedOptimisticLearner, MultiHintLearner,
+                                     multi_hint)
 from regretforge.concentration import SAMPLER_PRESETS, trial_block
 from regretforge.core import (
     GRAD_TOL,
@@ -29,10 +31,11 @@ from regretforge.core import (
     as_vector,
     check_unit_norm,
     drive,
+    replay,
 )
 from regretforge.geometry import Ball, NormSpec
 from regretforge.hints import HintSource, RunningAverage
-from regretforge.learners import WEALTH_CAP, PNormBallDescent
+from regretforge.learners import WEALTH_CAP, PerCoordinateLearner, PNormBallDescent
 
 
 def _optimistic(dim, batch=None, eps=0.05):
@@ -183,6 +186,16 @@ def test_roots_without_a_trial_axis_reject_a_batched_part(make):
     # before: the (3,) bet multiplied the hint entry by entry, or a round failed inside NumPy
     with pytest.raises(DimensionMismatch, match="takes no batched base or bettor"):
         make()
+
+
+@pytest.mark.parametrize("batches", [(2, None), (None, 2), (2, 3)])
+def test_add_rejects_children_of_mixed_trial_axes(batches):
+    # before: with (2, None) it built with no trial axis, broadcast the (3,) per-coordinate
+    # bet across both trials to a (2, 3) play, and drive failed at round 0
+    first, second = batches
+    with pytest.raises(DimensionMismatch, match="one trial axis"):
+        AddCombiner([DimFreeLearner(3, 0.5, batch=first),
+                     PerCoordinateLearner(3, 0.5, batch=second)])
 
 
 def test_out_of_contract_values_are_rejected():
@@ -375,3 +388,43 @@ def test_sixty_trial_block_is_each_trials_own_replay_bitwise():
         l.base.direction.dual_sq_sum for l, _ in singles]
     radii = learner_radius(np.stack(trials, axis=1), 0.05)
     assert np.array_equal(radii, [learner_radius(X, 0.05) for X in trials])
+
+
+_PLAIN_TREES = {
+    "percoord": lambda d, batch=None: PerCoordinateLearner(d, 0.5, batch=batch),
+    "add": lambda d, batch=None: AddCombiner([DimFreeLearner(d, 0.5, batch=batch),
+                                              PerCoordinateLearner(d, 0.5, batch=batch)]),
+}
+
+
+def _kt_parts(learner):
+    """The parts of a plain tree that keep wealth and signed sums."""
+    if isinstance(learner, PerCoordinateLearner):
+        return [learner]
+    return [learner.children[0].magnitude, learner.children[1]]
+
+
+@pytest.mark.parametrize("kind", sorted(_PLAIN_TREES))
+def test_trial_axis_plain_trees_are_their_single_trial_replays_bitwise(kind, rng):
+    # a ragged number of 64-row plans, with zero, random and steady trials side by side;
+    # only the steady one drives coordinate 0's wealth to the cap
+    T, d = 450, 3
+    trials = [rng.uniform(-1.0, 1.0, (T, d)) / np.sqrt(d), np.zeros((T, d)),
+              np.tile([-1.0, 0.0, 0.0], (T, 1)), make_sampler("rademacher").draw(rng, T)[:, :d]]
+    make = _PLAIN_TREES[kind]
+    batched = make(d, len(trials))
+    assert batched.batch == len(trials)
+    ledger = replay(batched, np.stack(trials, axis=1))
+    singles = []
+    for i, X in enumerate(trials):
+        alone = make(d)
+        losses = replay(alone, X).per_round_losses()
+        assert ledger.per_round_losses()[:, i].tobytes() == losses.tobytes()
+        for part, single in zip(_kt_parts(batched), _kt_parts(alone)):
+            assert part.wealth[i].tobytes() == np.asarray(single.wealth).tobytes()
+            assert part.signed_sum[i].tobytes() == np.asarray(single.signed_sum).tobytes()
+            assert part.capped_rounds[i] == single.capped_rounds
+        assert harness.capped_bettors(batched, trial=i) == harness.capped_bettors(alone)
+        singles.append(alone)
+    capped = [bool(harness.capped_bettors(alone)) for alone in singles]
+    assert capped == [False, False, True, False]
