@@ -14,7 +14,6 @@ from .core import (
     RegretLedger,
     ReplayError,
     ZeroLearner,
-    ConstantLearner,
     drive,
     replay,
     replay_hinted,
@@ -27,7 +26,6 @@ from .geometry import (
     NormSpec,
     WholeSpace,
     dual_exponent,
-    grid_cover,
     p_norm,
     pnorm_grid,
 )

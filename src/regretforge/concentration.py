@@ -58,7 +58,7 @@ def empirical_variance(samples: np.ndarray) -> float:
     return float(np.einsum("td,td->", centred, centred))
 
 
-def bernstein_radius(samples, delta: float, k1: float = K1) -> float:
+def bernstein_radius(samples, delta: float) -> float:
     """Concentration radius for ||sum X_t - E sum X_t|| from the sample itself."""
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -68,7 +68,7 @@ def bernstein_radius(samples, delta: float, k1: float = K1) -> float:
     T = X.shape[0]
     log_term = math.log(math.e * T / delta)
     vhat = empirical_variance(X)
-    return k1 * (1.0 + math.sqrt(vhat * log_term) + log_term)
+    return K1 * (1.0 + math.sqrt(vhat * log_term) + log_term)
 
 
 class Sampler:

@@ -377,21 +377,6 @@ class ZeroLearner(Learner):
         pass
 
 
-class ConstantLearner(Learner):
-    """Always plays a fixed point (no regret guarantee at the origin)."""
-
-    def __init__(self, point):
-        point = as_vector(point, name="point")
-        super().__init__(point.shape[0], epsilon=None)
-        self.point = point
-
-    def _prediction(self):
-        return self.point.copy()
-
-    def _update(self, g):
-        pass
-
-
 def _check_iterate(w, shape) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != shape:
@@ -410,7 +395,7 @@ def _draw_hints(hints, G, learner: Learner, first_round: int) -> np.ndarray:
 
     Each source gives its hint for a row and is then fed the row, as in a
     round-by-round replay, so a hint depends only on the rows before its own.
-    A source whose own class defines HintSource._draw writes them at once, except in a
+    A source whose own class defines _draw (see HintSource) writes them at once, except in a
     (T, B, d) block, a list naming it twice, or where its dim is not the learner's.
     """
     multi = isinstance(hints, list)

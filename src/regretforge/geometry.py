@@ -63,8 +63,6 @@ def p_norm(x, p):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim > 2:
         raise ValueError(f"p_norm takes a vector or (n, d) rows, got shape {x.shape}")
-    if not np.ndim(p) and p in (1.0, 2.0) and x.ndim < 2:
-        return norm(x) if p == 2.0 else float(np.sum(np.abs(x)))
     ps = np.asarray(p, dtype=np.float64).reshape(-1)
     exps = ps.tolist()
     if min(exps) < 1.0:
@@ -130,12 +128,6 @@ class NormSpec:
     def from_p(cls, p: float) -> "NormSpec":
         return cls(p=p, q=dual_exponent(p), lam=p - 1.0)
 
-    def primal(self, x) -> float:
-        return p_norm(x, self.p)
-
-    def dual(self, x) -> float:
-        return p_norm(x, self.q)
-
 
 @lru_cache(maxsize=None)
 def pnorm_grid(d: int) -> tuple:
@@ -158,26 +150,12 @@ def pnorm_grid(d: int) -> tuple:
     return tuple(specs)
 
 
-def grid_cover(d: int, x, p: float) -> int:
-    """Index of the grid norm covering the user's p: largest i with q_i <= q.
-
-    The returned spec satisfies ||x||_{p_i} <= ||x||_p and
-    ||x||_{q_i} <= e * ||x||_q for every x.
-    """
-    if not (1.0 <= p <= 2.0):
-        raise ValueError("p must lie in [1, 2]")
-    as_vector(x, d, "x")
-    q = dual_exponent(p)
-    grid = pnorm_grid(d)
-    best = 0
-    for i, spec in enumerate(grid):
-        if spec.q <= q + 1e-12:
-            best = i
-    return best
-
-
 class ConvexDomain:
-    """Convex set with exact projection, distance, and distance subgradient."""
+    """Convex set with exact projection, distance, and distance subgradient.
+
+    A domain defines project(); one with a cheaper closed form overrides
+    subgradient_and_distance(), which distance() and distance_subgradient() read.
+    """
 
     bounded = False
 
@@ -185,7 +163,7 @@ class ConvexDomain:
         raise NotImplementedError
 
     def distance(self, x) -> float:
-        return self._subgradient_and_distance(x)[1]
+        return self.subgradient_and_distance(x)[1]
 
     def distance_subgradient(self, x) -> np.ndarray:
         """Unit outward normal (x - proj)/||x - proj|| outside, zero inside.
@@ -193,24 +171,14 @@ class ConvexDomain:
         Zero is always a valid subgradient on the domain itself, and picking
         it keeps the constrained reduction's surrogate gradients smallest.
         """
-        return self._subgradient_and_distance(x)[0]
+        return self.subgradient_and_distance(x)[0]
 
     def subgradient_and_distance(self, x) -> tuple:
-        """(distance_subgradient(x), distance(x)) bitwise, from one projection; overrides hold."""
-        cls = type(self)
-        if (cls.distance is ConvexDomain.distance
-                and cls.distance_subgradient is ConvexDomain.distance_subgradient):
-            return self._subgradient_and_distance(x)
-        return self.distance_subgradient(x), self.distance(x)
-
-    def _subgradient_and_distance(self, x) -> tuple:
+        """(distance_subgradient(x), distance(x)) from one projection."""
         x = np.asarray(x, dtype=np.float64)
         gap = x - self.project(x)
         n = norm(gap)
         return (gap / n if n else np.zeros_like(x)), n
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.distance(x) <= tol
 
     @property
     def diameter(self) -> float:
@@ -223,7 +191,7 @@ class WholeSpace(ConvexDomain):
     def project(self, x):
         return np.asarray(x, dtype=np.float64).copy()
 
-    def _subgradient_and_distance(self, x):
+    def subgradient_and_distance(self, x):
         return np.zeros_like(np.asarray(x, dtype=np.float64)), 0.0
 
     @property
@@ -250,7 +218,7 @@ class Ball(ConvexDomain):
             return x.copy()
         return self.center + gap * (self.radius / n)
 
-    def _subgradient_and_distance(self, x):  # one gap from the centre serves both
+    def subgradient_and_distance(self, x):  # one gap from the centre serves both
         x = np.asarray(x, dtype=np.float64)
         gap = x - self.center
         n = norm(gap)

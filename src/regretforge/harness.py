@@ -467,11 +467,6 @@ def build_learner(cfg: dict, dim: int, stream: Optional[np.ndarray] = None,
     return built if isinstance(built, ComposedLearner) else ComposedLearner(built)
 
 
-def resolve_comparator(cfg: dict, dim: int, gsum: np.ndarray, path: str) -> np.ndarray:
-    """Comparator vector at a checkpoint; best_in_ball uses the gradient sum."""
-    return _walk("comparator", cfg, path, dim)(gsum)
-
-
 def comparator_id(cfg: dict, index: int) -> str:
     kind = cfg.get("kind", "vector")
     if kind == "scaled_unit":
@@ -666,11 +661,6 @@ def write_csv(rows, path) -> None:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def read_csv(path) -> list:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
 
 
 def dump_ledger(record: RunRecord, path) -> None:

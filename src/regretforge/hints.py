@@ -23,7 +23,10 @@ class HintSource:
     of rounds before they run, calling _feed() directly, so a hint may depend
     only on the gradients fed so far, and an override of feed() is never
     reached: a subclass that defines feed() without _feed() is a TypeError.
-    A class with a closed form defines _draw(), which replaces that row loop.
+
+    A class with a closed form defines _draw(G, out), which replaces that row loop: it writes
+    the hints for n >= 1 checked (n, dim) rows G into ``out``, leaving the source as next_hint()
+    then _feed() on each row would, or returns False, changing nothing.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -46,11 +49,6 @@ class HintSource:
 
     def _feed(self, g: np.ndarray) -> None:
         """Take one round's gradient, already validated by the caller."""
-
-    def _draw(self, G: np.ndarray, out: np.ndarray) -> bool:
-        """Write the hints for n >= 1 checked (n, dim) rows G into ``out``, leaving the source as
-        next_hint() then _feed() on each row would; or return False, changing nothing."""
-        return False
 
 
 class ZeroHint(HintSource):

@@ -1,10 +1,12 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from regretforge import drive, optimistic
-from regretforge.core import row_dot
+from regretforge import Learner, drive, dual_exponent, optimistic, pnorm_grid
+from regretforge.core import as_vector, row_dot
+from regretforge.harness import _walk
 from regretforge.hints import UnitBallDescent
 
 
@@ -58,3 +60,45 @@ def descent_regret(G):
     2 (||sum g|| - sum <g_t, h_t>)."""
     H = drawn_hints(G, UnitBallDescent(G.shape[1]))
     return 2.0 * (float(np.linalg.norm(G.sum(axis=0))) - math.fsum(row_dot(G, H)))
+
+
+class ConstantLearner(Learner):
+    """Always plays a fixed point (no regret guarantee at the origin)."""
+
+    def __init__(self, point):
+        point = as_vector(point, name="point")
+        super().__init__(point.shape[0], epsilon=None)
+        self.point = point
+
+    def _prediction(self):
+        return self.point.copy()
+
+    def _update(self, g):
+        pass
+
+
+def grid_cover(d: int, x, p: float) -> int:
+    """Index of the grid norm covering the user's p: largest i with q_i <= q.
+
+    The returned spec satisfies ||x||_{p_i} <= ||x||_p and
+    ||x||_{q_i} <= e * ||x||_q for every x.
+    """
+    if not (1.0 <= p <= 2.0):
+        raise ValueError("p must lie in [1, 2]")
+    as_vector(x, d, "x")
+    q = dual_exponent(p)
+    best = 0
+    for i, spec in enumerate(pnorm_grid(d)):
+        if spec.q <= q + 1e-12:
+            best = i
+    return best
+
+
+def read_csv(path) -> list:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def resolve_comparator(cfg: dict, dim: int, gsum: np.ndarray, path: str) -> np.ndarray:
+    """Comparator vector at a checkpoint; best_in_ball uses the gradient sum."""
+    return _walk("comparator", cfg, path, dim)(gsum)

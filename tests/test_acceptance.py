@@ -25,7 +25,6 @@ from regretforge import (
     add_iterates,
     dual_exponent,
     fit_slope,
-    grid_cover,
     multi_norm,
     p_norm,
     pnorm_grid,
@@ -39,7 +38,7 @@ from regretforge.combinators import ConstrainedOptimisticLearner
 from regretforge.concentration import BernsteinConfig, coverage_experiment
 from regretforge.harness import StreamSpec, generate_stream
 from regretforge.hints import AdversarialNegate, ExternalHints, LastGradient
-from conftest import descent_regret, ftl_gap, running_average_hints, unit_stream
+from conftest import descent_regret, ftl_gap, grid_cover, running_average_hints, unit_stream
 
 
 def report(name, ok, detail):
@@ -279,9 +278,9 @@ def test_c06_pnorm_grid():
             p = 1.0 if rng.uniform() < 0.02 else float(rng.uniform(1.0, 2.0))
             spec = grid[grid_cover(d, x, p)]
             q = dual_exponent(p)
-            if spec.primal(x) > p_norm(x, p) + 1e-10:
+            if p_norm(x, spec.p) > p_norm(x, p) + 1e-10:
                 violations += 1
-            if spec.dual(x) > math.e * p_norm(x, q) + 1e-10:
+            if p_norm(x, spec.q) > math.e * p_norm(x, q) + 1e-10:
                 violations += 1
     cost64, cost1024 = _per_update_cost(64), _per_update_cost(1024)
     linear = (1024 * len(pnorm_grid(1024))) / (64 * len(pnorm_grid(64)))

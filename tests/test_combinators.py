@@ -10,7 +10,6 @@ from regretforge import (
     Ball,
     Box,
     CoinBettor,
-    ConstantLearner,
     ConstrainedOptimisticLearner,
     ContractViolation,
     DimFreeLearner,
@@ -29,7 +28,7 @@ from regretforge import (
     tilde_hint,
 )
 from regretforge.hints import AdversarialNegate, ExternalHints, LastGradient, ZeroHint
-from conftest import rademacher_stream, unit_stream
+from conftest import ConstantLearner, rademacher_stream, unit_stream
 
 
 class RecordingLearner(Learner):
@@ -329,7 +328,7 @@ def test_constrained_round_invariants(rng):
         for t in range(G.shape[0]):
             h = src.next_hint()
             w = learner.predict(h)
-            assert dom.contains(w, 1e-9)
+            assert dom.distance(w) <= 1e-9
             g = G[t]
             g_tilde = 0.5 * g + 0.5 * np.linalg.norm(g) * learner.last_z
             h_tilde = learner.last_tilde_hint

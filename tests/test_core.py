@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regretforge import (
-    ConstantLearner,
     ContractViolation,
     DimensionMismatch,
     Learner,
@@ -18,7 +17,7 @@ from regretforge import (
     replay,
 )
 from regretforge.core import Accumulator
-from conftest import unit_stream
+from conftest import ConstantLearner, unit_stream
 
 
 def summation_oracle(ws, gs, u):

@@ -26,12 +26,11 @@ from regretforge.harness import (
     checkpoints,
     comparator_id,
     dump_ledger,
-    read_csv,
-    resolve_comparator,
     run_experiment,
     run_sweep,
     write_csv,
 )
+from conftest import read_csv, resolve_comparator
 
 
 def spec(kind, dim=4, T=64, seed=0, **params):
@@ -756,6 +755,37 @@ def test_cli_missing_config_exits_2():
     assert cli_main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_runtime_failure_exits_1(tmp_path, capsys, command):
+    # the config is good; writing its CSV into a missing directory fails after the run
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"learner": {"kind": "dimfree"},
+                                    "stream": {"kind": "rademacher_iid", "dim": 4, "T": 8}}))
+    out = str(tmp_path / "missing" / "out.csv")
+    assert cli_main([command, "--config", str(cfg_path), "--output", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
+def test_module_entry_point_writes_the_cli_csv(tmp_path):
+    # `python -m regretforge.cli` runs main(), which exits with cli_main's code
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]))
+    config, via_module, in_process = ("configs/optimistic_run.json", tmp_path / "module.csv",
+                                      tmp_path / "in_process.csv")
+    proc = subprocess.run([sys.executable, "-m", "regretforge.cli", "run", "--config", config,
+                           "--output", str(via_module)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert cli_main(["run", "--config", config, "--output", str(in_process)]) == 0
+    rows = [read_csv(path) for path in (via_module, in_process)]
+    for table in rows:
+        for row in table:
+            del row["wallclock_ms"]
+    assert rows[0] == rows[1] and len(rows[0]) == 2 * len(checkpoints(4096))
+
+
 # ---------------------------------------------------------------------------
 # stream generators: the vectorized draws keep the bits of the per-round loops
 # ---------------------------------------------------------------------------
@@ -966,10 +996,11 @@ def test_non_string_experiment_id_exits_2(tmp_path, capsys, command, experiment_
     assert json.loads(captured.err.strip().splitlines()[-1])["path"] == "experiment_id"
 
 
-@pytest.mark.parametrize("hint_path", [5, None, "missing.txt", "bad.txt"])
+@pytest.mark.parametrize("hint_path", [5, None, "missing.txt", "bad.txt", "wide.txt"])
 def test_bad_external_hint_path_exits_2(tmp_path, capsys, monkeypatch, hint_path):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.txt").write_text("0.1 x\n")
+    np.savetxt(tmp_path / "wide.txt", np.zeros((8, 3)))  # a readable file of dim 3, not 4
     config = {"learner": {"kind": "optimistic", "hints": {"kind": "external", "path": hint_path}},
               "stream": _IID}
     cfg_path = tmp_path / "cfg.json"
@@ -977,7 +1008,8 @@ def test_bad_external_hint_path_exits_2(tmp_path, capsys, monkeypatch, hint_path
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err.strip().splitlines()[-1])["path"] == "learner.hints.path"
+    path = "learner.hints" if hint_path == "wide.txt" else "learner.hints.path"
+    assert json.loads(captured.err.strip().splitlines()[-1])["path"] == path
 
 
 @pytest.mark.parametrize("sweep", [{"T": [8]}, None])
@@ -1147,13 +1179,14 @@ def test_iterates_are_kept_only_where_they_are_read(monkeypatch, tmp_path):
     assert len(ledger.read_text().splitlines()) == 48
 
 
-# configs/sweep.json's add(dimfree, percoord) tree, and a percoord tree whose wealth cap
-# binds at T = 1024 for seed 4 only
+# configs/sweep.json's add(dimfree, percoord) tree, a percoord tree whose wealth cap binds at
+# T = 1024 for seed 4 only, and a multi_norm tree, whose p < 2 grid child takes no trial axis
 _SWEEP = {k: v for k, v in json.load(open("configs/sweep.json", encoding="utf-8")).items()
           if k in ("experiment_id", "learner", "stream", "comparators")}
 _PERCOORD_CAPPED = {"experiment_id": "percoord_capped", "learner": {"kind": "percoord"},
                     "stream": {"kind": "biased", "dim": 4, "T": 1024, "mu": [0.58, 0.0, 0.0, 0.0],
                                "noise": 1.0}}
+_MULTI_NORM = dict(_SWEEP, experiment_id="multi_norm", learner={"kind": "multi_norm"})
 
 
 def _bits(rows):
@@ -1169,19 +1202,39 @@ def _bits(rows):
     (_PERCOORD_CAPPED, [0, 4], None, {"percoord_capped_T1024_s4": {"learner"}}),
     # more seeds than a block holds: T = 1024 takes blocks of 2, 2 and 1 seeds
     (_SWEEP, [0, 1, 2, 3, 4], 2, {}),
-], ids=["optimistic", "add", "percoord_capped", "split_blocks"])
+    (_MULTI_NORM, [3, 4], None, {}),
+], ids=["optimistic", "add", "percoord_capped", "split_blocks", "multi_norm"])
 def test_sweep_rows_and_capped_match_each_cell_run_alone(monkeypatch, workers, config, seeds,
                                                          block, expect_capped):
     # cells keep no iterates and may run as blocks of seeds; their rows and capped bettors
     # are those of a run that keeps them
-    from regretforge import concentration
+    from regretforge import concentration, harness
 
     dim = config["stream"]["dim"]
     if block is not None:
         monkeypatch.setattr(concentration, "TRIAL_BLOCK_BYTES", block * 8 * 1024 * dim)
+    tasks, run_cell = [], harness._sweep_cell  # the seeds of each task
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):  # a real pool that records its tasks
+        def map(self, fn, items):
+            items = list(items)
+            tasks.extend(task[2] for task in items)
+            return super().map(fn, items)
+
+    def serial_cell(task):
+        tasks.append(task[2])
+        return run_cell(task)
+
+    if workers > 1:  # the pool pickles _sweep_cell by name, so it stays in place
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    else:
+        monkeypatch.setattr(harness, "_sweep_cell", serial_cell)
     capped = {}
     rows = run_sweep(dict(config, sweep={"T": [512, 1024], "seeds": seeds}), workers=workers,
                      capped=capped)
+    # trees that take no trial axis run one seed a task; the others run blocks of seeds
+    assert sorted(seed for task in tasks for seed in task) == sorted(seeds * 2)
+    assert (max(map(len, tasks)) == 1) == (config in (_CAPPED, _MULTI_NORM))
     alone_rows, alone_capped = [], {}
     for T in (512, 1024):
         for seed in seeds:

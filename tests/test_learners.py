@@ -536,7 +536,7 @@ def test_apd_iterates_stay_inside(rng):
     G = unit_stream(rng, 500, 2)
     for g in G:
         w = learner.predict()
-        assert dom.contains(w, 1e-12)
+        assert dom.distance(w) <= 1e-12
         learner.observe(g)
 
 
