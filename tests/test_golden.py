@@ -7,6 +7,11 @@ check moved ahead of the round loop. A fresh row must equal its golden row
 bitwise: each float by its repr, which round-trips exactly and keeps the
 sign of a zero.
 
+``tests/golden/multi_norm_rows.json`` holds the rows of ``run_experiment`` for
+``multi_norm`` on sparse d = 1024 rows (two seeds) and on dense d = 64 rows,
+each with a sha256 of the run's (T, d) iterates, from before the p < 2 grid
+step updated only g's nonzero columns. No shipped config runs ``multi_norm``.
+
 ``tests/golden/bernstein_learner.txt`` holds the standard output of
 ``regretforge bernstein --via-learner --delta 0.05 --T 256 --trials 40
 --seed 3`` (all three samplers) from before via-learner blocks grew to
@@ -14,12 +19,14 @@ sign of a zero.
 """
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from regretforge.cli import cli_main
+from regretforge.harness import run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "config_rows.json")
@@ -81,3 +88,30 @@ def test_bernstein_via_learner_output_matches_golden(monkeypatch, capsys):
     assert cli_main(argv) == 0
     golden = (Path(__file__).resolve().parent / "golden" / "bernstein_learner.txt").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+MULTI_NORM_CASES = {
+    f"sparse_d1024_seed{seed}": {"kind": "sparse", "dim": 1024, "T": 256, "k_active": 8,
+                                 "seed": seed} for seed in (11, 12)
+}
+MULTI_NORM_CASES["gaussian_clipped_d64"] = {"kind": "gaussian_clipped", "dim": 64, "T": 400,
+                                            "seed": 13}
+
+
+def _multi_norm_rows(stream):
+    config = {"experiment_id": "multi_norm", "learner": {"kind": "multi_norm", "epsilon": 1.0},
+              "stream": stream,
+              "comparators": [{"kind": "origin"}, {"kind": "best_in_ball", "radius": 1.0}]}
+    rows, record = run_experiment(config, keep_record=True)
+    columns = [c for c in rows[0] if c != "wallclock_ms"]
+    return {"columns": columns, "rows": [[r[c] for c in columns] for r in rows],
+            "iterates_sha256": hashlib.sha256(record.iterates.tobytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_NORM_CASES))
+def test_multi_norm_rows_match_golden(case):
+    golden = json.loads((Path(__file__).resolve().parent / "golden" / "multi_norm_rows.json")
+                        .read_text(encoding="utf-8"))
+    got = _multi_norm_rows(MULTI_NORM_CASES[case])
+    _assert_matches(got, golden[case])
+    assert got["iterates_sha256"] == golden[case]["iterates_sha256"]

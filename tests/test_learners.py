@@ -302,31 +302,38 @@ def _grid_stream(d, T=400, seed=0):
                          ids=["grid", "shortcut-exponent"])
 @pytest.mark.parametrize("d", [8, 64, 300])
 def test_grid_step_is_the_dense_step_bitwise(d, specs):
-    # One learner steps round by round, one reads segment plans of its dual norms and steps;
-    # both must take the dense step's bits every round. The rows' rounds cover every branch
-    # of the kept r and r^(q-1): rescales, the round after one, a max that moves under a
-    # sparse g, a max that stays, dense and zero gradients. p = 1.5 raises r to the power 2.0,
-    # which NumPy may compute as r * r (see learners.POWER_SHORTCUTS).
+    # One learner steps round by round, one reads segment plans of its dual norms and moved
+    # columns; both must take the dense step's bits every round, and theta never holds -0.0.
+    # The rows' rounds cover both theta steps (only the moved columns, and the dense one) and
+    # every branch of the kept r and r^(q-1): rescales, the round after one, a max that moves
+    # under a sparse g, a max that stays, dense and zero gradients. p = 1.5 raises r to the
+    # power 2.0, which NumPy may compute as r * r (see learners.POWER_SHORTCUTS).
     G = _grid_stream(d, seed=d)
     rounds, planned = PNormBallDescent(d, specs), PNormBallDescent(d, specs)
     k = len(specs)
     theta, point, sums = np.zeros((k, d)), np.zeros((k, d)), np.zeros(k)
     prev_m, prev_resc = [0.0] * k, [False] * k
-    seen = {"rescale": 0, "after_rescale": 0, "max_moved": 0, "kept": 0, "dense": 0}
+    seen = {"rescale": 0, "after_rescale": 0, "max_moved": 0, "kept": 0, "dense": 0,
+            "moved_step": 0, "dense_step": 0}
     cuts = [0, 1, 50, 64, 200, 333, len(G)]
     ends = dict(zip(cuts, cuts[1:]))
     for t, g in enumerate(G):
         if t in ends:  # a new segment's plan
-            steps = zip(*planned._steps(p_norm(G[t:ends[t]], planned.q)))
+            steps = iter(planned._grid_plan(G[t:ends[t]]))
+        row = next(steps)
+        moved_step = row[2] is not None  # theta steps only at g's moved columns
+        assert (rounds._round_plan(g)[2] is not None) == moved_step, t
         theta, point, sums, ms, resc = dense_grid_step(theta, point, sums, g, specs)
         rounds.observe(g)
-        planned.observe(g, next(steps))
+        planned.observe(g, row)
         for learner in (rounds, planned):
             assert learner.theta.tobytes() == theta.tobytes(), t
             assert learner.point.tobytes() == point.tobytes(), t
             assert learner.dual_sq_sum.tobytes() == sums.tobytes(), t
+            assert not np.signbit(learner.theta[learner.theta == 0.0]).any(), t
         if ms is None:
             continue
+        seen["moved_step" if moved_step else "dense_step"] += 1
         sparse = np.count_nonzero(g) <= 0.5 * d
         seen["dense"] += not sparse
         for i in range(k):
@@ -336,6 +343,30 @@ def test_grid_step_is_the_dense_step_bitwise(d, specs):
             seen["kept"] += ms[i] == prev_m[i] and sparse and not prev_resc[i]
         prev_m, prev_resc = ms, resc
     assert all(seen.values()), seen
+
+
+def test_grid_play_is_the_rows_sum_bitwise_on_an_all_negative_zero_column():
+    # sum(axis=0) adds the rows to +0.0, so a column whose every product y_i * point_i is -0.0
+    # sums to +0.0; adding the products alone, from the first, would leave -0.0
+    d = 64
+    learner = DimFreeLearner(d, 1.0, spec=GRID_SPECS)
+    for g in _grid_stream(d, T=30, seed=5):
+        learner.predict()
+        learner.observe(g)
+    y = learner.magnitude.predict()
+    assert np.all(y != 0.0)
+    point = learner.direction.point.copy()
+    point[:, 0] = np.copysign(0.0, -y)  # y * point is -0.0 in every row
+    point[:, 1] = np.copysign(0.0, y)  # y * point is +0.0 in every row
+    point[0, 2], point[1:, 2] = np.copysign(0.0, y[0]), np.copysign(0.0, -y[1:])  # one +0.0
+    learner.direction.point = point
+    want = (y[:, None] * point).sum(axis=0)
+    assert learner.predict().tobytes() == want.tobytes()
+    assert not np.signbit(want[:3]).any()
+    alone = y[0] * point[0]
+    for y_i, row in zip(y[1:], point[1:]):
+        alone += y_i * row
+    assert np.signbit(alone[0])
 
 
 def test_grid_row_whose_max_returns_after_a_rescale_is_raised_in_full():
