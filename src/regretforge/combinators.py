@@ -30,7 +30,7 @@ from .core import (
     row_dot,
 )
 from .geometry import ConvexDomain, pnorm_grid
-from .learners import PLAN_ROWS, CoinBettor, DimFreeLearner
+from .learners import CoinBettor, DimFreeLearner
 
 
 class AddCombiner(Learner):
@@ -73,9 +73,9 @@ class AddCombiner(Learner):
             c._step(g)
 
     def _plan(self, G, H, settle=False):
-        if type(self) is AddCombiner:  # every child sees the same g and steps its rounds
+        if type(self) is AddCombiner:  # every child sees the same g and plans its rounds
             for c in self.children:
-                c._plan(G, None)
+                c._plan(None if settle else G, None)
 
 
 def add_iterates(children: Sequence[Learner]) -> AddCombiner:
@@ -109,13 +109,14 @@ def _plan_hinted(root, G, H, settle=False):
     its outcomes at once, and its bets times its hints leave the base's plays as rounds do."""
     if type(root) not in (OptimisticLearner, MultiHintLearner):
         return None
+    bettors = root.bettors if type(root) is MultiHintLearner else [root.bettor]
+    if settle and (root.batch or H is None or any(type(b) is not CoinBettor for b in bettors)):
+        G = None  # nothing settles: every plan drops
     Z = None if G is None or H is None else row_dot(H, G[:, None] if H.ndim > G.ndim else G)
     if root.batch:
         return _plan_block(root, G, H, Z)
-    bettors = root.bettors if type(root) is MultiHintLearner else [root.bettor]
-    exact = H is not None and all(type(b) is CoinBettor for b in bettors)
-    W = root.base._plan(G, None, settle and exact)
-    root._planned = None if Z is None or W is not None else (root.round_index, Z.tolist())
+    W = root.base._plan(G, None, settle)
+    root._planned = None if Z is None or settle else (root.round_index, Z.tolist())
     if W is not None:
         for b, z, h in zip(bettors, Z.reshape(len(G), -1).T.tolist(),
                            H.reshape(len(G), len(bettors), -1).transpose(1, 0, 2)):
@@ -137,11 +138,9 @@ def _plan_block(root, G, H, Z) -> None:
     else:
         base._plan(G, None)
         root.bettor._plan(Z)
-    X = base._planned[5] if type(base) is DimFreeLearner and base._planned is not None else None
+    X = base._planned[4] if type(base) is DimFreeLearner and base._planned is not None else None
     bets = root.bettor._planned
-    W = None
-    if X is not None and bets is not None and len(G) <= PLAN_ROWS:
-        W = X - bets[2][:, :, None] * H
+    W = None if X is None or bets is None else X - bets[2][:, :, None] * H
     root._planned = None if Z is None else (root.round_index, Z, W)
 
 

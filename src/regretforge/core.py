@@ -57,6 +57,13 @@ def as_vector(x, dim=None, name="vector", batch=None) -> np.ndarray:
 _vecdot = getattr(np, "vecdot", None)  # NumPy >= 2.0
 
 
+def check_batch(batch: Optional[int]) -> Optional[int]:
+    """A trial count: None (no trial axis) or at least 1."""
+    if batch is not None and batch < 1:
+        raise ValueError("batch must be >= 1")
+    return batch
+
+
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row inner products of two (..., d) arrays, such as (B, d) or (T, B, d).
 
@@ -74,7 +81,8 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def row_norm(a: np.ndarray) -> np.ndarray:
-    """Per-row Euclidean norms, bitwise equal to ``np.linalg.norm(a[i])``."""
+    """Per-row Euclidean norms: row i is the square root of ``np.dot(a[i], a[i])``, so bitwise
+    ``np.linalg.norm(a[i])`` for a C-contiguous row (that norm dots a strided row's copy)."""
     return np.sqrt(row_dot(a, a))
 
 
@@ -285,8 +293,8 @@ class Learner:
     directly. Composite learners pass the array they were given straight to
     their children's _step(), so a nested gradient is not checked again; a
     child's own observe() still validates. drive() hands each segment to
-    _plan(), the one per-segment hook: a tree able to settle the segment runs
-    it at once, and any other tree's rounds read the plan.
+    _plan(), the one per-segment hook: a tree able to settle it runs it at
+    once, and any other tree's rounds read the plan of each chunk.
 
     Learners that support it take ``batch`` = B to run B independent trials
     in lockstep: every vector then carries a leading trial axis, (B, d), and
@@ -297,11 +305,9 @@ class Learner:
                  batch: Optional[int] = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if batch is not None and batch < 1:
-            raise ValueError("batch must be >= 1")
         self.dim = dim
         self.epsilon = epsilon
-        self.batch = batch
+        self.batch = check_batch(batch)
         self.round_index = 0
         self._awaiting_predict = True
 
@@ -338,12 +344,12 @@ class Learner:
     _planned = None  # the segment plan a class's _plan keeps, if any
 
     def _plan(self, G: Optional[np.ndarray], H, settle: bool = False) -> Optional[np.ndarray]:
-        """Take what the rounds of a segment G (hints H or None) fix alone, as whole
-        arrays that each _step reads a row of, with every call and bit kept; G = None drops it.
-        With ``settle``, a tree able to run the rows at once does so instead: it returns their
-        plays in a fresh array, every component stepped past the rows bitwise as the rounds
-        would, and keeps no plan. A class that plans matches its exact type: subclasses keep
-        the round."""
+        """Plan what the rounds of rows G (hints H or None) fix alone, as whole arrays that each
+        _step reads a row of, with every call and bit kept; G = None drops it. drive plans chunks
+        of at most HINT_SEGMENT rows. With ``settle``, on a whole segment, a tree able to run the
+        rows at once returns their plays in a fresh array, every component stepped past them
+        bitwise as the rounds would; any other tree returns None, changing nothing but dropping
+        its plans. A class that plans matches its exact type: subclasses keep the round."""
 
 
 class HintedLearner(Learner):
@@ -386,7 +392,7 @@ def _check_iterate(w, shape) -> np.ndarray:
     return w
 
 
-#: rounds of a (T, B, d) block whose hints are drawn and checked together
+#: rounds of a (T, B, d) block whose hints are drawn and checked together; rows of a plan's chunk
 HINT_SEGMENT = 64
 
 
@@ -435,9 +441,10 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
     each, _draw_hints runs the sources over its gradients and checks their
     hints. The segment then goes to the root's _plan(G, H, settle=True):
     a tree that settles it returns its plays, checked as a round checks its
-    play. Otherwise each round plays its hints, uncopied, into the trusted
-    _hinted_prediction() (or calls predict()) and steps it with _step(),
-    reading the plan, which is dropped in a finally.
+    play; any other tree changes nothing, and drive plans each chunk of
+    HINT_SEGMENT rows with _plan before its rounds: each plays its hints,
+    uncopied, into the trusted _hinted_prediction() (or calls predict()) and
+    steps it with _step(), reading the plan, which is dropped in a finally.
 
     Returns (losses, iterates, hints played). The losses are
     row_dot(g_t, w_t), (T,) or (T, B) for a block. The iterates are (T, d)
@@ -480,22 +487,25 @@ def drive(learner: Learner, G, hints=None, keep_iterates: bool = True):
                 if W is not None:
                     W[start:stop] = played
                 continue
-            for t in range(start, stop):
-                g = G[t]
-                try:
-                    w = predict() if H is None else predict(H[t - start])
-                    learner._awaiting_predict = False  # the trusted hinted play leaves it to drive
-                    if type(w) is not np.ndarray or w.shape != shape:
-                        w = _check_iterate(w, shape)
-                    loss = row_dot(g, w)
-                    if not finite(loss):  # a non-finite entry of w makes the loss non-finite
-                        _check_iterate(w, shape)
-                    step(g)
-                except (ContractViolation, ValueError) as exc:
-                    raise ReplayError(f"round {t0 + t}: {exc}") from exc
-                losses[t] = loss
-                if W is not None:
-                    W[t] = w
+            for c in range(start, stop, HINT_SEGMENT):
+                end = min(stop, c + HINT_SEGMENT)
+                learner._plan(G[c:end], None if H is None else H[c - start:end - start])
+                for t in range(c, end):
+                    g = G[t]
+                    try:
+                        w = predict() if H is None else predict(H[t - start])
+                        learner._awaiting_predict = False  # a hinted play leaves the turn to drive
+                        if type(w) is not np.ndarray or w.shape != shape:
+                            w = _check_iterate(w, shape)
+                        loss = row_dot(g, w)
+                        if not finite(loss):  # a non-finite entry of w makes the loss non-finite
+                            _check_iterate(w, shape)
+                        step(g)
+                    except (ContractViolation, ValueError) as exc:
+                        raise ReplayError(f"round {t0 + t}: {exc}") from exc
+                    losses[t] = loss
+                    if W is not None:
+                        W[t] = w
     finally:
         learner._plan(None, None)
     return losses, W, None if block else H

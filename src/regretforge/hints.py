@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .core import GRAD_TOL, as_vector, ball_step, check_unit_norm
+from .core import GRAD_TOL, as_vector, ball_step, check_batch, check_unit_norm
 
 
 class HintSource:
@@ -39,7 +39,7 @@ class HintSource:
 
     def __init__(self, dim: int, batch=None):
         self.dim = dim
-        self.batch = batch
+        self.batch = check_batch(batch)
 
     def next_hint(self) -> np.ndarray:
         raise NotImplementedError

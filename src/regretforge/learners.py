@@ -20,11 +20,11 @@ import numpy as np
 
 from .core import (
     GRAD_TOL,
-    HINT_SEGMENT,
     Accumulator,
     Learner,
     as_vector,
     ball_step,
+    check_batch,
     norm,
     row_dot,
     row_norm,
@@ -51,13 +51,8 @@ def _budget(epsilon) -> float:
     return float(epsilon)
 
 
-#: rows of a segment a plan holds at once, a block's segment; a spent chunk plans the next from
-#: the state it left, so a plan's memory does not grow with T
-PLAN_ROWS = HINT_SEGMENT
-
-
 def _kt(Z, wealth, signed_sum, first: int):
-    """The KT rounds on rewards Z, (n <= PLAN_ROWS, w), from wealth, signed_sum and round
+    """The KT rounds on rewards Z, (n, w), from wealth, signed_sum and round
     ``first``: the bets (n, w), and the wealth and signed sums before each row and after the
     last, each bitwise the rounds' own. None if a row could reach the wealth cap: |z| and the
     fraction are at most (1 + GRAD_TOL)**2, so a row multiplies wealth by less than 4, and n
@@ -95,14 +90,14 @@ class CoinBettor:
 
     def __init__(self, epsilon: float = 1.0, batch: int | None = None):
         self.epsilon = _budget(epsilon)
-        self.batch = batch
+        self.batch = check_batch(batch)
         self.round = 0
         self._loss_sum = Accumulator(batch)  # sum_t (-z_t) * y_t, measured exactly
         self._bet = None  # this round's bet, kept by predict() for observe()
         self.wealth = self.epsilon if batch is None else np.full(batch, self.epsilon)
         self.signed_sum = 0.0 if batch is None else np.zeros(batch)
         self.capped_rounds = 0 if batch is None else np.zeros(batch, dtype=np.int64)
-        self._planned = None  # (first round, Z, bets, wealth, signed sums, rewards after Z)
+        self._planned = None  # (first round, Z, bets, wealth, signed sums)
 
     def predict(self):
         plan = self._planned
@@ -139,8 +134,6 @@ class CoinBettor:
                 i = self.round - plan[0] + 1
                 self.wealth, self.signed_sum = plan[3][i], plan[4][i]
                 self._bet, self.round = None, self.round + 1
-                if i == len(plan[1]):  # spent: plan the rest, if any, before the next predict
-                    self._plan(plan[5])
                 return
         bet = self.predict() if self._bet is None else self._bet
         self._bet, self.round = None, self.round + 1
@@ -158,12 +151,11 @@ class CoinBettor:
         self.signed_sum += z
 
     def _plan(self, Z, other=None, Z_other=None) -> None:
-        """Plan an exact array bettor's rounds on (n, B) rewards Z, PLAN_ROWS rows at a time; None
-        drops the plan. A chunk's end folds the loss terms of the rows run, bitwise their adds.
-        ``other``, a bettor of the same width, plans on its rewards Z_other too: when both can plan
-        a first chunk of as many rows from the same round, one _kt call runs their rewards side
-        by side and each plan keeps views of its half (the kernel's arithmetic is by column);
-        otherwise each plans alone."""
+        """Plan an exact array bettor's rounds on all n rows of the (n, B) rewards Z in one _kt
+        call; None drops the plan, folding the loss terms of the rows run, bitwise their adds.
+        ``other``, a bettor of the same width, plans on its rewards Z_other too: when both can
+        plan from the same round, one _kt call runs their rewards side by side and each plan
+        keeps views of its half (the kernel's arithmetic is by column); else each plans alone."""
         plan = self._planned
         if plan is not None:
             k = self.round - plan[0]
@@ -173,21 +165,18 @@ class CoinBettor:
         self._planned = None
         if other is not None:
             other._plan(None)
-            if self._plans(Z) and other._plans(Z_other) and other.round == self.round and \
-                    len(Z[:PLAN_ROWS]) == len(Z_other[:PLAN_ROWS]):
-                kt = _kt(np.hstack((Z[:PLAN_ROWS], Z_other[:PLAN_ROWS])),
-                         np.hstack((self.wealth, other.wealth)),
+            if self._plans(Z) and other._plans(Z_other) and other.round == self.round:
+                kt = _kt(np.hstack((Z, Z_other)), np.hstack((self.wealth, other.wealth)),
                          np.hstack((self.signed_sum, other.signed_sum)), self.round)
                 if kt is not None:
                     for b, z, half in ((self, Z, np.s_[:, :self.batch]),
                                        (other, Z_other, np.s_[:, self.batch:])):
-                        b._planned = (b.round, z[:PLAN_ROWS], *(a[half] for a in kt),
-                                      z[PLAN_ROWS:])
+                        b._planned = (b.round, z, *(a[half] for a in kt))
                     return
         if self._plans(Z):
-            kt = _kt(Z[:PLAN_ROWS], self.wealth, self.signed_sum, self.round)
+            kt = _kt(Z, self.wealth, self.signed_sum, self.round)
             if kt is not None:
-                self._planned = (self.round, Z[:PLAN_ROWS], *kt, Z[PLAN_ROWS:])
+                self._planned = (self.round, Z, *kt)
         if other is not None:
             other._plan(Z_other)
 
@@ -254,7 +243,7 @@ class PNormBallDescent:
         specs = self.specs = (spec or NormSpec.from_p(2.0),) if single else tuple(spec)
         if not specs or min(s.p for s in specs) <= 1.0:
             raise ValueError("direction learner needs p > 1 (lam > 0)")
-        self.dim, self.batch = dim, batch
+        self.dim, self.batch = dim, check_batch(batch)
         if single and specs[0].p == 2.0:
             self.theta = None
             self.sqrt_lam = math.sqrt(specs[0].lam)
@@ -428,8 +417,8 @@ class DimFreeLearner(Learner):
             w += 0.0  # sum starts from +0.0: an all -0.0 column sums to +0.0
             return w
         plan = self._planned
-        if plan is not None and plan[5] is not None:  # the play _chunk fixed
-            return plan[5][self.round_index - plan[0]]
+        if plan is not None and plan[4] is not None:  # the play _plan fixed
+            return plan[4][self.round_index - plan[0]]
         return y[:, None] * self.direction.point
 
     def _update(self, g):
@@ -441,25 +430,13 @@ class DimFreeLearner(Learner):
         i = self.round_index - plan[0]  # the planned round: the same bettor step, no direction one
         self.magnitude.observe(plan[3][i], checked=True)
         direction.point, direction.dual_sq_sum = plan[1][i + 1], plan[2][i]
-        if i + 1 == len(plan[3]) and len(plan[4]):  # spent: plan the next before the next predict
-            self._chunk(plan[4], self.round_index + 1)
-
-    def _chunk(self, G, first, hint=()):
-        """Plan the p = 2 direction path of G's first PLAN_ROWS rows from round ``first`` on and the
-        magnitude outcomes -<g_t, point_t> it fixes (an array bettor's plan, made with ``hint``'s
-        (bettor, rewards) where given); the rest waits. A planned trial-axis magnitude also fixes
-        the plays y_t * point_t, bitwise the rounds' multiply."""
-        P, S = self.direction._path(G[:PLAN_ROWS])
-        Z = -row_dot(G[:PLAN_ROWS], P[:-1])
-        block = G.ndim == 3
-        self.magnitude._plan(Z if block else None, *hint)
-        bets = self.magnitude._planned
-        X = None if bets is None else bets[2][:, :, None] * P[:-1]
-        self._planned = (first, P, S, Z if block else Z.tolist(), G[PLAN_ROWS:], X)
 
     def _plan(self, G, H, settle=False, hint=()):
-        """Learner._plan; a hinted root's ``hint``, its (bettor, rewards), plans with a trial
-        axis's magnitude in one _kt call."""
+        """Learner._plan; only a p = 2 learner over an exact scalar bettor settles. A grid plans its
+        sums, steps and moved columns. A p = 2 plan holds the direction path of G's rows and the
+        magnitude outcomes -<g_t, point_t> it fixes; an array magnitude plans its KT rounds on them
+        (in one _kt call with a hinted root's ``hint``, its (bettor, rewards), where given) and
+        then also fixes the plays y_t * point_t, bitwise the rounds' multiply."""
         direction = self.direction
         if self._planned is not None:  # a plan ends: let its arrays go
             direction.point = direction.point.copy()
@@ -469,16 +446,22 @@ class DimFreeLearner(Learner):
         self._planned = None
         if G is None or type(self) is not DimFreeLearner:
             return None
-        if direction.theta is not None:  # a grid's sums, steps and moved columns
+        if settle and (self.magnitude.batch is not None or type(self.magnitude) is not CoinBettor):
+            return None  # a grid's magnitude has a row axis, a block's a trial axis
+        if direction.theta is not None:
             self._planned = (self.round_index, direction._grid_plan(G))
-        elif settle and G.ndim == 2 and type(self.magnitude) is CoinBettor:  # one KT recursion
-            P, S = direction._path(G)
+            return None
+        P, S = direction._path(G)
+        Z = -row_dot(G, P[:-1])
+        if settle:  # one KT recursion
             direction.point, direction.dual_sq_sum = P[-1].copy(), S[-1]
             self.round_index, self._awaiting_predict = self.round_index + len(G), True
-            Y = np.array(self.magnitude._settle((-row_dot(G, P[:-1])).tolist()))
+            Y = np.array(self.magnitude._settle(Z.tolist()))
             return np.multiply(P[:-1], Y[:, None], out=P[:-1])
-        else:
-            self._chunk(G, self.round_index, hint)
+        self.magnitude._plan(Z, *hint)  # only an array bettor plans
+        bets = self.magnitude._planned
+        X = None if bets is None else bets[2][:, :, None] * P[:-1]
+        self._planned = (self.round_index, P, S, Z if G.ndim == 3 else Z.tolist(), X)
 
 
 class PerCoordinateLearner(Learner):
@@ -490,8 +473,8 @@ class PerCoordinateLearner(Learner):
     ``batch`` = B the arrays are (B, d), one row per trial, and every entry
     still steps on its own. ``capped_rounds`` counts the rounds where the
     wealth cap clipped any coordinate's wealth, one count per trial with a
-    trial axis. A segment's rewards are its rows' -g, so _plan runs _kt on
-    them, (n, d) or (n, B * d), a chunk at a time, and the rounds read their rows.
+    trial axis. A chunk's rewards are its rows' -g, so _plan runs _kt on
+    them, (n, d) or (n, B * d), and the rounds read their rows.
     """
 
     def __init__(self, dim: int, epsilon: float = 1.0, batch: int | None = None):
@@ -516,8 +499,6 @@ class PerCoordinateLearner(Learner):
         if plan is not None:  # a planned round: its row of the wealth and signed sums
             i = self.round - plan[0] + 1
             self.wealth, self.signed_sum, self.round = plan[2][i], plan[3][i], self.round + 1
-            if i == len(plan[1]):  # spent: plan the rest, if any, before the next predict
-                self._plan(plan[4], None)
             return
         # the reward is z = -g: wealth + bet * z and signed_sum + z, to the bit
         wealth = self.wealth - self._bet * g
@@ -529,18 +510,18 @@ class PerCoordinateLearner(Learner):
         self.round += 1
 
     def _plan(self, G, H, settle=False):
-        """Plan the rounds of G's first PLAN_ROWS rows on their rewards -g, which step wealth and
-        signed_sum bitwise as _update does (w - bet * g = w + (-g) * bet); the rest waits. A
-        block's rows flatten to B * d columns, each stepped on its own by _kt."""
-        if self._planned is not None:  # a chunk ends: let its arrays go
+        """Plan the rounds of G's rows on their rewards -g, which step wealth and signed_sum
+        bitwise as _update does (w - bet * g = w + (-g) * bet); it never settles. A block's rows
+        flatten to B * d columns, each stepped on its own by _kt."""
+        if self._planned is not None:  # a plan ends: let its arrays go
             self.wealth, self.signed_sum = self.wealth.copy(), self.signed_sum.copy()
             self._bet = self._bet.copy()
         kt, shape = None, self.wealth.shape
-        if G is not None and type(self) is PerCoordinateLearner:
-            Z = -G[:PLAN_ROWS].reshape(-1, self.wealth.size)
+        if G is not None and not settle and type(self) is PerCoordinateLearner:
+            Z = -G.reshape(-1, self.wealth.size)
             kt = _kt(Z, self.wealth.reshape(-1), self.signed_sum.reshape(-1), self.round)
         self._planned = None if kt is None else (
-            self.round, *(a.reshape(len(a), *shape) for a in kt), G[PLAN_ROWS:])
+            self.round, *(a.reshape(len(a), *shape) for a in kt))
 
 
 class AdaptiveProjectedDescent(Learner):

@@ -16,6 +16,7 @@ from regretforge import (
     PerCoordinateLearner,
     replay,
 )
+from regretforge import core
 from regretforge.core import Accumulator
 from conftest import ConstantLearner, unit_stream
 
@@ -151,6 +152,38 @@ def test_predict_is_pure(rng):
         w2 = learner.predict()
         assert np.array_equal(w1, w2)
         learner.observe(g)
+
+
+@pytest.mark.parametrize("path", ["vecdot", "matmul"])
+@pytest.mark.parametrize("shape", [(7, 5), (6, 3, 5)])
+def test_row_dot_and_row_norm_are_each_rows_dot_and_norm_bitwise(monkeypatch, path, shape):
+    # np.vecdot, and the stacked matmul that NumPy < 2.0 takes, on C-contiguous and strided
+    # rows; np.linalg.norm dots a strided row's contiguous copy, which may round otherwise
+    if path == "matmul":
+        monkeypatch.setattr(core, "_vecdot", None)
+    rng = np.random.default_rng(len(shape))
+    strided = rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    dense = rng.standard_normal(shape)
+    for a, b in ((strided, dense), (dense, strided), (dense, dense)):
+        dots, norms = core.row_dot(a, b), core.row_norm(a)
+        assert dots.shape == norms.shape == shape[:-1]
+        for i in np.ndindex(shape[:-1]):
+            assert dots[i].tobytes() == np.dot(a[i], b[i]).tobytes()
+            assert norms[i] == math.sqrt(np.dot(a[i], a[i]))
+            if a is dense:
+                assert norms[i].tobytes() == np.linalg.norm(a[i]).tobytes()
+
+
+@pytest.mark.parametrize("path", ["vecdot", "matmul"])
+def test_row_dot_of_length_one_rows_gives_positive_zero_for_a_negative_zero_product(
+        monkeypatch, path):
+    if path == "matmul":
+        monkeypatch.setattr(core, "_vecdot", None)
+    a, b = np.array([[-0.0], [2.0], [-3.0]]), np.array([[1.0], [-0.0], [0.5]])
+    assert np.copysign(1.0, np.dot(a[0], b[0])) == -1.0  # np.dot keeps the sign
+    assert core.row_dot(a, b).tobytes() == np.array([0.0, 0.0, -1.5]).tobytes()
+    stacked = np.array([[0.0], [0.0], [-1.5]])
+    assert core.row_dot(a[:, None], b[:, None]).tobytes() == stacked.tobytes()
 
 
 class _NaNAtRound(Learner):

@@ -1,5 +1,6 @@
 """Segment plans: drive hands each C-contiguous segment of rows (and its hints) to the root's
-_plan(G, H, settle=True), and steps the rounds of a tree that does not settle. The planned
+_plan(G, H, settle=True), and steps the rounds of a tree that does not settle, planning them a
+chunk of HINT_SEGMENT rows at a time. The planned
 rounds of add, multi_norm, optimistic and multi-hint trees, on (T, d) streams and (T, B, d)
 blocks, must give the bits of the round-by-round public API (predict, observe, next_hint,
 feed) and leave every component as it leaves them; subclasses and constrained roots keep the
@@ -23,11 +24,10 @@ from regretforge.combinators import (
     OptimisticLearner,
     multi_norm,
 )
-from regretforge.core import Accumulator, Learner, ReplayError, drive, row_dot
+from regretforge.core import HINT_SEGMENT, Accumulator, Learner, ReplayError, drive, row_dot
 from regretforge.geometry import Ball, NormSpec
 from regretforge.hints import ExternalHints, HintSource, LastGradient, RunningAverage
 from regretforge.learners import (
-    PLAN_ROWS,
     WEALTH_CAP,
     CoinBettor,
     DimFreeLearner,
@@ -118,16 +118,18 @@ BLOCK_TREES = ["dimfree_block", "optimistic_block"]
 
 def _rounds(learner, G, hints):
     """The public round-by-round replay of rows G: (losses, iterates, hints played), the last two
-    None for a block, as drive returns them."""
+    None for a block, as drive returns them. Each round predicts twice: predict() is pure, so
+    both plays are the same bits."""
     sources = [] if hints is None else hints if isinstance(hints, list) else [hints]
     losses, W, H = [], [], []
     for g in G:
-        if hints is None:
-            w = learner.predict()
-        else:
+        if hints is not None:
             h = [s.next_hint() for s in sources]
             H.append(np.array(h) if isinstance(hints, list) else h[0])
-            w = learner.predict(H[-1])
+        args = () if hints is None else (H[-1],)
+        w = learner.predict(*args)
+        first = w.tobytes()
+        assert learner.predict(*args).tobytes() == first == w.tobytes()
         losses.append(row_dot(g, w))
         W.append(w)
         learner.observe(g)
@@ -155,16 +157,20 @@ def _state(obj):
     return repr(obj)
 
 
-def _walk(node):
-    """The bettors of a learner tree."""
-    if isinstance(node, (CoinBettor, PerCoordinateLearner)):
-        yield node
+def _nodes(node):
+    """Every learner and bettor of a learner tree."""
+    yield node
     for attr in ("bettor", "magnitude", "base"):
         if getattr(node, attr, None) is not None:
-            yield from _walk(getattr(node, attr))
+            yield from _nodes(getattr(node, attr))
     for attr in ("bettors", "children"):
         for child in getattr(node, attr, ()):
-            yield from _walk(child)
+            yield from _nodes(child)
+
+
+def _walk(node):
+    """The bettors of a learner tree."""
+    return [n for n in _nodes(node) if isinstance(n, (CoinBettor, PerCoordinateLearner))]
 
 
 def _bettors(learner):
@@ -251,39 +257,81 @@ def _path_rows(monkeypatch):
 
 @pytest.mark.parametrize("tree", ["add", "optimistic_dimfree", "multi_norm"])
 def test_a_plan_holds_a_chunk_of_direction_points_at_a_time(monkeypatch, tree):
-    # a segment longer than PLAN_ROWS plans its p = 2 path a chunk at a time, from the state
+    # a segment longer than HINT_SEGMENT plans its p = 2 path a chunk at a time, from the state
     # the last chunk left; cuts land a row before, on and after a chunk's edge
     rows = _path_rows(monkeypatch)
-    T = 3 * PLAN_ROWS + 2
+    T = 3 * HINT_SEGMENT + 2
     G = _stream((T, 8), seed=11)
-    cuts = [PLAN_ROWS - 1, 2 * PLAN_ROWS - 1, 2 * PLAN_ROWS + 1]
+    cuts = [HINT_SEGMENT - 1, 2 * HINT_SEGMENT - 1, 2 * HINT_SEGMENT + 1]
     _check(lambda G: _make(tree, G), G, cuts)
-    assert rows == [PLAN_ROWS - 1, PLAN_ROWS, 2, PLAN_ROWS, 1]
+    assert rows == [HINT_SEGMENT - 1, HINT_SEGMENT, 2, HINT_SEGMENT, 1]
 
 
 @pytest.mark.parametrize("B", [1, 5])
 def test_a_block_plan_holds_a_chunk_of_direction_points_at_a_time(monkeypatch, B):
-    # drive plans a block's HINT_SEGMENT rows at a time; a longer block plans in chunks, the
-    # direction path and the magnitude's KT rounds alike
-    T, d = 2 * PLAN_ROWS + 3, 4
+    # drive plans a block HINT_SEGMENT rows at a time, the direction path and the magnitude's KT
+    # rounds alike, and each round plays its planned row: the public rounds' plays
+    T, d = 2 * HINT_SEGMENT + 3, 4
     G = _stream((T, B, d), seed=B)
     ref = DimFreeLearner(d, 0.5, batch=B)
-    plays = []
+    want = []
     for g in G:
-        plays.append(ref.predict())
+        want.append(ref.predict().tobytes())
         ref.observe(g)
     rows = _path_rows(monkeypatch)
-    learner = DimFreeLearner(d, 0.5, batch=B)
-    learner._plan(G, None)
-    try:
-        for g, want in zip(G, plays):
-            assert learner.magnitude._planned is not None  # a spent chunk plans the next
-            assert learner.predict().tobytes() == want.tobytes()
-            learner._step(g)
-    finally:
-        learner._plan(None, None)
+    learner, plays = DimFreeLearner(d, 0.5, batch=B), []
+
+    def predict():
+        assert learner.magnitude._planned is not None  # every round reads a planned chunk
+        w = DimFreeLearner.predict(learner)
+        plays.append(w.tobytes())
+        return w
+    learner.predict = predict  # drive plays through the learner's predict
+    drive(learner, G)
+    del learner.predict
+    assert plays == want
     assert _state(learner) == _state(ref)
-    assert rows == [PLAN_ROWS, PLAN_ROWS, 3]
+    assert rows == [HINT_SEGMENT, HINT_SEGMENT, 3]
+
+
+def _plan_calls(monkeypatch):
+    """(settle, rows, settled) for each _plan call given rows from here on, checking that a
+    settle call that settles nothing leaves every component of its tree unplanned."""
+    calls = []
+
+    def spy(plan):
+        def wrapper(self, G, *args, **kwargs):
+            out = plan(self, G, *args, **kwargs)
+            # a learner's args are (H, settle); a bettor's (other, Z_other), and it never settles
+            settle = not isinstance(self, CoinBettor) and args[1:2] == (True,)
+            if settle and out is None:
+                assert all(node._planned is None for node in _nodes(self))
+            if G is not None:
+                calls.append((settle, len(G), out is not None))
+            return out
+        return wrapper
+    for cls in (AddCombiner, CoinBettor, DimFreeLearner, MultiHintLearner, OptimisticLearner,
+                PerCoordinateLearner):
+        monkeypatch.setattr(cls, "_plan", spy(cls._plan))
+    return calls
+
+
+@pytest.mark.parametrize("tree", ["add", "multi_norm", "percoord", "optimistic_add",
+                                  "optimistic_dimfree", "optimistic_block"])
+def test_a_settle_call_settles_or_changes_nothing_and_drive_chunks_every_plan(monkeypatch, tree):
+    # drive hands the root each segment with settle=True: the tree settles it, or returns None
+    # with every component unplanned; only then does drive plan, one chunk of at most
+    # HINT_SEGMENT rows at a time, so no plan-mode call sees more rows than that
+    calls = _plan_calls(monkeypatch)
+    shape = (150, 3, 8) if tree.endswith("block") else (150, 8)
+    make = {"percoord": lambda G: (PerCoordinateLearner(8, 0.5), None),
+            "optimistic_dimfree": lambda G: _make(tree, G, bettor=CoinBettor)}.get(
+        tree, lambda G: _make(tree, G))
+    _check(make, _stream(shape, seed=7), cuts=[1, 97])
+    settles = tree == "optimistic_dimfree"  # the one tree here over exact scalar bettors
+    assert {settled for settle, _, settled in calls if settle} == {settles}
+    rows = [n for settle, n, _ in calls if not settle]
+    assert max(rows, default=0) == (0 if settles else HINT_SEGMENT)
 
 
 def _counts(monkeypatch):
@@ -439,7 +487,7 @@ def _bettor_rounds(bettor, Z, planned=None):
     bets = []
     try:
         for z in Z:
-            assert (bettor._planned is not None) == bool(planned)  # a spent chunk plans the next
+            assert (bettor._planned is not None) == bool(planned)  # one plan holds every row
             bets.append(bettor.predict().tobytes())
             bettor.observe(z, checked=planned is not None)
     finally:
@@ -448,10 +496,10 @@ def _bettor_rounds(bettor, Z, planned=None):
 
 
 @pytest.mark.parametrize("width", [1, 60, 16])
-@pytest.mark.parametrize("n", [1, PLAN_ROWS - 1, PLAN_ROWS, PLAN_ROWS + 1])
+@pytest.mark.parametrize("n", [1, HINT_SEGMENT - 1, HINT_SEGMENT, HINT_SEGMENT + 1])
 def test_kt_plans_are_the_public_bettor_rounds(monkeypatch, width, n):
     # a bettor with width copies, 5 public rounds in (pending loss rows, round > 0), plans n
-    # rewards a chunk at a time: each bet, its state and its figures are the rounds' own
+    # rewards in one _kt call: each bet, its state and its figures are the rounds' own
     rng = np.random.default_rng(width + n)
     Z = rng.uniform(-1.0, 1.0, (5 + n, width))
     Z[5] = 0.0
@@ -459,26 +507,26 @@ def test_kt_plans_are_the_public_bettor_rounds(monkeypatch, width, n):
     planned, ref = CoinBettor(0.5, width), CoinBettor(0.5, width)
     assert _bettor_rounds(planned, Z[:5]) == _bettor_rounds(ref, Z[:5])
     assert _bettor_rounds(planned, Z[5:], planned=True) == _bettor_rounds(ref, Z[5:])
-    assert spy == [True] * -(-n // PLAN_ROWS)
+    assert spy == [True]
     assert _state(planned) == _state(ref) and _bettors(planned) == _bettors(ref)
 
 
 @pytest.mark.parametrize("d", [1, 16])
-@pytest.mark.parametrize("n", [1, PLAN_ROWS - 1, PLAN_ROWS, PLAN_ROWS + 1])
+@pytest.mark.parametrize("n", [1, HINT_SEGMENT - 1, HINT_SEGMENT, HINT_SEGMENT + 1])
 def test_a_percoord_plan_is_its_public_rounds(monkeypatch, d, n):
     # drive plans a segment of n rows, then one of n + 3, a chunk at a time
     spy = _kt_spy(monkeypatch)
     _check(lambda G: (PerCoordinateLearner(d, 0.5), None), _stream((2 * n + 3, d), seed=n),
            cuts=[n])
-    assert spy == [True] * (-(-n // PLAN_ROWS) - (-(n + 3) // PLAN_ROWS))
+    assert spy == [True] * (-(-n // HINT_SEGMENT) - (-(n + 3) // HINT_SEGMENT))
 
 
 @pytest.mark.parametrize("above", [False, True])
 def test_a_chunk_is_planned_only_where_no_row_can_reach_the_cap(monkeypatch, above):
     # wealth at the headroom bound WEALTH_CAP / 4**n plans the chunk, an ulp above does not;
     # one near the cap on steady rewards caps within rounds, so its chunks take the rounds
-    Z = np.full((PLAN_ROWS, 3), 0.9)
-    bound = WEALTH_CAP * 0.25 ** PLAN_ROWS
+    Z = np.full((HINT_SEGMENT, 3), 0.9)
+    bound = WEALTH_CAP * 0.25 ** HINT_SEGMENT
     for wealth, capped in [(np.nextafter(bound, np.inf) if above else bound, False),
                            (WEALTH_CAP / 16, True)]:
         spy = _kt_spy(monkeypatch)
@@ -525,7 +573,7 @@ def test_a_kt_plan_dropped_mid_chunk_leaves_the_rounds_state(monkeypatch, tree):
     assert _bettors(learner) == _bettors(ref)
     if hints is not None:  # drive drew the segment's hints first: its sources fed all 64 rows
         ahead = _hints("running_average", G)
-        for g in G[:PLAN_ROWS]:
+        for g in G[:HINT_SEGMENT]:
             ahead.next_hint()
             ahead.feed(g)
         assert _state(hints) == _state(ahead)

@@ -428,3 +428,14 @@ def test_trial_axis_plain_trees_are_their_single_trial_replays_bitwise(kind, rng
         singles.append(alone)
     capped = [bool(harness.capped_bettors(alone)) for alone in singles]
     assert capped == [False, False, True, False]
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+@pytest.mark.parametrize("make", [
+    lambda B: DimFreeLearner(3, batch=B), lambda B: PerCoordinateLearner(3, batch=B),
+    lambda B: CoinBettor(1.0, batch=B), lambda B: PNormBallDescent(3, batch=B),
+    lambda B: RunningAverage(3, B)],
+    ids=["dimfree", "percoord", "bettor", "direction", "running_average"])
+def test_a_trial_count_below_one_is_rejected(make, batch):
+    with pytest.raises(ValueError, match="^batch must be >= 1$"):
+        make(batch)
