@@ -28,6 +28,7 @@ from .core import (
     check_unit_norm,  # noqa: F401 - perfbench/tracer.py wraps this binding
     norm,
     row_dot,
+    row_norm,
 )
 from .geometry import ConvexDomain, pnorm_grid
 from .learners import CoinBettor, DimFreeLearner
@@ -112,18 +113,22 @@ def _plan_hinted(root, G, H, settle=False):
     bettors = root.bettors if type(root) is MultiHintLearner else [root.bettor]
     if settle and (root.batch or H is None or any(type(b) is not CoinBettor for b in bettors)):
         G = None  # nothing settles: every plan drops
-    Z = None if G is None or H is None else row_dot(H, G[:, None] if H.ndim > G.ndim else G)
     if root.batch:
-        return _plan_block(root, G, H, Z)
+        return _plan_block(root, G, H, None if G is None or H is None else row_dot(H, G))
     W = root.base._plan(G, None, settle)
-    root._planned = None if Z is None or settle else (root.round_index, Z.tolist())
-    if W is not None:
-        for b, z, h in zip(bettors, Z.reshape(len(G), -1).T.tolist(),
-                           H.reshape(len(G), len(bettors), -1).transpose(1, 0, 2)):
-            y = np.array(b._settle(z))
-            for s in range(0, len(W), PLAY_ROWS):
-                W[s:s + PLAY_ROWS] -= y[s:s + PLAY_ROWS, None] * h[s:s + PLAY_ROWS]
-        root.round_index, root._awaiting_predict = root.round_index + len(G), True
+    root._planned = None
+    if G is None or H is None or (settle and W is None):
+        return None  # the base planned nothing, or settles nothing: no outcome is read
+    Z = row_dot(H, G[:, None] if H.ndim > G.ndim else G)
+    if W is None:
+        root._planned = (root.round_index, Z.tolist())
+        return None
+    for b, z, h in zip(bettors, Z.reshape(len(G), -1).T.tolist(),
+                       H.reshape(len(G), len(bettors), -1).transpose(1, 0, 2)):
+        y = np.array(b._settle(z))
+        for s in range(0, len(W), PLAY_ROWS):
+            W[s:s + PLAY_ROWS] -= y[s:s + PLAY_ROWS, None] * h[s:s + PLAY_ROWS]
+    root.round_index, root._awaiting_predict = root.round_index + len(G), True
     return W
 
 
@@ -192,25 +197,33 @@ class OptimisticLearner(HintedLearner):
     _plan = _plan_hinted
 
 
-def tilde_hint(domain: ConvexDomain, x, y: float, h):
+def tilde_hint(domain: ConvexDomain, x, y: float, h, h_norm=None, half_h=None):
     """Corrected hint for the constrained reduction.
 
     Evaluates the distance subgradient z and the distance at x - y*h/2, in one
     call (ConvexDomain.subgradient_and_distance), shrinks z when the hinted
     move y*||h||/2 would overshoot that distance, and returns
-    (h_tilde, z) with h_tilde = h/2 + ||h|| z/2. The returned z is a
+    (h_tilde, z) with h_tilde = h/2 + ||h|| z/2, a fresh array. The returned z is a
     subgradient of the distance function at x - y*h_tilde. A nonpositive
     y*||h|| skips the rescale (the move then points away from or along the
-    domain, where the raw z stays valid).
+    domain, where the raw z stays valid). At distance 0 the domain's z is zero (+0.0
+    entries), which no rescale changes, so h_tilde is h/2 + 0.0, bitwise: adding the zero
+    term turns a -0.0 of h/2 into +0.0. ``h_norm`` and ``half_h``, if given, are
+    norm(h) and 0.5 * h, planned by the caller (ConstrainedOptimisticLearner._plan).
     """
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     z, dist = domain.subgradient_and_distance(x - 0.5 * y * h)
-    h_norm = norm(h)
+    if half_h is None:
+        half_h = 0.5 * h
+    if dist == 0.0:
+        return half_h + 0.0, z
+    if h_norm is None:
+        h_norm = norm(h)
     yh = y * h_norm
     if yh > 1e-12 and 0.5 * yh > dist:
         z = (2.0 * dist / yh) * z
-    return 0.5 * h + 0.5 * h_norm * z, z
+    return half_h + 0.5 * h_norm * z, z
 
 
 class ConstrainedOptimisticLearner(HintedLearner):
@@ -220,7 +233,7 @@ class ConstrainedOptimisticLearner(HintedLearner):
     plays its projection, and feeds both learners the surrogate gradient
     g_tilde = g/2 + z ||g||/2 (never longer than g). The corrected hint is
     never farther from g_tilde than h was from g, so hint quality survives
-    the reduction.
+    the reduction. A chunk's plan holds what the stream alone fixes (see _plan).
     """
 
     def __init__(self, base: Learner, domain: ConvexDomain, bettor: CoinBettor):
@@ -238,7 +251,12 @@ class ConstrainedOptimisticLearner(HintedLearner):
     def _hinted_prediction(self, h):
         x = self.base.predict()
         y = self.bettor.predict()
-        h_tilde, z = tilde_hint(self.domain, x, y, h)
+        plan = self._planned
+        if plan is None:
+            h_tilde, z = tilde_hint(self.domain, x, y, h)
+        else:
+            i = self.round_index - plan[0]
+            h_tilde, z = tilde_hint(self.domain, x, y, h, plan[2][i], plan[4][i])
         w_tilde = x - y * h_tilde
         self.last_tilde_hint = h_tilde
         self.last_z = z
@@ -251,10 +269,25 @@ class ConstrainedOptimisticLearner(HintedLearner):
                 f"observe at round {self.round_index} without a hint this round"
             )
         # ||g_tilde|| <= ||g|| because ||z|| <= 1, so the base trusts it too
-        g_tilde = 0.5 * g + 0.5 * norm(g) * self.last_z
+        plan = self._planned
+        if plan is None:
+            g_tilde = 0.5 * g + 0.5 * norm(g) * self.last_z
+        else:
+            i = self.round_index - plan[0]
+            g_tilde = plan[3][i] + 0.5 * plan[1][i] * self.last_z
         self.base._step(g_tilde)
         self.bettor.observe(row_dot(g_tilde, self.last_tilde_hint), checked=True)
         self.last_tilde_hint = None
+
+    def _plan(self, G, H, settle=False):
+        """Plan a chunk's stream-only values: each row's ||g_t|| and ||h_t|| (row_norm, bitwise
+        norm() on drive's C-contiguous rows), 0.5 * g_t and 0.5 * h_t. The base sees g_tilde,
+        which the rounds fix, so nothing settles and the base plans nothing."""
+        self._planned = None
+        if G is not None and H is not None and not settle and \
+                type(self) is ConstrainedOptimisticLearner:
+            self._planned = (self.round_index, row_norm(G).tolist(), row_norm(H).tolist(),
+                             0.5 * G, 0.5 * H)
 
 
 class MultiHintLearner(Learner):

@@ -166,49 +166,47 @@ def check_stream(G, dim: int, batch: Optional[int] = None, first_round: int = 0,
     return G
 
 
-class Accumulator:
-    """Compensated running sum (branch-free TwoSum, so it also runs on arrays).
+def prefix_sums(X: np.ndarray, s=0.0, c=0.0) -> tuple:
+    """TwoSum over the terms X, (n,) or (n, B) rows, from a sum s and compensation c: the arrays
+    (S, E) of the sums and compensations after the first k terms, k = 0..n, so S[k] + E[k] is
+    the total of k terms. Its two add.accumulate passes run TwoSum's operations in its order,
+    so each entry is bitwise the terms added one at a time."""
+    S = np.concatenate(([s], X))
+    np.add.accumulate(S, axis=0, out=S)  # S[k]: the sum of the first k terms
+    s, t = S[:-1], S[1:]
+    bp = t - s
+    E = np.concatenate(([c], (s - (t - bp)) + (X - bp)))
+    np.add.accumulate(E, axis=0, out=E)
+    return S, E
 
-    A scalar sum runs TwoSum at each add. With ``batch`` = B it keeps B sums, one per trial, in
-    (B,) arrays, and keeps the rows it is given until FOLD_ROWS are pending or ``total`` is read;
-    ``extend`` adds a sequence of terms in one fold. A fold's add.accumulate passes run TwoSum's
-    operations in its order, so each entry is bitwise its terms added one by one.
+
+class Accumulator:
+    """B compensated running sums, one per trial, in (B,) arrays (TwoSum, see prefix_sums).
+
+    It keeps the (B,) rows it is given until FOLD_ROWS are pending or ``total`` is read;
+    ``extend`` adds a sequence of rows in one fold.
     """
 
     __slots__ = ("_s", "_c", "_rows")
     FOLD_ROWS = 64
 
-    def __init__(self, batch: Optional[int] = None):
-        self._s = 0.0 if batch is None else np.zeros(batch)
-        self._c = 0.0 if batch is None else np.zeros(batch)
-        self._rows = None if batch is None else []  # an array sum's pending rows
+    def __init__(self, batch: int):
+        self._s = np.zeros(batch)
+        self._c = np.zeros(batch)
+        self._rows = []  # the pending rows
 
     def add(self, x) -> None:
-        if self._rows is not None:
-            self._rows.append(x)
-            if len(self._rows) == self.FOLD_ROWS:
-                self._fold()
-            return
-        s = self._s
-        t = s + x
-        bp = t - s
-        self._c += (s - (t - bp)) + (x - bp)
-        self._s = t
+        self._rows.append(x)
+        if len(self._rows) == self.FOLD_ROWS:
+            self._fold()
 
     def _fold(self, xs=()) -> tuple:
-        """Add the pending rows, then the terms of xs, in order; return the folded (s, c)."""
+        """Add the pending rows, then the rows of xs, in order; return the folded (s, c)."""
         if self._rows:
             xs, self._rows = self._rows + list(xs), []
         if len(xs):
-            X = np.array(xs, dtype=np.float64)
-            S = np.concatenate(([self._s], X))
-            np.add.accumulate(S, axis=0, out=S)  # S[k]: the sum of the first k terms
-            s, t = S[:-1], S[1:]
-            bp = t - s
-            E = np.concatenate(([self._c], (s - (t - bp)) + (X - bp)))
-            np.add.accumulate(E, axis=0, out=E)
-            last = float if self._rows is None else np.copy
-            self._s, self._c = last(S[-1]), last(E[-1])
+            S, E = prefix_sums(np.array(xs, dtype=np.float64), self._s, self._c)
+            self._s, self._c = S[-1].copy(), E[-1].copy()
         return self._s, self._c
     extend = _fold
 

@@ -174,7 +174,11 @@ class ConvexDomain:
         return self.subgradient_and_distance(x)[0]
 
     def subgradient_and_distance(self, x) -> tuple:
-        """(distance_subgradient(x), distance(x)) from one projection."""
+        """(distance_subgradient(x), distance(x)) from one projection.
+
+        An override keeps the contract that tilde_hint relies on: distance 0 comes with the
+        zero subgradient, +0.0 in every entry, as here and in Ball and WholeSpace.
+        """
         x = np.asarray(x, dtype=np.float64)
         gap = x - self.project(x)
         n = norm(gap)
@@ -223,7 +227,7 @@ class Ball(ConvexDomain):
         gap = x - self.center
         n = norm(gap)
         if n <= self.radius:
-            return np.zeros_like(x), 0.0
+            return np.zeros(x.shape), 0.0
         out = x - (self.center + gap * (self.radius / n))  # x minus project(x)
         m = norm(out)
         return (out / m if m else np.zeros_like(x)), max(0.0, n - self.radius)

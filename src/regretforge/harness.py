@@ -543,19 +543,15 @@ def _with_trials(learner: Learner, batch: int) -> Optional[Learner]:
 
 def _drive(composed: ComposedLearner, G: np.ndarray, keep_iterates: bool):
     # the whole stream is checked before round 0, so a bad one raises
-    # ValueError with no round run; core.drive then runs one checkpoint
-    # segment at a time, and the bettors are read at checkpoints only.
+    # ValueError with no round run; core.drive then runs it once, and each
+    # bettor's regret at 0 after each checkpoint is one fold over its loss terms.
     # A (T, B, d) block of a trial-axis learner gives one record per trial.
     learner = composed.learner
     G = check_stream(G, learner.dim, learner.batch)
+    losses, iterates, hints = drive(learner, G, composed.hint_sources, keep_iterates)
     bettors = composed.bettors
-    parts, bettor_regrets, start = [], [], 0
-    for stop in checkpoints(len(G)):
-        parts.append(drive(learner, G[start:stop], composed.hint_sources, keep_iterates))
-        bettor_regrets.append([b.regret_at_zero() for b in bettors])
-        start = stop
-    losses, iterates, hints = (None if part[0] is None else np.concatenate(part)
-                               for part in zip(*parts))
+    ends = checkpoints(len(G))
+    bettor_regrets = np.array([b.regrets_at_zero(ends) for b in bettors]).T if bettors else None
     if hints is None:
         gh_sq = row_dot(G, G)
         gh_minus = gh_sq
@@ -567,8 +563,8 @@ def _drive(composed: ComposedLearner, G: np.ndarray, keep_iterates: bool):
     if G.ndim == 3:  # a block: no hints and no bettor columns
         return [RunRecord(losses[:, i], G[:, i], None, None, sq, sq,
                           capped=capped_bettors(learner, trial=i)) for i, sq in enumerate(gh_sq.T)]
-    return RunRecord(losses, G, iterates, hints, gh_sq, gh_minus,
-                     np.array(bettor_regrets) if bettors else None, capped_bettors(learner))
+    return RunRecord(losses, G, iterates, hints, gh_sq, gh_minus, bettor_regrets,
+                     capped_bettors(learner))
 
 
 def _check_parts(config) -> None:

@@ -15,6 +15,7 @@ loss ell pass z = -ell.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .core import (
     ball_step,
     check_batch,
     norm,
+    prefix_sums,
     row_dot,
     row_norm,
 )
@@ -92,7 +94,11 @@ class CoinBettor:
         self.epsilon = _budget(epsilon)
         self.batch = check_batch(batch)
         self.round = 0
-        self._loss_sum = Accumulator(batch)  # sum_t (-z_t) * y_t, measured exactly
+        # sum_t (-z_t) * y_t, measured exactly: a scalar bettor keeps every term (an array of
+        # doubles), so its regret at 0 after any round is one fold away; a trial axis keeps running
+        # sums. A term is 0.0 - z * y: +0.0 for a zero product of either sign, which no sum from
+        # +0.0 tells apart
+        self._losses = array("d") if batch is None else Accumulator(batch)
         self._bet = None  # this round's bet, kept by predict() for observe()
         self.wealth = self.epsilon if batch is None else np.full(batch, self.epsilon)
         self.signed_sum = 0.0 if batch is None else np.zeros(batch)
@@ -138,15 +144,17 @@ class CoinBettor:
         bet = self.predict() if self._bet is None else self._bet
         self._bet, self.round = None, self.round + 1
         zy = z * bet
-        self._loss_sum.add(-zy)
         wealth = self.wealth + zy
         if self.batch is None:  # the step _settle takes
+            self._losses.append(0.0 - zy)
             if wealth > WEALTH_CAP:
                 wealth = WEALTH_CAP
                 self.capped_rounds += 1
-        elif np.maximum.reduce(wealth) > WEALTH_CAP:
-            self.capped_rounds += wealth > WEALTH_CAP
-            wealth = np.minimum(wealth, WEALTH_CAP)
+        else:
+            self._losses.add(-zy)
+            if np.maximum.reduce(wealth) > WEALTH_CAP:
+                self.capped_rounds += wealth > WEALTH_CAP
+                wealth = np.minimum(wealth, WEALTH_CAP)
         self.wealth = wealth
         self.signed_sum += z
 
@@ -159,7 +167,7 @@ class CoinBettor:
         plan = self._planned
         if plan is not None:
             k = self.round - plan[0]
-            self._loss_sum.extend(-(plan[1][:k] * plan[2][:k]))
+            self._losses.extend(-(plan[1][:k] * plan[2][:k]))
             self.wealth, self.signed_sum = self.wealth.copy(), self.signed_sum.copy()
             self._bet = None if self._bet is None else self._bet.copy()
         self._planned = None
@@ -186,7 +194,7 @@ class CoinBettor:
 
     def _settle(self, zs) -> list:
         """observe()'s scalar KT step over the rewards ``zs`` (floats) of a settled segment, whose
-        loss terms fold at once; returns the bets. The first bet is predict()'s, if kept."""
+        loss terms are kept at once; returns the bets. The first bet is predict()'s, if kept."""
         w, s, r, bet, bets = self.wealth, self.signed_sum, self.round, self._bet, []
         for z in zs:
             if bet is None:
@@ -197,16 +205,24 @@ class CoinBettor:
                 w = WEALTH_CAP
                 self.capped_rounds += 1
             s, r, bet = s + z, r + 1, None
-        self._loss_sum.extend(-np.multiply(zs, bets))
+        self._losses.frombytes(np.subtract(0.0, np.multiply(zs, bets)).tobytes())
         self.wealth, self.signed_sum, self.round, self._bet = w, s, r, None
         return bets
 
     def regret_at(self, u: float) -> float:
         """Measured regret sum_t ell_t (y_t - u) with ell_t = -z_t."""
-        return self._loss_sum.total + u * self.signed_sum
+        return self.regret_at_zero() + u * self.signed_sum
 
-    def regret_at_zero(self) -> float:
-        return self._loss_sum.total
+    def regret_at_zero(self):
+        if self.batch is None:
+            return self.regrets_at_zero([len(self._losses)])[0]
+        return self._losses.total
+
+    def regrets_at_zero(self, rounds) -> list:
+        """A scalar bettor's regret at 0 as it read after each of ``rounds`` (round counts):
+        one fold over its loss terms, each entry bitwise their one-at-a-time sum."""
+        S, E = prefix_sums(np.array(self._losses))
+        return (S[rounds] + E[rounds]).tolist()
 
 
 class PNormBallDescent:

@@ -410,11 +410,22 @@ def test_drive_keeps_what_it_is_asked_to():
     assert losses.shape == (16, 2) and W is None and H is None
 
 
-@pytest.mark.parametrize("name", sorted(_HINTED_CONFIGS) + ["plain"])
+_ORACLE_CONFIGS = {
+    **_HINTED_CONFIGS,
+    "constrained_box": {"kind": "constrained", "hints": {"kind": "running_average"},
+                        "domain": {"kind": "box", "lo": [-0.2, -0.1, -0.3, 0.0],
+                                   "hi": [0.2, 0.3, 0.1, 0.2]}},
+    "multi_hint_3": {"kind": "multi_hint", "hints": [
+        {"kind": "last_gradient"}, {"kind": "adversarial_negate"}, {"kind": "running_average"}]},
+    "plain": {"kind": "add", "children": [{"kind": "dimfree"}, {"kind": "percoord"}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))
 def test_harness_segments_match_one_drive(name):
-    """Driving checkpoint segments plays exactly the rounds of one drive."""
-    cfg = _HINTED_CONFIGS.get(name, {"kind": "add", "children": [{"kind": "dimfree"},
-                                                                 {"kind": "percoord"}]})
+    """The harness's one drive of a run plays exactly the rounds of core.drive, and its
+    bettors' regrets at 0 at each checkpoint are those a round-by-round run reads there."""
+    cfg = _ORACLE_CONFIGS[name]
     G = unit_stream(np.random.default_rng(11), 100, 4)
     record = harness._drive(harness.build_learner(cfg, 4, stream=G), G, keep_iterates=True)
     composed = harness.build_learner(cfg, 4, stream=G)
@@ -429,10 +440,36 @@ def test_harness_segments_match_one_drive(name):
         core.drive(composed.learner, G[t:t + 1], composed.hint_sources)
         per_round.append([b.regret_at_zero() for b in composed.bettors])
     ends = [T - 1 for T in harness.checkpoints(len(G))]
-    if composed.bettors:
-        assert record.bettor_regrets.tolist() == [per_round[t] for t in ends]
+    if composed.bettors:  # bitwise, each a Python float
+        assert all(type(x) is float for row in per_round for x in row)
+        assert [[x.hex() for x in row] for row in record.bettor_regrets.tolist()] == [
+            [x.hex() for x in per_round[t]] for t in ends]
     else:
         assert record.bettor_regrets is None
+
+
+@pytest.mark.parametrize("name", ["optimistic", "constrained", "block"])
+def test_harness_drives_a_run_once(monkeypatch, name):
+    """One core.drive call a run, whatever its checkpoints: a (T, d) stream and a (T, B, d)
+    block of a trial-axis learner alike."""
+    calls = []
+
+    def counted(learner, G, *args, **kwargs):
+        calls.append(len(G))
+        return core.drive(learner, G, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "drive", counted)
+    G = unit_stream(np.random.default_rng(12), 300, 4)
+    if name == "block":
+        block = np.ascontiguousarray(np.stack([G, G[::-1], -G], axis=1))
+        learner = harness._with_trials(harness.build_learner({"kind": "dimfree"}, 4).learner, 3)
+        records = harness._drive(harness.ComposedLearner(learner), block, keep_iterates=False)
+        assert len(records) == 3
+    else:
+        record = harness._drive(harness.build_learner(_HINTED_CONFIGS[name], 4, stream=G), G,
+                                keep_iterates=True)
+        assert record.bettor_regrets.shape == (len(harness.checkpoints(300)), 1)
+    assert calls == [300]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from regretforge import (
     replay,
 )
 from regretforge import core
-from regretforge.core import Accumulator
+from regretforge.core import Accumulator, prefix_sums
 from conftest import ConstantLearner, unit_stream
 
 
@@ -241,10 +241,10 @@ def _bits(*xs):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_TERMS, max_size=40))
 def test_accumulator_matches_neumaier_bitwise(terms):
-    acc = Accumulator()
-    for x in terms:
-        acc.add(x)
-    assert _bits(*acc._fold()) == _bits(*_neumaier(terms))
+    # a scalar sum (a scalar bettor's loss terms) is prefix_sums over its terms: every prefix
+    S, E = prefix_sums(np.array(terms, dtype=np.float64))
+    for k in range(len(terms) + 1):
+        assert _bits(S[k], E[k]) == _bits(*_neumaier(terms[:k]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,11 +254,9 @@ def test_batch_accumulator_entries_match_scalar_runs(rows):
     for row in rows:
         batch.add(np.array(row))
     for i in range(3):
-        scalar = Accumulator()
-        for row in rows:
-            scalar.add(row[i])
+        S, E = prefix_sums(np.array([row[i] for row in rows], dtype=np.float64))
         s, c = batch._fold()
-        assert _bits(s[i], c[i]) == _bits(*scalar._fold())
+        assert _bits(s[i], c[i]) == _bits(S[-1], E[-1])
         assert _bits(s[i], c[i]) == _bits(*_neumaier([r[i] for r in rows]))
 
 
@@ -275,21 +273,28 @@ def _wide_terms(rng, shape):
 def test_fold_is_the_per_term_twosum_bitwise(width, n):
     # an array sum keeps its rows and folds them after 64 and at each total read;
     # extend folds a whole segment. Each entry must be the one-term-at-a-time sum.
+    # A scalar sum (a scalar bettor's loss terms) is one prefix_sums fold, read at every prefix.
     rng = np.random.default_rng(n)
     shape = (n,) if width is None else (n, width)
     X, tail = _wide_terms(rng, shape), _wide_terms(rng, (9,) + shape[1:])
+    if width is None:
+        terms = np.concatenate([X, tail])
+        S, E = prefix_sums(terms)
+        for k in range(n + 10):
+            ref = _neumaier(terms[:k].tolist())
+            assert _bits(S[k], E[k]) == _bits(*ref)
+            assert _bits(S[k] + E[k]) == _bits(ref[0] + ref[1])
+        return
     acc = Accumulator(width)
     for k, x in enumerate(X):
-        acc.add(x if width else float(x))
+        acc.add(x)
         if k % 50 == 17:
             total = acc.total  # folds what is pending mid-way
             assert _bits(*np.ravel(total)) == _bits(*np.ravel(np.add(*acc._fold())))
-    acc.extend(list(tail) if width else tail.tolist())
+    acc.extend(list(tail))
     s, c = acc._fold()
     terms = np.concatenate([X, tail]).reshape(n + 9, -1)
     for i in range(terms.shape[1]):
         ref = _neumaier(terms[:, i].tolist())
         assert _bits(np.ravel(s)[i], np.ravel(c)[i]) == _bits(*ref)
         assert _bits(np.ravel(acc.total)[i]) == _bits(ref[0] + ref[1])
-    if width is None:
-        assert type(s) is float and type(c) is float

@@ -12,6 +12,13 @@ sign of a zero.
 each with a sha256 of the run's (T, d) iterates, from before the p < 2 grid
 step updated only g's nonzero columns. No shipped config runs ``multi_norm``.
 
+``tests/golden/constrained_rows.json`` holds the rows of ``run_experiment`` for the
+constrained root over a centred and an off-centre ``Ball``, a ``Box`` and ``WholeSpace``,
+with ``last_gradient`` and ``running_average`` hints on a ``biased`` and a ``sparse`` stream
+(and ``adversarial_negate`` on the sparse one, whose hints hold -0.0), each with a sha256 of
+the run's iterates and of its per-round losses, and how many rounds took each ``tilde_hint``
+branch, from before the constrained round read a plan of its stream-only values.
+
 ``tests/golden/bernstein_learner.txt`` holds the standard output of
 ``regretforge bernstein --via-learner --delta 0.05 --T 256 --trials 40
 --seed 3`` (all three samplers) from before via-learner blocks grew to
@@ -23,7 +30,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from regretforge import combinators
 
 from regretforge.cli import cli_main
 from regretforge.harness import run_experiment
@@ -115,3 +125,74 @@ def test_multi_norm_rows_match_golden(case):
     got = _multi_norm_rows(MULTI_NORM_CASES[case])
     _assert_matches(got, golden[case])
     assert got["iterates_sha256"] == golden[case]["iterates_sha256"]
+
+
+CONSTRAINED_STREAMS = {
+    "biased": {"kind": "biased", "dim": 8, "T": 300, "mu": [0.3, 0.1] + [0.0] * 6,
+               "noise": 0.5, "seed": 21},
+    "sparse": {"kind": "sparse", "dim": 8, "T": 300, "k_active": 2, "seed": 22},
+}
+CONSTRAINED_DOMAINS = {
+    "ball": {"kind": "ball", "radius": 0.5},
+    "ball_off_centre": {"kind": "ball", "center": [0.2, -0.1, 0.05, 0.0, 0.0, 0.1, 0.0, -0.2],
+                        "radius": 0.3},
+    "box": {"kind": "box", "lo": [-0.3, -0.1, -0.2, -0.3, -0.05, -0.3, -0.3, -0.3],
+            "hi": [0.3, 0.2, 0.1, 0.3, 0.3, 0.05, 0.3, 0.3]},
+    "whole_space": {"kind": "whole_space"},
+}
+CONSTRAINED_CASES = {
+    f"{stream}_{hint}_{domain}": (stream, hint, domain)
+    for stream in CONSTRAINED_STREAMS for hint in ("last_gradient", "running_average")
+    for domain in CONSTRAINED_DOMAINS}
+CONSTRAINED_CASES.update({f"sparse_adversarial_negate_{domain}": ("sparse", "adversarial_negate",
+                                                                  domain)
+                          for domain in CONSTRAINED_DOMAINS})
+
+
+def _constrained_rows(monkeypatch, stream, hint, domain):
+    """The run's rows and hashes, and how many rounds took each tilde_hint branch: inside
+    (distance 0), rescale (the hinted move overshoots the distance) or outside (neither)."""
+    branches = {"inside": 0, "outside": 0, "rescale": 0}
+    original = combinators.tilde_hint
+
+    def counted(dom, x, y, h, *rest, **kwargs):
+        dist = dom.distance(x - 0.5 * y * h)
+        yh = y * float(np.linalg.norm(h))
+        branches["inside" if dist == 0.0 else "rescale" if yh > 1e-12 and 0.5 * yh > dist
+                 else "outside"] += 1
+        return original(dom, x, y, h, *rest, **kwargs)
+
+    monkeypatch.setattr(combinators, "tilde_hint", counted)
+    config = {"experiment_id": "constrained",
+              "learner": {"kind": "constrained", "base": {"kind": "dimfree", "epsilon": 0.25},
+                          "bettor_epsilon": 0.25, "hints": {"kind": hint},
+                          "domain": CONSTRAINED_DOMAINS[domain]},
+              "stream": CONSTRAINED_STREAMS[stream],
+              "comparators": [{"kind": "origin"}, {"kind": "best_in_ball", "radius": 0.5}]}
+    rows, record = run_experiment(config, keep_record=True)
+    columns = [c for c in rows[0] if c != "wallclock_ms"]
+    # the bettor columns are NumPy floats; float() keeps their bits
+    rows = [[float(v) if isinstance(v, np.floating) else v for v in map(r.get, columns)]
+            for r in rows]
+    return {"columns": columns, "rows": rows,
+            "iterates_sha256": hashlib.sha256(record.iterates.tobytes()).hexdigest(),
+            "losses_sha256": hashlib.sha256(record.losses.tobytes()).hexdigest(),
+            "branches": branches}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRAINED_CASES))
+def test_constrained_rows_match_golden(monkeypatch, case):
+    golden = json.loads((Path(__file__).resolve().parent / "golden" / "constrained_rows.json")
+                        .read_text(encoding="utf-8"))
+    got = _constrained_rows(monkeypatch, *CONSTRAINED_CASES[case])
+    _assert_matches(got, golden[case])
+    for key in ("iterates_sha256", "losses_sha256", "branches"):
+        assert got[key] == golden[case][key], key
+
+
+def test_constrained_golden_reaches_every_tilde_hint_branch():
+    golden = json.loads((Path(__file__).resolve().parent / "golden" / "constrained_rows.json")
+                        .read_text(encoding="utf-8"))
+    assert set(golden) == set(CONSTRAINED_CASES)
+    for branch in ("inside", "outside", "rescale"):
+        assert sum(case["branches"][branch] for case in golden.values()) > 0, branch

@@ -1,11 +1,12 @@
 """Segment plans: drive hands each C-contiguous segment of rows (and its hints) to the root's
 _plan(G, H, settle=True), and steps the rounds of a tree that does not settle, planning them a
 chunk of HINT_SEGMENT rows at a time. The planned
-rounds of add, multi_norm, optimistic and multi-hint trees, on (T, d) streams and (T, B, d)
-blocks, must give the bits of the round-by-round public API (predict, observe, next_hint,
-feed) and leave every component as it leaves them; subclasses and constrained roots keep the
-round, and a strided stream replays as its C copy. Over trees that harness.build_learner builds, settled or
-planned or neither, drive must be the public rounds bitwise.
+rounds of add, multi_norm, optimistic, multi-hint and constrained trees, on (T, d) streams and
+(T, B, d) blocks, must give the bits of the round-by-round public API (predict, observe,
+next_hint, feed) and leave every component as it leaves them; subclasses keep the round, a
+constrained root's base is never planned, and a strided stream replays as its C copy. Over trees
+that harness.build_learner builds, settled or planned or neither, drive must be the public
+rounds bitwise.
 """
 
 import random
@@ -702,6 +703,21 @@ def _hint(kind, G, rng, folder):
     return {"kind": kind}
 
 
+def _domain(pick, dim):
+    """A domain config drawn by ``pick``: the whole space, a ball (centred at the origin or
+    off it) or a box, small enough that the plays leave it and are projected."""
+    kind = pick.choice(["whole_space", "ball", "box"])
+    if kind == "ball":
+        ball = {"kind": kind, "radius": pick.uniform(0.05, 0.5)}
+        if pick.random() < 0.5:
+            ball["center"] = [pick.uniform(-0.3, 0.3) for _ in range(dim)]
+        return ball
+    if kind == "box":
+        lo = [pick.uniform(-0.4, 0.1) for _ in range(dim)]
+        return {"kind": kind, "lo": lo, "hi": [a + pick.uniform(0.0, 0.5) for a in lo]}
+    return {"kind": kind}
+
+
 def _built(cfg, G, sub, rich):
     """(learner, hint sources) of a config; ``sub`` picks one CoinBettor to make a _HalfBettor,
     and ``rich`` starts every bettor near the wealth cap, past the grammar's budget limit."""
@@ -721,7 +737,8 @@ SPLITS = [(drive, _rounds), (_rounds, drive), (drive, drive)]
 @settings(max_examples=60, deadline=None)
 @given(dim=st.sampled_from(range(1, 10)), T=st.sampled_from([*range(49), 63, 64, 65, 130]),
        seed=st.integers(0, 2 ** 16), stream=st.sampled_from(sorted(harness.TABLE["stream"])),
-       zero_rows=st.integers(0, 4), root=st.sampled_from(["plain", "optimistic", "multi_hint"]),
+       zero_rows=st.integers(0, 4),
+       root=st.sampled_from(["plain", "optimistic", "multi_hint", "constrained"]),
        sub=st.sampled_from(range(8)), rich=st.booleans(), paths=st.sampled_from(SPLITS),
        data=st.data())
 def test_drive_is_the_public_rounds_over_the_composition_grammar(dim, T, seed, stream, zero_rows,
@@ -740,10 +757,14 @@ def test_drive_is_the_public_rounds_over_the_composition_grammar(dim, T, seed, s
     with tempfile.TemporaryDirectory() as folder:
         if root != "plain":
             kinds = pick.choices(sorted(harness.TABLE["hint"]),
-                                 k=1 if root == "optimistic" else pick.randint(1, 3))
+                                 k=pick.randint(1, 3) if root == "multi_hint" else 1)
             hints = [_hint(kind, G, rng, Path(folder)) for kind in kinds]
             bases = [{"kind": root, "base": base, "bettor_epsilon": pick.choice(BUDGETS),
                       "hints": hints if root == "multi_hint" else hints[0]} for base in bases]
+            if root == "constrained":
+                domain = _domain(pick, dim)
+                for cfg in bases:
+                    cfg["domain"] = domain
         note(bases)
         trees = [[_built(cfg, G, s, rich) for _ in range(3)] for cfg in bases for s in (None, sub)]
     for (whole, whole_hints), (split, split_hints), (ref, ref_hints) in trees:

@@ -89,7 +89,7 @@ def _state(learner):
            base.direction.point.tobytes(), repr(base.direction.dual_sq_sum)]
     for b in bettors:
         if b is not None:
-            out += [repr(b.wealth), repr(b.signed_sum), *map(repr, b._loss_sum._fold()),
+            out += [repr(b.wealth), repr(b.signed_sum), repr(b._losses),
                     b.capped_rounds, b.round, b._bet]
     return out
 
