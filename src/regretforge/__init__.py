@@ -42,10 +42,7 @@ from .combinators import (
     MultiHintLearner,
     OptimisticLearner,
     add_iterates,
-    constrained_optimistic,
-    multi_hint,
     multi_norm,
-    optimistic,
     tilde_hint,
 )
 from .hints import (

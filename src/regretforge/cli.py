@@ -129,6 +129,8 @@ def _cmd_bernstein(args) -> int:
         return 0 if ok else 1
     except ValueError as exc:
         return _fail(2, str(exc))
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        return _fail(1, str(exc))
 
 
 class _Parser(argparse.ArgumentParser):

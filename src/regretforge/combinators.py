@@ -341,29 +341,3 @@ class MultiHintLearner(Learner):
 
     _plan = _plan_hinted
 
-
-def optimistic(dim: int, epsilon: float = 1.0, spec=None) -> OptimisticLearner:
-    """Optimistic learner over a dimension-free base, budget split in half."""
-    return OptimisticLearner(
-        DimFreeLearner(dim, epsilon=epsilon / 2.0, spec=spec),
-        CoinBettor(epsilon / 2.0),
-    )
-
-
-def constrained_optimistic(dim: int, domain: ConvexDomain,
-                           epsilon: float = 1.0) -> ConstrainedOptimisticLearner:
-    """Constrained optimistic learner with budgets chosen so epsilon holds at 0."""
-    return ConstrainedOptimisticLearner(
-        DimFreeLearner(dim, epsilon=epsilon / 4.0),
-        domain,
-        CoinBettor(epsilon / 4.0),
-    )
-
-
-def multi_hint(dim: int, k: int, epsilon: float = 1.0) -> MultiHintLearner:
-    """k-hint learner over a dimension-free base, budget split k+1 ways."""
-    share = epsilon / (k + 1.0)
-    return MultiHintLearner(
-        DimFreeLearner(dim, epsilon=share),
-        [CoinBettor(share) for _ in range(k)],
-    )

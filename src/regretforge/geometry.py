@@ -177,7 +177,7 @@ class ConvexDomain:
         """(distance_subgradient(x), distance(x)) from one projection.
 
         An override keeps the contract that tilde_hint relies on: distance 0 comes with the
-        zero subgradient, +0.0 in every entry, as here and in Ball and WholeSpace.
+        zero subgradient, +0.0 in every entry, as here and in Ball.
         """
         x = np.asarray(x, dtype=np.float64)
         gap = x - self.project(x)
@@ -195,13 +195,6 @@ class WholeSpace(ConvexDomain):
     def project(self, x):
         return np.asarray(x, dtype=np.float64).copy()
 
-    def subgradient_and_distance(self, x):
-        return np.zeros_like(np.asarray(x, dtype=np.float64)), 0.0
-
-    @property
-    def diameter(self):
-        return math.inf
-
 
 class Ball(ConvexDomain):
     """Euclidean ball {x : ||x - center|| <= radius}."""
@@ -209,8 +202,8 @@ class Ball(ConvexDomain):
     bounded = True
 
     def __init__(self, center, radius: float):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < math.inf:  # NaN too: it would make every projection NaN
+            raise ValueError(f"radius must be positive and finite, got {radius!r}")
         self.center = as_vector(center, name="center")
         self.radius = float(radius)
 
@@ -252,7 +245,7 @@ class Box(ConvexDomain):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.lo.shape:
             raise DimensionMismatch(f"x has shape {x.shape}, box is {self.lo.shape}")
-        return x.clip(self.lo, self.hi)  # np.clip's ufunc without its wrapper
+        return x.clip(self.lo, self.hi)  # bitwise np.clip; it runs NumPy's Python _methods._clip
 
     @property
     def diameter(self):

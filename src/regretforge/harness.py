@@ -92,9 +92,9 @@ class StreamSpec:
     params: dict = field(default_factory=dict)
 
     @classmethod
-    def from_config(cls, cfg: dict, path: str = "stream") -> "StreamSpec":
+    def from_config(cls, cfg: dict) -> "StreamSpec":
         """The spec of a stream config, read against its kind's row of TABLE."""
-        return _walk("stream", cfg, path)
+        return _walk("stream", cfg, "stream")
 
 
 def _clip_rows_to_unit(G: np.ndarray) -> np.ndarray:
@@ -460,10 +460,9 @@ class ComposedLearner:
         return out
 
 
-def build_learner(cfg: dict, dim: int, stream: Optional[np.ndarray] = None,
-                  path: str = "learner") -> ComposedLearner:
+def build_learner(cfg: dict, dim: int, stream: Optional[np.ndarray] = None) -> ComposedLearner:
     """Build a composition expression; hinted kinds are root-only."""
-    built = _walk("learner", cfg, path, dim, stream)
+    built = _walk("learner", cfg, "learner", dim, stream)
     return built if isinstance(built, ComposedLearner) else ComposedLearner(built)
 
 

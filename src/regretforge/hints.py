@@ -148,8 +148,8 @@ class ExternalHints(HintSource):
 
     def __init__(self, rows):
         rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[:, None]
+        if rows.ndim != 2:
+            raise ValueError(f"hint rows must be a (T, d) array, got shape {rows.shape}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("hint rows contain non-finite entries")
         norms = np.linalg.norm(rows, axis=1)

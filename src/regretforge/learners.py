@@ -498,23 +498,22 @@ class PerCoordinateLearner(Learner):
         shape = (dim,) if batch is None else (batch, dim)
         self.wealth = np.full(shape, self.epsilon / dim)
         self.signed_sum = np.zeros(shape)
-        self.round = 0
         self.capped_rounds = 0 if batch is None else np.zeros(batch, dtype=np.int64)
         self._bet = np.zeros(shape)  # the last prediction, the bet _update settles
 
     def _prediction(self):
         plan = self._planned
         if plan is not None:
-            self._bet = plan[1][self.round - plan[0]]
+            self._bet = plan[1][self.round_index - plan[0]]
             return self._bet
-        self._bet = self.signed_sum / (self.round + 1) * self.wealth
+        self._bet = self.signed_sum / (self.round_index + 1) * self.wealth
         return self._bet
 
     def _update(self, g):
         plan = self._planned
         if plan is not None:  # a planned round: its row of the wealth and signed sums
-            i = self.round - plan[0] + 1
-            self.wealth, self.signed_sum, self.round = plan[2][i], plan[3][i], self.round + 1
+            i = self.round_index - plan[0] + 1
+            self.wealth, self.signed_sum = plan[2][i], plan[3][i]
             return
         # the reward is z = -g: wealth + bet * z and signed_sum + z, to the bit
         wealth = self.wealth - self._bet * g
@@ -523,7 +522,6 @@ class PerCoordinateLearner(Learner):
             wealth = np.minimum(wealth, WEALTH_CAP)
         self.wealth = wealth
         self.signed_sum = self.signed_sum - g
-        self.round += 1
 
     def _plan(self, G, H, settle=False):
         """Plan the rounds of G's rows on their rewards -g, which step wealth and signed_sum
@@ -535,9 +533,9 @@ class PerCoordinateLearner(Learner):
         kt, shape = None, self.wealth.shape
         if G is not None and not settle and type(self) is PerCoordinateLearner:
             Z = -G.reshape(-1, self.wealth.size)
-            kt = _kt(Z, self.wealth.reshape(-1), self.signed_sum.reshape(-1), self.round)
+            kt = _kt(Z, self.wealth.reshape(-1), self.signed_sum.reshape(-1), self.round_index)
         self._planned = None if kt is None else (
-            self.round, *(a.reshape(len(a), *shape) for a in kt))
+            self.round_index, *(a.reshape(len(a), *shape) for a in kt))
 
 
 class AdaptiveProjectedDescent(Learner):

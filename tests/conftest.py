@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from regretforge import Learner, drive, dual_exponent, optimistic, pnorm_grid
+from regretforge import (CoinBettor, DimFreeLearner, Learner, OptimisticLearner, drive,
+                         dual_exponent, pnorm_grid)
 from regretforge.core import as_vector, row_dot
 from regretforge.harness import _walk
 from regretforge.hints import UnitBallDescent
@@ -41,7 +42,8 @@ def running_average_hints(G):
 
 def drawn_hints(G, source):
     """The hints ``source`` gives on the rows of a (T, d) G, as core.drive draws them."""
-    return drive(optimistic(G.shape[1]), G, source)[2]
+    learner = OptimisticLearner(DimFreeLearner(G.shape[1], 0.5), CoinBettor(0.5))
+    return drive(learner, G, source)[2]
 
 
 def ftl_gap(G, H):

@@ -111,12 +111,13 @@ def test_gradients_and_hints_at_the_tolerance_replay_cleanly():
     G[:, 0] = edge
     assert check_stream(G, 4) is G
     for source in (LastGradient(4), hints.ExternalHints(G)):
-        ledger = replay_hinted(combinators.optimistic(4), G, source)
+        ledger = replay_hinted(_optimistic(4), G, source)
         assert np.isfinite(ledger.cumulative_loss)
-    replay_multi_hint(combinators.multi_hint(4, 2), G,
-                      [hints.ExternalHints(G), hints.ExternalHints(-G)])
+    learner = MultiHintLearner(DimFreeLearner(4, 1 / 3), [CoinBettor(1 / 3) for _ in range(2)])
+    replay_multi_hint(learner, G, [hints.ExternalHints(G), hints.ExternalHints(-G)])
     for domain in (Ball(np.zeros(4), 0.5), geometry.Box(np.full(4, -0.3), np.full(4, 0.3))):
-        replay_hinted(combinators.constrained_optimistic(4, domain), G, hints.ExternalHints(G))
+        learner = ConstrainedOptimisticLearner(DimFreeLearner(4, 0.25), domain, CoinBettor(0.25))
+        replay_hinted(learner, G, hints.ExternalHints(G))
     block = np.repeat(G[:, None, :], 2, axis=1)
     learner = OptimisticLearner(DimFreeLearner(4, 0.5, batch=2), CoinBettor(0.5, batch=2))
     ledger = replay_hinted(learner, block, RunningAverage(4, batch=2))
@@ -508,12 +509,14 @@ def test_hints_depend_only_on_earlier_gradients(kind):
     make = _SOURCES[kind]
     G = unit_stream(np.random.default_rng(6), T, d)
     _, _, H = core.drive(_optimistic(d), G, make(d))
-    _, _, HK = core.drive(combinators.multi_hint(d, 2), G, [make(d), LastGradient(d)])
+    multi = MultiHintLearner(DimFreeLearner(d, 1 / 3), [CoinBettor(1 / 3) for _ in range(2)])
+    _, _, HK = core.drive(multi, G, [make(d), LastGradient(d)])
     for t in (0, 1, 77, T - 1):
         P = G.copy()
         P[t] = -P[t]
         _, _, H2 = core.drive(_optimistic(d), P, make(d))
-        _, _, HK2 = core.drive(combinators.multi_hint(d, 2), P, [make(d), LastGradient(d)])
+        multi = MultiHintLearner(DimFreeLearner(d, 1 / 3), [CoinBettor(1 / 3) for _ in range(2)])
+        _, _, HK2 = core.drive(multi, P, [make(d), LastGradient(d)])
         assert H2[:t + 1].tobytes() == H[:t + 1].tobytes()
         assert HK2[:t + 1].tobytes() == HK[:t + 1].tobytes()
         if kind in _DATA_DRIVEN and t + 1 < T:
@@ -556,7 +559,7 @@ def test_bad_hint_fails_before_its_segment_runs():
     with pytest.raises(ReplayError, match=r"^round 7: hint has norm 2 > 1"):
         core.drive(learner, G, _LongAt(3, 7))
     assert learner.round_index == 0 and learner.base.round_index == 0
-    learner = combinators.multi_hint(3, 3)
+    learner = MultiHintLearner(DimFreeLearner(3, 0.25), [CoinBettor(0.25) for _ in range(3)])
     with pytest.raises(ReplayError, match=r"^round 7: hint of slot 2 has norm 2 > 1"):
         core.drive(learner, G, [ZeroHint(3), ZeroHint(3), _LongAt(3, 7)])
     assert learner.round_index == 0
@@ -578,8 +581,10 @@ def test_sources_that_do_not_fit_the_learner_fail_at_round_0():
     # the hints are checked against what the learner plays, not what the sources gave
     G = unit_stream(np.random.default_rng(10), 6, 3)
     for learner, sources, shape in [
-            (combinators.multi_hint(3, 2), LastGradient(3), r"\(3,\), expected \(2, 3\)"),
-            (combinators.multi_hint(3, 3), [ZeroHint(3)] * 2, r"\(2, 3\), expected \(3, 3\)"),
+            (MultiHintLearner(DimFreeLearner(3, 1 / 3), [CoinBettor(1 / 3) for _ in range(2)]),
+             LastGradient(3), r"\(3,\), expected \(2, 3\)"),
+            (MultiHintLearner(DimFreeLearner(3, 0.25), [CoinBettor(0.25) for _ in range(3)]),
+             [ZeroHint(3)] * 2, r"\(2, 3\), expected \(3, 3\)"),
             (_optimistic(3), [ZeroHint(3)], r"\(1, 3\), expected \(3,\)")]:
         with pytest.raises(ReplayError, match=f"^round 0: hint has shape {shape}"):
             core.drive(learner, G, sources)
@@ -591,7 +596,8 @@ def test_sources_that_do_not_fit_the_learner_fail_at_round_0():
 def test_public_predict_copies_the_hint(kind):
     g = np.array([0.6, 0.0, 0.8])
     h = np.array([0.5, 0.1, -0.2]) if kind == "optimistic" else np.array([[0.5, 0.1, -0.2]])
-    learner = _optimistic(3) if kind == "optimistic" else combinators.multi_hint(3, 1)
+    learner = (_optimistic(3) if kind == "optimistic"
+               else MultiHintLearner(DimFreeLearner(3, 0.5), [CoinBettor(0.5)]))
     played = h.copy()
     learner.predict(played)
     played[...] = 0.0  # a write after predict must not reach this round's bettor outcome

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from regretforge import harness
 from regretforge.cli import cli_main
 from regretforge.harness import LIMIT
 
@@ -106,3 +107,23 @@ def test_values_at_the_bound_run_with_finite_numbers(tmp_path, capsys, learner, 
     config = {"learner": learner, "stream": {"kind": "rademacher_iid", "dim": 4, "T": 256},
               "comparators": comparators or [{"kind": "origin"}]}
     assert _run("run", config, tmp_path, capsys) == (0, None)
+
+
+def test_every_grammar_kind_has_a_shipped_config(monkeypatch):
+    # each (node, kind) row of harness.TABLE is read by a run of some configs/*.json, and the
+    # wealth cap binds only in the two shipped configs known to be capped (see test_scan)
+    seen, walk = set(), harness._walk
+
+    def recording(what, cfg, *rest):
+        seen.add((what, cfg["kind"]))
+        return walk(what, cfg, *rest)
+
+    monkeypatch.setattr(harness, "_walk", recording)
+    capped = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        _, record = harness.run_experiment(json.loads(path.read_text()), keep_record=True,
+                                           keep_iterates=False)
+        if record.capped:
+            capped[path.name] = record.capped
+    assert {(what, kind) for what in harness.TABLE for kind in harness.TABLE[what]} - seen == set()
+    assert set(capped) == {"optimistic_run.json", "multihint_run.json"}

@@ -249,6 +249,14 @@ def test_box_validation():
         Ball(np.zeros(2), 0.0)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_ball_rejects_a_radius_that_is_not_positive_and_finite(radius):
+    # a NaN radius would make every projection of an outside point NaN, and an infinite one an
+    # infinite diameter, so an infinite apd step
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        Ball(np.zeros(2), radius)
+
+
 def _old_pair(dom, x):
     """distance_subgradient and distance written out: the unit gap to project(x), zeros for no
     gap, and its norm; a ball's distance is max(0, ||x - center|| - radius)."""

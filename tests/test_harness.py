@@ -1064,6 +1064,20 @@ def test_oversized_bernstein_run_exits_2_before_any_trial(monkeypatch, capsys, a
     assert len(lines) == 1 and message in json.loads(lines[0])["error"]
 
 
+def test_bernstein_failure_that_is_not_a_value_error_exits_1(monkeypatch, capsys):
+    from regretforge import concentration
+
+    def broken(cfg):
+        raise RuntimeError("sampler broke")
+
+    monkeypatch.delenv("REGRETFORGE_SEED", raising=False)
+    monkeypatch.setattr(concentration, "coverage_experiment", broken)
+    assert cli_main(["bernstein", "--delta", "0.1", "--T", "8", "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [json.dumps({"error": "sampler broke"})]
+
+
 def test_bernstein_size_limits_admit_the_largest_run():
     from regretforge.concentration import BernsteinConfig
     from regretforge.core import MAX_STREAM_ENTRIES

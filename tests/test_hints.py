@@ -9,16 +9,18 @@ from regretforge import (
     AdversarialNegate,
     Ball,
     Box,
+    CoinBettor,
     ConstantHint,
+    ConstrainedOptimisticLearner,
+    DimFreeLearner,
     ExternalHints,
     LastGradient,
+    MultiHintLearner,
+    OptimisticLearner,
     ReplayError,
     RunningAverage,
     UnitBallDescent,
     ZeroHint,
-    constrained_optimistic,
-    multi_hint,
-    optimistic,
 )
 from regretforge.core import drive
 from regretforge.harness import StreamSpec, generate_stream
@@ -89,6 +91,9 @@ def test_external_hints(tmp_path):
         src.next_hint()
     with pytest.raises(ValueError):
         ExternalHints(np.array([[2.0, 0.0]]))
+    for rows in (np.zeros(4), np.zeros((2, 2, 2))):  # a 1-D sequence is not read as d = 1
+        with pytest.raises(ValueError, match=r"must be a \(T, d\) array"):
+            ExternalHints(rows)
 
 
 def test_all_sources_emit_unit_bounded_hints(rng):
@@ -242,10 +247,13 @@ _CLOSED = {
     "external": lambda G: ExternalHints(unit_stream(np.random.default_rng(5), 2 * _T, _D)),
 }
 _ROOTS = {
-    "optimistic": lambda: optimistic(_D),
-    "multi_hint": lambda: multi_hint(_D, 3),
-    "constrained_ball": lambda: constrained_optimistic(_D, Ball(np.zeros(_D), 0.5)),
-    "constrained_box": lambda: constrained_optimistic(_D, Box([-0.3] * _D, [0.3] * _D)),
+    "optimistic": lambda: OptimisticLearner(DimFreeLearner(_D, 0.5), CoinBettor(0.5)),
+    "multi_hint": lambda: MultiHintLearner(DimFreeLearner(_D, 0.25),
+                                           [CoinBettor(0.25) for _ in range(3)]),
+    "constrained_ball": lambda: ConstrainedOptimisticLearner(
+        DimFreeLearner(_D, 0.25), Ball(np.zeros(_D), 0.5), CoinBettor(0.25)),
+    "constrained_box": lambda: ConstrainedOptimisticLearner(
+        DimFreeLearner(_D, 0.25), Box([-0.3] * _D, [0.3] * _D), CoinBettor(0.25)),
 }
 
 
@@ -310,7 +318,8 @@ def test_a_source_named_twice_is_fed_once_per_slot(make):
     # the row loop asks the one object for two hints and feeds it twice a round
     G = unit_stream(np.random.default_rng(6), _T, _D)
     src, twin = make(G), make(G)
-    _, _, H = drive(multi_hint(_D, 2), G, [src] * 2)
+    learner = MultiHintLearner(DimFreeLearner(_D, 1 / 3), [CoinBettor(1 / 3) for _ in range(2)])
+    _, _, H = drive(learner, G, [src] * 2)
     ref, err = _hand_hints([twin] * 2, G)
     assert err is None and H.tobytes() == ref.tobytes()
     assert _after(src) == _after(twin)
@@ -323,12 +332,16 @@ def test_exhausted_external_hints_fail_at_the_round_the_loop_does():
                  lambda: [LastGradient(_D), ExternalHints(G[:7])]]:
         hints, twin = make(), make()
         _, (t, message) = _hand_hints(twin if isinstance(twin, list) else [twin], G)
-        learner = multi_hint(_D, 2) if isinstance(hints, list) else optimistic(_D)
+        if isinstance(hints, list):
+            learner = MultiHintLearner(DimFreeLearner(_D, 1 / 3),
+                                       [CoinBettor(1 / 3) for _ in range(2)])
+        else:
+            learner = OptimisticLearner(DimFreeLearner(_D, 0.5), CoinBettor(0.5))
         with pytest.raises(ReplayError, match=f"^round {t}: {message}$"):
             drive(learner, G, hints)
         assert learner.round_index == 0
     # split at a checkpoint, the round counts from the learner's first
-    learner, src = optimistic(_D), ExternalHints(G[:5])
+    learner, src = OptimisticLearner(DimFreeLearner(_D, 0.5), CoinBettor(0.5)), ExternalHints(G[:5])
     drive(learner, G[:3], src)
     with pytest.raises(ReplayError, match="^round 5: hint sequence exhausted after 5 rounds$"):
         drive(learner, G[3:], src)
@@ -342,11 +355,11 @@ def test_closed_form_sources_that_do_not_fit_keep_the_loop_and_its_errors():
     G = unit_stream(np.random.default_rng(8), 6, _D)
     for src in [LastGradient(_D + 1), AdversarialNegate(_D + 1), ExternalHints(np.zeros((6, 4)))]:
         with pytest.raises(ReplayError, match=f"^round 0: hint has dim 4, expected {_D}"):
-            drive(optimistic(_D), G, src)
+            drive(OptimisticLearner(DimFreeLearner(_D, 0.5), CoinBettor(0.5)), G, src)
 
     class Halved(LastGradient):  # a subclass loops: its own _feed holds
         def _feed(self, g):
             self._prev = 0.5 * g
 
-    _, _, H = drive(optimistic(_D), G, Halved(_D))
+    _, _, H = drive(OptimisticLearner(DimFreeLearner(_D, 0.5), CoinBettor(0.5)), G, Halved(_D))
     assert np.array_equal(H[1:], 0.5 * G[:-1]) and not H[0].any()

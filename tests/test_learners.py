@@ -464,7 +464,7 @@ def test_percoordinate_state_is_bitwise_that_of_scalar_bettors(rng):
     assert _bits(learner.wealth, learner.signed_sum) == _bits(
         [b.wealth for b in bettors], [b.signed_sum for b in bettors])
     assert 0 < learner.capped_rounds == capped < len(G)
-    assert learner.round == bettors[0].round == len(G)
+    assert learner.round_index == bettors[0].round == len(G)
 
 
 def _outcomes(rng, batch):

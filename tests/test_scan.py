@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regretforge import harness
-from regretforge.combinators import MultiHintLearner, OptimisticLearner, multi_hint, optimistic
+from regretforge.combinators import MultiHintLearner, OptimisticLearner
 from regretforge.core import ReplayError, drive
 from regretforge.hints import (
     AdversarialNegate,
@@ -52,10 +52,12 @@ def _tree(name, dim, G, hint_kinds):
     if name == "dimfree":
         return DimFreeLearner(dim, 0.5), None
     if name == "optimistic":
-        return optimistic(dim, 1.0), _source(hint_kinds[0], dim, G)
+        return (OptimisticLearner(DimFreeLearner(dim, 0.5), CoinBettor(0.5)),
+                _source(hint_kinds[0], dim, G))
     k = int(name[-1])
-    return multi_hint(dim, k, 1.0), [_source(hint_kinds[i % len(hint_kinds)], dim, G)
-                                     for i in range(k)]
+    share = 1.0 / (k + 1)
+    return (MultiHintLearner(DimFreeLearner(dim, share), [CoinBettor(share) for _ in range(k)]),
+            [_source(hint_kinds[i % len(hint_kinds)], dim, G) for i in range(k)])
 
 
 def _hand_rounds(learner, G, hints):
@@ -235,8 +237,8 @@ def test_a_strided_stream_settles_as_its_c_copy(d):
     # a Fortran-ordered stream is copied to C order before its segment settles: the rounds on
     # the C copy's rows give its bits (a strided row's dot may add in another order)
     G = _stream("gaussian_clipped", d, 90, seed=2)
-    learner, hints = optimistic(d), LastGradient(d)
-    ref, ref_hints = optimistic(d), LastGradient(d)
+    learner, hints = OptimisticLearner(DimFreeLearner(d, 0.5), CoinBettor(0.5)), LastGradient(d)
+    ref, ref_hints = OptimisticLearner(DimFreeLearner(d, 0.5), CoinBettor(0.5)), LastGradient(d)
     _same(drive(learner, np.asfortranarray(G), hints), _hand_rounds(ref, G, ref_hints))
     assert _state(learner) == _state(ref)
 

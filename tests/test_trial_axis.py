@@ -20,8 +20,7 @@ from regretforge import (
 )
 from regretforge import concentration
 from regretforge import harness
-from regretforge.combinators import (AddCombiner, ConstrainedOptimisticLearner, MultiHintLearner,
-                                     multi_hint)
+from regretforge.combinators import AddCombiner, ConstrainedOptimisticLearner, MultiHintLearner
 from regretforge.concentration import SAMPLER_PRESETS, trial_block
 from regretforge.core import (
     GRAD_TOL,
@@ -347,10 +346,13 @@ def test_hint_edges_decided_as_before(n):
     assert _drive_outcome(_optimistic(d, B), np.zeros((2, B, d)), _Fixed(H)) == _at_round_0(
         expected)
     # drive checks the k stacked hints of a multi-hint round under the name "hint"
-    assert _drive_outcome(multi_hint(d, B), np.zeros((2, d)), [_Fixed(r) for r in H]) == (
+    share = 1.0 / (B + 1)  # B hint slots
+    multi = MultiHintLearner(DimFreeLearner(d, share), [CoinBettor(share) for _ in range(B)])
+    assert _drive_outcome(multi, np.zeros((2, d)), [_Fixed(r) for r in H]) == (
         _at_round_0(_outcome(lambda: _old_hint_check(H, d, B, "hint", "slot"))))
     expected = _outcome(lambda: _old_hint_check(H, d, B, "hints", "slot"))
-    assert _outcome(lambda: multi_hint(d, B).predict(H)) == expected
+    multi = MultiHintLearner(DimFreeLearner(d, share), [CoinBettor(share) for _ in range(B)])
+    assert _outcome(lambda: multi.predict(H)) == expected
     if np.isfinite(n) and n > 1.0 + GRAD_TOL:
         assert "hint of slot 2 has norm" in expected[1]
 
@@ -364,7 +366,8 @@ def test_hint_of_wrong_shape_is_rejected_as_before():
         with pytest.raises(DimensionMismatch, match="hint"):
             _optimistic(d, B).predict(np.zeros(shape))
         with pytest.raises(DimensionMismatch, match="hints"):
-            multi_hint(d, B).predict(np.zeros(shape))
+            MultiHintLearner(DimFreeLearner(d, 1.0 / (B + 1)),
+                             [CoinBettor(1.0 / (B + 1)) for _ in range(B)]).predict(np.zeros(shape))
 
 
 def test_sixty_trial_block_is_each_trials_own_replay_bitwise():
